@@ -9,7 +9,6 @@ diagnostics (`diagnostics`), stroboscopic dynamics and Fourier analysis
 its file formats (`cli`, `fileio`).
 """
 
-from .backend import active_backend, set_backend
 from .diagnostics import (
     GapRatioSample,
     HistogramData,
@@ -49,10 +48,13 @@ from .ensemble import (
 from .errors import UndefinedFidelityError, ValidationError
 from .fileio import ConfigError, RunConfig, TOOL_VERSION
 from .floquet import (
+    FloquetFactors,
     FloquetResult,
+    apply_floquet,
     diagonalize_floquet,
     effective_hamiltonian,
     fast_floquet_operator,
+    floquet_factors,
     floquet_operator,
     propagator,
     sparsity_fraction,

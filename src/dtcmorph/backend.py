@@ -1,69 +1,20 @@
-"""Twin numba/numpy implementations of the hot inner kernels.
+"""Numpy kernels behind the Hamiltonian diagonals and the structured propagator.
 
-The kernels here are the per-configuration loops behind the Hamiltonian
-diagonals and the structured one-period propagator: everything else in the
-package is plain numpy/LAPACK.
-
-Backend selection: set DTCMORPH_BACKEND=numpy to force the pure-numpy path,
-DTCMORPH_BACKEND=numba to require numba (ImportError if unavailable).
-Default ("auto") uses numba when it imports.
+The diagonals are evaluated over all 2^N configurations at once from the
+cached sign table. Gates are applied by one kernel: a k x k gate on the row
+bits (bit, ..., bit + log2(k) - 1) is a single einsum over a
+(D / (k*m), k, m*cols) view, m = 2^bit, so the same code serves state vectors
+and D x cols matrices.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:
-    numba = None
-
-_VALID = ("auto", "numba", "numpy")
+from .spins import sign_table
 
 
-def _initial_backend() -> str:
-    requested = os.environ.get("DTCMORPH_BACKEND", "auto").lower()
-    if requested not in _VALID:
-        raise ValueError(
-            f"DTCMORPH_BACKEND must be one of {_VALID}, got {requested!r}"
-        )
-    if requested == "numba" and numba is None:
-        raise ImportError("DTCMORPH_BACKEND=numba but numba is not installed")
-    if requested == "auto":
-        return "numba" if numba is not None else "numpy"
-    return requested
-
-
-_ACTIVE = _initial_backend()
-
-
-def active_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> str:
-    """Switch the kernel backend at runtime; returns the previous backend."""
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and numba is None:
-        raise ImportError("numba backend requested but numba is not installed")
-    previous = _ACTIVE
-    _ACTIVE = name
-    return previous
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _sign_table(n_sites: int) -> np.ndarray:
-    idx = np.arange(1 << n_sites)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_sites)[None, :]) & 1)
-
-
-def _pair_coupling_diagonal_np(n_sites, j0, mu):
-    signs = _sign_table(n_sites)
+def pair_coupling_diagonal(n_sites: int, j0: float, mu: float) -> np.ndarray:
+    """Diagonal of sum_{l<m} j0/(m-l)^mu * s_l*s_m over all 2^n configurations."""
+    signs = sign_table(n_sites)
     weights = np.zeros((n_sites, n_sites))
     for l in range(n_sites):
         for m in range(l + 1, n_sites):
@@ -71,131 +22,29 @@ def _pair_coupling_diagonal_np(n_sites, j0, mu):
     return np.einsum("cl,lm,cm->c", signs, weights, signs)
 
 
-def _field_diagonal_np(w):
-    return _sign_table(len(w)) @ np.asarray(w, dtype=float)
-
-
-def _apply_site_gate_np(mat, bit, gate):
-    d = mat.shape[0]
-    m = 1 << bit
-    view = mat.reshape(d // (2 * m), 2, m, d)
-    view[:] = np.einsum("ab,xbyj->xayj", gate, view)
-
-
-def _apply_pair_gate_np(mat, bit, gate):
-    d = mat.shape[0]
-    m = 1 << bit
-    view = mat.reshape(d // (4 * m), 4, m, d)
-    view[:] = np.einsum("ab,xbyj->xayj", gate, view)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _pair_coupling_diagonal_nb(n_sites, j0, mu):
-        d = 1 << n_sites
-        coup = np.empty(n_sites)
-        for dist in range(1, n_sites):
-            coup[dist] = j0 / dist ** mu
-        out = np.empty(d)
-        for c in range(d):
-            acc = 0.0
-            for l in range(n_sites):
-                sl = 1.0 - 2.0 * ((c >> l) & 1)
-                for m in range(l + 1, n_sites):
-                    sm = 1.0 - 2.0 * ((c >> m) & 1)
-                    acc += coup[m - l] * sl * sm
-            out[c] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _field_diagonal_nb(w):
-        n = len(w)
-        d = 1 << n
-        out = np.empty(d)
-        for c in range(d):
-            acc = 0.0
-            for l in range(n):
-                acc += w[l] * (1.0 - 2.0 * ((c >> l) & 1))
-            out[c] = acc
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _apply_site_gate_nb(mat, bit, gate):
-        d = mat.shape[0]
-        m = 1 << bit
-        for base in range(0, d, 2 * m):
-            for lo in range(m):
-                r0 = base + lo
-                r1 = r0 + m
-                for j in range(d):
-                    a = mat[r0, j]
-                    b = mat[r1, j]
-                    mat[r0, j] = gate[0, 0] * a + gate[0, 1] * b
-                    mat[r1, j] = gate[1, 0] * a + gate[1, 1] * b
-
-    @numba.njit(cache=True, nogil=True)
-    def _apply_pair_gate_nb(mat, bit, gate):
-        d = mat.shape[0]
-        m = 1 << bit
-        for base in range(0, d, 4 * m):
-            for lo in range(m):
-                r0 = base + lo
-                r1 = r0 + m
-                r2 = r0 + 2 * m
-                r3 = r0 + 3 * m
-                for j in range(d):
-                    a0 = mat[r0, j]
-                    a1 = mat[r1, j]
-                    a2 = mat[r2, j]
-                    a3 = mat[r3, j]
-                    mat[r0, j] = gate[0, 0] * a0 + gate[0, 1] * a1 + gate[0, 2] * a2 + gate[0, 3] * a3
-                    mat[r1, j] = gate[1, 0] * a0 + gate[1, 1] * a1 + gate[1, 2] * a2 + gate[1, 3] * a3
-                    mat[r2, j] = gate[2, 0] * a0 + gate[2, 1] * a1 + gate[2, 2] * a2 + gate[2, 3] * a3
-                    mat[r3, j] = gate[3, 0] * a0 + gate[3, 1] * a1 + gate[3, 2] * a2 + gate[3, 3] * a3
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def pair_coupling_diagonal(n_sites: int, j0: float, mu: float) -> np.ndarray:
-    """Diagonal of sum_{l<m} j0/(m-l)^mu * s_l*s_m over all 2^n configurations."""
-    if _ACTIVE == "numba":
-        return _pair_coupling_diagonal_nb(n_sites, j0, mu)
-    return _pair_coupling_diagonal_np(n_sites, j0, mu)
-
-
 def field_diagonal(w: np.ndarray) -> np.ndarray:
     """Diagonal of sum_l w[l]*s_l over all 2^len(w) configurations."""
-    if _ACTIVE == "numba":
-        return _field_diagonal_nb(np.asarray(w, dtype=float))
-    return _field_diagonal_np(w)
+    return sign_table(len(w)) @ np.asarray(w, dtype=float)
+
+
+def _apply_gate(mat: np.ndarray, bit: int, gate: np.ndarray) -> None:
+    if not mat.flags.c_contiguous:
+        raise ValueError("gate kernels act in place on C-contiguous arrays only")
+    gate = np.asarray(gate, dtype=complex)
+    k = gate.shape[0]
+    m = 1 << bit
+    view = mat.reshape(mat.shape[0] // (k * m), k, -1)
+    view[:] = np.einsum("ab,xbj->xaj", gate, view)
 
 
 def apply_site_gate(mat: np.ndarray, bit: int, gate: np.ndarray) -> None:
-    """Left-multiply `mat` in place by a 2x2 gate acting on row-index `bit`.
-
-    `mat` must be C-contiguous complex128.
-    """
-    gate = np.ascontiguousarray(gate, dtype=complex)
-    if _ACTIVE == "numba":
-        _apply_site_gate_nb(mat, bit, gate)
-    else:
-        _apply_site_gate_np(mat, bit, gate)
+    """Left-multiply `mat` (a state or a matrix) in place by a 2x2 gate on row-index `bit`."""
+    _apply_gate(mat, bit, gate)
 
 
 def apply_pair_gate(mat: np.ndarray, bit: int, gate: np.ndarray) -> None:
-    """Left-multiply `mat` in place by a 4x4 gate on adjacent row bits (bit, bit+1).
+    """Left-multiply `mat` (a state or a matrix) in place by a 4x4 gate on row bits (bit, bit+1).
 
     Local basis ordering: value = bit + 2*(bit+1), i.e. the low bit varies fastest.
     """
-    gate = np.ascontiguousarray(gate, dtype=complex)
-    if _ACTIVE == "numba":
-        _apply_pair_gate_nb(mat, bit, gate)
-    else:
-        _apply_pair_gate_np(mat, bit, gate)
+    _apply_gate(mat, bit, gate)

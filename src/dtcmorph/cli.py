@@ -316,7 +316,11 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
         write_csv(out_dir, "fidelity_4t.csv", ("initial_config", "lambda", "fidelity"), fid4_rows),
         write_csv(out_dir, "fidelity_2t.csv", ("initial_config", "lambda", "fidelity"), fid2_rows),
     ]
-    return files, seeds, worker_count(cfg.workers), {}
+    undefined = {
+        "fidelity_4t.csv": int(maps.undefined_4t.sum()),
+        "fidelity_2t.csv": int(maps.undefined_2t.sum()),
+    }
+    return files, seeds, worker_count(cfg.workers), {"undefined_fidelities": undefined}
 
 
 def run_walk(cfg: RunConfig, out_dir: Path):

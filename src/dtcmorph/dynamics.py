@@ -16,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .floquet import fast_floquet_operator
+from .floquet import FloquetFactors, apply_floquet, fast_floquet_operator, floquet_factors
 from .hamiltonians import DisorderRealization, ModelParams, replace_lambda
-from .spins import basis_state, magnetization_weights
+from .spins import basis_state, check_normalized, magnetization_weights
+
+# a fidelity is undefined where the product of the two spectrum norms is below
+# this fraction of the largest product in its lambda column: the series is
+# identically 0 up to rounding, so the cosine similarity compares noise
+UNDEFINED_FIDELITY_RTOL = 1e-12
 
 
 @dataclass
@@ -47,16 +52,38 @@ class WalkRecord:
     initial_config: int
 
 
-def evolve_stroboscopic(f: np.ndarray, psi0: np.ndarray, n_periods: int) -> np.ndarray:
-    """States F^m psi0 for m = 0..n, stacked as rows."""
+def evolve_stroboscopic(f, psi0: np.ndarray, n_periods: int) -> np.ndarray:
+    """States F^m psi0 for m = 0..n, stacked as rows.
+
+    `f` is either the dense D x D propagator or its `FloquetFactors`.
+    """
     if n_periods < 0:
         raise ValueError("n_periods must be nonnegative")
     psi0 = np.asarray(psi0, dtype=complex)
     out = np.empty((n_periods + 1, len(psi0)), dtype=complex)
     out[0] = psi0
     for m in range(1, n_periods + 1):
-        out[m] = f @ out[m - 1]
+        if isinstance(f, FloquetFactors):
+            out[m] = out[m - 1]
+            apply_floquet(f, out[m])
+        else:
+            out[m] = f @ out[m - 1]
     return out
+
+
+def _evolve_config(
+    params: ModelParams, disorder: DisorderRealization, initial_config: int, n_periods: int
+) -> np.ndarray:
+    """F^m |initial_config> for m = 0..n from the factors of F.
+
+    No dense F exists on this path, so the final norm is the numerical health
+    check: a ValidationError if it drifted.
+    """
+    states = evolve_stroboscopic(
+        floquet_factors(params, disorder), basis_state(params.n_sites, initial_config), n_periods
+    )
+    check_normalized(states[-1])
+    return states
 
 
 def magnetization_series(
@@ -68,8 +95,7 @@ def magnetization_series(
     """Total magnetization after each of n periods from one basis configuration."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    f = fast_floquet_operator(params, disorder)
-    states = evolve_stroboscopic(f, basis_state(params.n_sites, initial_config), n_periods)
+    states = _evolve_config(params, disorder, initial_config, n_periods)
     weights = magnetization_weights(params.n_sites)
     magnetizations = (np.abs(states) ** 2) @ weights
     return TimeSeries(
@@ -81,10 +107,11 @@ def magnetization_series(
 
 
 def _dft_values(values: np.ndarray) -> np.ndarray:
-    # FFT over m = 0..n-1 matches the m = 1..n sum after a one-step phase twist
+    # FFT over m = 0..n-1 matches the m = 1..n sum after a one-step phase twist;
+    # transforms along axis 0, so the columns of a 2-D array are separate series
     n = len(values)
     twist = np.exp(-2j * np.pi * np.arange(n) / n)
-    return twist * np.fft.fft(values) / n
+    return twist.reshape((n,) + (1,) * (values.ndim - 1)) * np.fft.fft(values, axis=0) / n
 
 
 def dft(series: TimeSeries) -> np.ndarray:
@@ -123,11 +150,16 @@ class FidelityMaps:
 
     Rows are initial configurations (all 2^N of them), columns follow the
     lam grid. One shared disorder realization is used across the whole grid.
+    `undefined_4t`/`undefined_2t` flag the entries whose fidelity compares
+    rounding noise (see UNDEFINED_FIDELITY_RTOL); their values are kept as
+    computed.
     """
 
     lambdas: np.ndarray
     fid_4t: np.ndarray
     fid_2t: np.ndarray
+    undefined_4t: np.ndarray
+    undefined_2t: np.ndarray
 
 
 def _all_config_power_spectra(
@@ -142,10 +174,12 @@ def _all_config_power_spectra(
     for m in range(n_periods):
         states = f @ states
         magnetizations[m] = weights @ (np.abs(states) ** 2)
-    n = n_periods
-    twist = np.exp(-2j * np.pi * np.arange(n) / n)
-    spectra = twist[:, None] * np.fft.fft(magnetizations, axis=0) / n
-    return np.abs(spectra) ** 2
+    return np.abs(_dft_values(magnetizations)) ** 2
+
+
+def _undefined(ref: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(ref, axis=0) * np.linalg.norm(spectra, axis=0)
+    return norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
 
 
 def fidelity_map(
@@ -154,21 +188,39 @@ def fidelity_map(
     lambdas,
     n_periods: int,
 ) -> FidelityMaps:
-    """Both fidelity maps over every initial configuration and the lam grid."""
+    """Both fidelity maps over every initial configuration and the lam grid.
+
+    The lam = 0 and lam = 1 references are reused as grid columns when the
+    grid holds those values.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(lambdas < 0.0) or np.any(lambdas > 1.0):
         raise ValueError("lambda grid must lie within [0, 1]")
     d = params.dim
-    ref_4t = _all_config_power_spectra(replace_lambda(params, 0.0), disorder, n_periods)
-    ref_2t = _all_config_power_spectra(replace_lambda(params, 1.0), disorder, n_periods)
-    fid_4t = np.empty((d, len(lambdas)))
-    fid_2t = np.empty((d, len(lambdas)))
+    refs = {
+        lam: _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
+        for lam in (0.0, 1.0)
+    }
+    ref_4t, ref_2t = refs[0.0], refs[1.0]
+    shape = (d, len(lambdas))
+    fid_4t, fid_2t = np.empty(shape), np.empty(shape)
+    undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     for col, lam in enumerate(lambdas):
-        spectra = _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
+        spectra = refs.get(lam)
+        if spectra is None:
+            spectra = _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
         for i in range(d):
             fid_4t[i, col] = spectrum_fidelity(ref_4t[:, i], spectra[:, i])
             fid_2t[i, col] = spectrum_fidelity(ref_2t[:, i], spectra[:, i])
-    return FidelityMaps(lambdas=lambdas, fid_4t=fid_4t, fid_2t=fid_2t)
+        undefined_4t[:, col] = _undefined(ref_4t, spectra)
+        undefined_2t[:, col] = _undefined(ref_2t, spectra)
+    return FidelityMaps(
+        lambdas=lambdas,
+        fid_4t=fid_4t,
+        fid_2t=fid_2t,
+        undefined_4t=undefined_4t,
+        undefined_2t=undefined_2t,
+    )
 
 
 def walk_populations(
@@ -178,8 +230,7 @@ def walk_populations(
     n_periods: int,
 ) -> WalkRecord:
     """Quantum walk over configurations: populations after each period."""
-    f = fast_floquet_operator(params, disorder)
-    states = evolve_stroboscopic(f, basis_state(params.n_sites, initial_config), n_periods)
+    states = _evolve_config(params, disorder, initial_config, n_periods)
     return WalkRecord(populations=np.abs(states) ** 2, initial_config=initial_config)
 
 

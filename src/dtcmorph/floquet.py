@@ -9,6 +9,10 @@ rightmost). Two construction routes are provided:
 * `fast_floquet_operator` exploits the segment structure (single-site
   rotations, diagonal phases, commuting 4x4 dimer blocks) and must agree with
   the dense route to 1e-10.
+
+Where only states are evolved, F is never formed: `floquet_factors` holds it
+as N/2 segment-1 dimer factors, the segment-2 phases and N/2 segment-3 dimer
+factors, and `apply_floquet` applies them in place in O(N*D) per state.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .hamiltonians import (
     build_h2,
     build_h3,
     dimer_block,
-    dimer_sites,
     h2_diagonal,
 )
 from .spins import max_hermiticity_defect, max_unitarity_defect
@@ -86,6 +89,50 @@ def _site_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
+def _site_rotations(params: ModelParams) -> list:
+    """Segment-1 rotation of every site, site 1 first."""
+    return [
+        _site_rotation((params.g if site % 2 == 1 else params.lam * params.g) * params.t1)
+        for site in range(1, params.n_sites + 1)
+    ]
+
+
+@dataclass(frozen=True)
+class FloquetFactors:
+    """F = U3 U2 U1 held by its factors, never as a D x D matrix.
+
+    `u1[k]` and `u3[k]` are 4x4 gates on the row bits (2k, 2k+1) of dimer k+1,
+    low bit fastest: `u1[k]` = kron(rotation of site 2k+2, rotation of site
+    2k+1), `u3[k]` = exp(-i * t3 * dimer block). `phases` is the segment-2
+    diagonal exp(-i * t2 * h2_diagonal).
+    """
+
+    u1: tuple
+    phases: np.ndarray
+    u3: tuple
+
+
+def floquet_factors(
+    params: ModelParams, disorder: DisorderRealization
+) -> FloquetFactors:
+    """The one-period propagator in factor form; O(D) memory."""
+    phases = np.exp(-1j * params.t2 * h2_diagonal(params, disorder))
+    rotations = _site_rotations(params)
+    dimers = range(params.n_sites // 2)
+    u1 = tuple(np.kron(rotations[2 * k + 1], rotations[2 * k]) for k in dimers)
+    u3 = tuple(propagator(dimer_block(params, disorder, k + 1), params.t3) for k in dimers)
+    return FloquetFactors(u1=u1, phases=phases, u3=u3)
+
+
+def apply_floquet(factors: FloquetFactors, psi: np.ndarray) -> None:
+    """Replace `psi` (a C-contiguous state, or states as columns) by F @ psi."""
+    for k, gate in enumerate(factors.u1):
+        backend.apply_pair_gate(psi, 2 * k, gate)
+    psi *= factors.phases.reshape((-1,) + (1,) * (psi.ndim - 1))
+    for k, gate in enumerate(factors.u3):
+        backend.apply_pair_gate(psi, 2 * k, gate)
+
+
 def fast_floquet_operator(
     params: ModelParams, disorder: DisorderRealization
 ) -> np.ndarray:
@@ -95,19 +142,13 @@ def fast_floquet_operator(
     diagonal phases (no dense exponential), segment 3 as 4x4 exponentials of
     the mutually commuting dimer blocks.
     """
-    if len(disorder.w) != params.n_sites:
-        raise ValueError(
-            f"disorder has {len(disorder.w)} fields for {params.n_sites} sites"
-        )
-    d = params.dim
-    mat = np.eye(d, dtype=complex)
-    for site in range(1, params.n_sites + 1):
-        strength = params.g if site % 2 == 1 else params.lam * params.g
-        backend.apply_site_gate(mat, site - 1, _site_rotation(strength * params.t1))
-    mat *= np.exp(-1j * params.t2 * h2_diagonal(params, disorder))[:, None]
-    for k, (a, _b) in enumerate(dimer_sites(params.n_sites), start=1):
-        gate = propagator(dimer_block(params, disorder, k), params.t3)
-        backend.apply_pair_gate(mat, a - 1, gate)
+    factors = floquet_factors(params, disorder)
+    mat = np.eye(params.dim, dtype=complex)
+    for bit, gate in enumerate(_site_rotations(params)):
+        backend.apply_site_gate(mat, bit, gate)
+    mat *= factors.phases[:, None]
+    for k, gate in enumerate(factors.u3):
+        backend.apply_pair_gate(mat, 2 * k, gate)
     return mat
 
 

@@ -1,0 +1,27 @@
+import dataclasses
+
+import pytest
+
+import dtcmorph.dynamics as dynamics_module
+
+
+@pytest.fixture
+def corrupt_factors(monkeypatch):
+    """Scale one part of F's factor form in every evolution, breaking unitarity.
+
+    `corrupt("u1" | "u3")` scales the first dimer factor, `corrupt("phases")`
+    the segment-2 diagonal.
+    """
+
+    def corrupt(part: str, scale: float = 1.001):
+        real = dynamics_module.floquet_factors
+
+        def corrupted(params, disorder):
+            factors = real(params, disorder)
+            value = getattr(factors, part)
+            value = scale * value if part == "phases" else (scale * value[0],) + value[1:]
+            return dataclasses.replace(factors, **{part: value})
+
+        monkeypatch.setattr(dynamics_module, "floquet_factors", corrupted)
+
+    return corrupt

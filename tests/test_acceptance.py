@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria use n_sites = 8
-(256 levels) unless stated. The numba kernels are warmed before any timed
-criterion so jit compilation never counts against a runtime bound.
+(256 levels) unless stated. One small propagator is built before any timed
+criterion so first-call library set-up never counts against a runtime bound.
 """
 
 import time
@@ -34,6 +34,7 @@ CYCLE = [0, 0b10101010, 0b11111111, 0b01010101]
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
+    # the first call pays for lazy LAPACK/einsum set-up; keep it out of every budget
     params = default_params(2, 0.5)
     fast_floquet_operator(params, sample_disorder(params, 0))
 

@@ -183,3 +183,23 @@ def test_validation_failure_exits_three(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
     assert run_cli(["spectrum", "--n-sites", "2", "--out", str(tmp_path / "v")]) == 3
+
+
+def test_dynamics_manifest_counts_undefined_fidelities(tmp_path):
+    # 36 configurations keep a zero magnetization series at lam = 0 and 70 at
+    # lam = 1 (see test_dynamics.zero_series_configs); a fidelity is undefined
+    # where the reference's or the column's series is zero
+    out = tmp_path / "dyn8"
+    code = run_cli(["dynamics", "--n-sites", "8", "--lambdas", "0,1", "--seed", "3",
+                    "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["undefined_fidelities"] == {
+        "fidelity_4t.csv": 36 + 70,
+        "fidelity_2t.csv": 70 + 70,
+    }
+
+
+def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
+    corrupt_factors("phases")
+    assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3

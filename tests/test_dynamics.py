@@ -14,7 +14,8 @@ from dtcmorph.dynamics import (
     walk_populations,
     walk_support,
 )
-from dtcmorph.errors import UndefinedFidelityError
+import dtcmorph.dynamics as dynamics_module
+from dtcmorph.errors import UndefinedFidelityError, ValidationError
 from dtcmorph.floquet import fast_floquet_operator
 from dtcmorph.hamiltonians import default_params, sample_disorder
 from dtcmorph.spins import basis_state
@@ -213,3 +214,92 @@ def test_walk_crystal_supports():
     record1 = walk_populations(p1, sample_disorder(p1, 19), 0, 40)
     assert walk_support(record1) == 2
     assert record1.populations.max(axis=0)[0b11111111] > 0.999
+
+
+def test_corrupted_factor_trips_the_norm_check(corrupt_factors):
+    p = default_params(6, 0.5)
+    disorder = sample_disorder(p, 3)
+    corrupt_factors("u3")
+    with pytest.raises(ValidationError):
+        walk_populations(p, disorder, 0, 40)
+    with pytest.raises(ValidationError):
+        magnetization_series(p, disorder, 0, 40)
+
+
+def test_factor_evolution_matches_dense_propagator():
+    p = default_params(8, 0.5)
+    disorder = sample_disorder(p, 21)
+    dense = evolve_stroboscopic(fast_floquet_operator(p, disorder), basis_state(8, 5), 40)
+    assert np.allclose(walk_populations(p, disorder, 5, 40).populations, np.abs(dense) ** 2,
+                       rtol=0, atol=1e-12)
+
+
+def test_dft_values_columns_match_single_series():
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(24, 5))
+    together = dynamics_module._dft_values(block)
+    for j in range(5):
+        assert np.array_equal(together[:, j], dynamics_module._dft_values(block[:, j]))
+
+
+def test_fidelity_map_reuses_endpoint_spectra(monkeypatch):
+    p = default_params(4, 0.0)
+    disorder = sample_disorder(p, 6)
+    lambdas = [0.0, 0.3, 0.6, 1.0]
+    expected = fidelity_map(p, disorder, lambdas, 16)
+    calls = []
+    real = dynamics_module._all_config_power_spectra
+
+    def counting(params, disorder, n_periods):
+        calls.append(params.lam)
+        return real(params, disorder, n_periods)
+
+    monkeypatch.setattr(dynamics_module, "_all_config_power_spectra", counting)
+    maps = fidelity_map(p, disorder, lambdas, 16)
+    assert sorted(calls) == [0.0, 0.3, 0.6, 1.0]
+    assert np.array_equal(maps.fid_4t, expected.fid_4t)
+    assert np.array_equal(maps.fid_2t, expected.fid_2t)
+
+
+def zero_series_configs(n_sites, lam):
+    """Configurations whose magnetization series is identically 0 at lam = 0 or 1.
+
+    At both endpoints F maps each configuration to one configuration: at lam = 1
+    it flips every site, at lam = 0 it flips the odd sites and swaps the dimers.
+    """
+    d = 1 << n_sites
+    odd = sum(1 << bit for bit in range(0, n_sites, 2))
+
+    def magnetization(c):
+        return n_sites - 2 * bin(c).count("1")
+
+    def step(c):
+        if lam == 1.0:
+            return c ^ (d - 1)
+        c ^= odd
+        low, high = c & odd, (c >> 1) & odd
+        return (low << 1) | high
+
+    zero = set()
+    for c in range(d):
+        orbit = [c]
+        for _ in range(3):
+            orbit.append(step(orbit[-1]))
+        if all(magnetization(x) == 0 for x in orbit):
+            zero.add(c)
+    return zero
+
+
+def test_undefined_fidelities_are_the_zero_series():
+    p = default_params(8, 0.0)
+    maps = fidelity_map(p, sample_disorder(p, 42), [0.0, 1.0], 64)
+    z0, z1 = zero_series_configs(8, 0.0), zero_series_configs(8, 1.0)
+    assert (len(z0), len(z1)) == (36, 70)
+    flags = {
+        "4t": [z0, z0 | z1],  # columns lam = 0, 1 against the lam = 0 reference
+        "2t": [z0 | z1, z1],
+    }
+    for name, undefined in (("4t", maps.undefined_4t), ("2t", maps.undefined_2t)):
+        for col, expected in enumerate(flags[name]):
+            assert set(np.flatnonzero(undefined[:, col])) == expected
+    assert (maps.undefined_4t.sum(), maps.undefined_2t.sum()) == (36 + 70, 70 + 70)

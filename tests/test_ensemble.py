@@ -184,3 +184,10 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
     assert any(e and "injected failure" in e for e in errors)
     # aggregates skip the failed cell
     assert len(pooled_mean_ratios(result)) == 1
+
+
+def test_norm_drift_in_magnetization_is_a_cell_failure(corrupt_factors):
+    corrupt_factors("u1", 1.01)
+    plan = small_plan(lambdas=(0.4,), realizations=2, diagnostics=("magnetization",))
+    errors = [r.error for r in run_sweep(plan, workers=1).records]
+    assert all(e and e.startswith("ValidationError") for e in errors)

@@ -3,9 +3,11 @@ import pytest
 
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
+    apply_floquet,
     diagonalize_floquet,
     effective_hamiltonian,
     fast_floquet_operator,
+    floquet_factors,
     floquet_operator,
     propagator,
     sparsity_fraction,
@@ -118,6 +120,24 @@ def test_fast_path_never_exponentiates_dense_segments(monkeypatch):
     p = default_params(6, 0.0)
     fast_floquet_operator(p, sample_disorder(p, 0))
     assert shapes and max(shapes) == 4
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_factor_form_matches_dense_oracle(n_sites, lam):
+    p = default_params(n_sites, lam)
+    rng = np.random.default_rng(n_sites)
+    for seed in range(3):
+        disorder = sample_disorder(p, seed)
+        dense = floquet_operator(p, disorder)
+        factors = floquet_factors(p, disorder)
+        psi = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
+        work = psi.copy()
+        apply_floquet(factors, work)
+        assert np.max(np.abs(work - dense @ psi)) < 1e-12
+        mat = np.eye(p.dim, dtype=complex)
+        apply_floquet(factors, mat)
+        assert np.max(np.abs(mat - dense)) < 1e-12
 
 
 def test_diagonalize_identity():
