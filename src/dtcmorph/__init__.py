@@ -44,6 +44,7 @@ from .ensemble import (
     pooled_histograms,
     pooled_mean_ratios,
     run_sweep,
+    surviving_cells,
 )
 from .errors import UndefinedFidelityError, ValidationError
 from .fileio import ConfigError, RunConfig, TOOL_VERSION

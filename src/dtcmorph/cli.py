@@ -13,11 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    mean_gap_ratio,
-    ratio_histogram,
-    reference_density,
-)
+from .diagnostics import mean_gap_ratio, reference_density
 from .dynamics import (
     fidelity_map,
     magnetization_series,
@@ -30,12 +26,14 @@ from .ensemble import (
     SweepPlan,
     aggregate_fractal,
     derive_seed,
+    pooled_histograms,
     pooled_mean_ratios,
     run_sweep,
+    surviving_cells,
     worker_count,
 )
-from .errors import ValidationError
-from .fileio import ConfigError, RunConfig, write_csv, write_manifest
+from .errors import ConfigError, ValidationError
+from .fileio import RunConfig, write_csv, write_manifest
 from .floquet import diagonalize_floquet, effective_hamiltonian, fast_floquet_operator, sparsity_fraction
 from .hamiltonians import sample_disorder
 
@@ -44,6 +42,7 @@ HEFF_SPARSITY_THRESHOLD = 1e-3
 
 _CURVE_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _STATS_GRID = (0.001, 0.5, 0.999)
+_REFERENCE_KINDS = ("poisson", "goe", "coe")
 
 # per-command defaults for fields left unset by config file and flags
 COMMAND_DEFAULTS = {
@@ -61,10 +60,23 @@ def _parse_lambdas(text: str) -> tuple:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise ConfigError(f"cannot parse lambda grid {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse lambda grid {text!r}: {exc}") from exc
     if not values:
-        raise ConfigError("empty lambda grid")
+        raise argparse.ArgumentTypeError("empty lambda grid")
     return values
+
+
+# flag -> (RunConfig field it overrides, argument type, help)
+_FLAGS = {
+    "--seed": ("master_seed", int, "master seed override"),
+    "--n-sites": ("n_sites", int, "chain length (even)"),
+    "--lambdas": ("lambdas", _parse_lambdas, "comma-separated deformation grid"),
+    "--realizations": ("realizations", int, None),
+    "--periods": ("periods", int, None),
+    "--workers": ("workers", int, None),
+    "--bins": ("bins", int, None),
+    "--initial-config": ("initial_config", int, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,41 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in descriptions.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--out", type=str, default=None, help="output directory")
-        cmd.add_argument("--n-sites", type=int, default=None, help="chain length (even)")
-        cmd.add_argument(
-            "--lambdas", type=str, default=None, help="comma-separated deformation grid"
-        )
-        cmd.add_argument("--realizations", type=int, default=None)
-        cmd.add_argument("--periods", type=int, default=None)
-        cmd.add_argument("--workers", type=int, default=None)
-        cmd.add_argument("--bins", type=int, default=None)
-        cmd.add_argument("--initial-config", type=int, default=None)
+        for flag, (field, kind, flag_help) in _FLAGS.items():
+            cmd.add_argument(flag, dest=field, type=kind, default=None, help=flag_help)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.n_sites is not None:
-        overrides["n_sites"] = args.n_sites
-    if args.lambdas is not None:
-        overrides["lambdas"] = _parse_lambdas(args.lambdas)
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.periods is not None:
-        overrides["periods"] = args.periods
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.bins is not None:
-        overrides["bins"] = args.bins
-    if args.initial_config is not None:
-        overrides["initial_config"] = args.initial_config
-    data = cfg.to_dict()
-    data.update(overrides)
+    data = (RunConfig.from_file(args.config) if args.config else RunConfig()).to_dict()
+    for field, _, _ in _FLAGS.values():
+        if getattr(args, field) is not None:
+            data[field] = getattr(args, field)
     defaults = COMMAND_DEFAULTS[args.command]
     for key, value in defaults.items():
         if data.get(key) is None:
@@ -138,12 +126,14 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(
             f"initial configuration {cfg.initial_config} outside [0, {1 << cfg.n_sites})"
         )
-    if cfg.realizations < 1 or cfg.periods < 1 or cfg.bins < 1:
-        raise ConfigError("realizations, periods and bins must be >= 1")
+    counts = (cfg.realizations, cfg.periods, cfg.bins, 1 if cfg.workers is None else cfg.workers)
+    if min(counts) < 1:
+        raise ConfigError("realizations, periods, bins and workers must be >= 1")
     return cfg
 
 
 def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int]:
+    """Run the ensemble sweep; a lambda column with no surviving cell fails the run."""
     plan = SweepPlan(
         lambdas=cfg.lambdas,
         realizations=cfg.realizations,
@@ -164,27 +154,41 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int]:
         }
         for r in result.records
     ]
-    failures = [r for r in result.records if r.error is not None]
-    for r in failures:
-        print(f"cell ({r.lambda_index},{r.realization_index}) failed: {r.error}", file=sys.stderr)
+    for r in result.records:
+        if r.error is not None:
+            print(
+                f"cell ({r.lambda_index},{r.realization_index}) failed: {r.error}", file=sys.stderr
+            )
+    for li, lam in enumerate(plan.lambdas):
+        if not surviving_cells(result, li):
+            raise ValidationError(f"every cell failed at lambda {lam}")
     return result, seeds, workers
+
+
+def _state_rows(result: EnsembleResult, columns):
+    """Rows (lambda, seed, alpha, *values) for every state of every surviving cell.
+
+    `columns(record)` gives the per-state value arrays of one record.
+    """
+    for li in range(len(result.plan.lambdas)):
+        for rec in surviving_cells(result, li):
+            for alpha, values in enumerate(zip(*columns(rec))):
+                yield (rec.lam, rec.seed, alpha, *values)
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path):
     result, seeds, workers = _sweep(cfg, ("spectrum",))
-    rows = []
-    for rec in result.records:
-        if rec.error is not None:
-            continue
+
+    def columns(rec):
         eigvals = np.exp(-1j * rec.quasienergies * cfg.params_for(rec.lam).period)
-        for alpha, (eps, lam_a) in enumerate(zip(rec.quasienergies, eigvals)):
-            rows.append((rec.lam, rec.seed, alpha, eps, lam_a.real, lam_a.imag))
+        return rec.quasienergies, eigvals.real, eigvals.imag
+
     files = [
         write_csv(
             out_dir,
             "spectrum.csv",
             ("lambda", "seed", "alpha", "quasienergy", "re_eigenvalue", "im_eigenvalue"),
-            rows,
+            _state_rows(result, columns),
         )
     ]
     return files, seeds, workers, {}
@@ -192,18 +196,15 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
 
 def run_levels(cfg: RunConfig, out_dir: Path):
     result, seeds, workers = _sweep(cfg, ("levels",))
+    hists = pooled_histograms(result, bins=cfg.bins)
+    means = pooled_mean_ratios(result)
+    ref_means = tuple(mean_gap_ratio(kind) for kind in _REFERENCE_KINDS)
     hist_rows = []
     summary_rows = []
     degenerate = []
-    ref_means = {kind: mean_gap_ratio(kind) for kind in ("poisson", "goe", "coe")}
     for li, lam in enumerate(result.plan.lambdas):
-        samples = [r.ratios for r in result.cells_for(li) if r.error is None]
-        if not samples:
-            raise ValidationError(f"every cell failed at lambda {lam}")
-        pooled = np.concatenate([s.ratios for s in samples])
-        hist = ratio_histogram(pooled, bins=cfg.bins)
-        centers = hist.centers
-        for b in range(cfg.bins):
+        hist = hists[li]
+        for b, center in enumerate(hist.centers):
             hist_rows.append(
                 (
                     lam,
@@ -212,21 +213,11 @@ def run_levels(cfg: RunConfig, out_dir: Path):
                     hist.edges[b + 1],
                     int(hist.counts[b]),
                     hist.density[b],
-                    reference_density("poisson", centers[b]),
-                    reference_density("goe", centers[b]),
-                    reference_density("coe", centers[b]),
+                    *(reference_density(kind, center) for kind in _REFERENCE_KINDS),
                 )
             )
-        summary_rows.append(
-            (
-                lam,
-                len(pooled),
-                float(np.mean(pooled)),
-                ref_means["poisson"],
-                ref_means["goe"],
-                ref_means["coe"],
-            )
-        )
+        samples = [r.ratios for r in surviving_cells(result, li)]
+        summary_rows.append((lam, sum(len(s.ratios) for s in samples), means[li], *ref_means))
         degenerate.append(
             {
                 "lambda": lam,
@@ -263,20 +254,13 @@ def run_levels(cfg: RunConfig, out_dir: Path):
 
 def run_fractal(cfg: RunConfig, out_dir: Path):
     result, seeds, workers = _sweep(cfg, ("fractal",))
-    state_rows = []
-    for rec in result.records:
-        if rec.error is not None:
-            continue
-        for alpha, dim in enumerate(rec.fractal_dimensions):
-            state_rows.append((rec.lam, rec.seed, alpha, dim))
-    curve = aggregate_fractal(result)
-    mean_rows = list(zip(result.plan.lambdas, curve))
+    mean_rows = list(zip(result.plan.lambdas, aggregate_fractal(result)))
     files = [
         write_csv(
             out_dir,
             "fractal_states.csv",
             ("lambda", "seed", "alpha", "fractal_dimension"),
-            state_rows,
+            _state_rows(result, lambda rec: (rec.fractal_dimensions,)),
         ),
         write_csv(out_dir, "fractal_mean.csv", ("lambda", "mean_fractal_dimension"), mean_rows),
     ]
@@ -290,6 +274,13 @@ def _shared_disorder(cfg: RunConfig):
     return disorder, [{"lambda_index": 0, "realization_index": 0, "seed": seed}]
 
 
+def _write_config_table(out_dir: Path, name: str, index: str, lam: float, matrix):
+    """One row (lambda, index, config_0 .. config_{D-1}) per matrix row."""
+    header = ("lambda", index, *(f"config_{l}" for l in range(matrix.shape[1])))
+    return write_csv(out_dir, name, header, ((lam, i, *row) for i, row in enumerate(matrix)))
+
+
+# dynamics, walk and heff run serially and record one worker
 def run_dynamics(cfg: RunConfig, out_dir: Path):
     disorder, seeds = _shared_disorder(cfg)
     series_rows = []
@@ -320,24 +311,19 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
         "fidelity_4t.csv": int(maps.undefined_4t.sum()),
         "fidelity_2t.csv": int(maps.undefined_2t.sum()),
     }
-    return files, seeds, worker_count(cfg.workers), {"undefined_fidelities": undefined}
+    return files, seeds, 1, {"undefined_fidelities": undefined}
 
 
 def run_walk(cfg: RunConfig, out_dir: Path):
     disorder, seeds = _shared_disorder(cfg)
-    dim = 1 << cfg.n_sites
-    config_header = tuple(f"config_{l}" for l in range(dim))
     files = []
     support_rows = []
     for li, lam in enumerate(cfg.lambdas):
         record = walk_populations(
             cfg.params_for(lam), disorder, cfg.initial_config, cfg.periods
         )
-        rows = [
-            (lam, m, *record.populations[m]) for m in range(cfg.periods + 1)
-        ]
         files.append(
-            write_csv(out_dir, f"walk_{li:03d}.csv", ("lambda", "m", *config_header), rows)
+            _write_config_table(out_dir, f"walk_{li:03d}.csv", "m", lam, record.populations)
         )
         support_rows.append(
             (lam, WALK_SUPPORT_THRESHOLD, walk_support(record, WALK_SUPPORT_THRESHOLD))
@@ -350,23 +336,19 @@ def run_walk(cfg: RunConfig, out_dir: Path):
             support_rows,
         )
     )
-    return files, seeds, worker_count(cfg.workers), {}
+    return files, seeds, 1, {}
 
 
 def run_heff(cfg: RunConfig, out_dir: Path):
     disorder, seeds = _shared_disorder(cfg)
-    dim = 1 << cfg.n_sites
-    config_header = tuple(f"config_{l}" for l in range(dim))
     files = []
     sparsity_rows = []
     for li, lam in enumerate(cfg.lambdas):
         params = cfg.params_for(lam)
         result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
         h_eff = effective_hamiltonian(result)
-        mags = np.abs(h_eff)
-        rows = [(lam, l, *mags[l]) for l in range(dim)]
         files.append(
-            write_csv(out_dir, f"heff_{li:03d}.csv", ("lambda", "row_config", *config_header), rows)
+            _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
         )
         sparsity_rows.append(
             (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD, sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
@@ -379,7 +361,7 @@ def run_heff(cfg: RunConfig, out_dir: Path):
             sparsity_rows,
         )
     )
-    return files, seeds, worker_count(cfg.workers), {}
+    return files, seeds, 1, {}
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):
@@ -387,22 +369,12 @@ def run_full_sweep(cfg: RunConfig, out_dir: Path):
     cell_rows = []
     for rec in result.records:
         if rec.error is None:
-            cell_rows.append(
-                (
-                    rec.lambda_index,
-                    rec.realization_index,
-                    rec.lam,
-                    rec.seed,
-                    len(rec.ratios.ratios),
-                    float(np.mean(rec.ratios.ratios)),
-                    float(np.mean(rec.fractal_dimensions)),
-                    "",
-                )
-            )
+            ratios = rec.ratios.ratios
+            dims = rec.fractal_dimensions
+            summary = (len(ratios), float(np.mean(ratios)), float(np.mean(dims)), "")
         else:
-            cell_rows.append(
-                (rec.lambda_index, rec.realization_index, rec.lam, rec.seed, 0, 0.0, 0.0, rec.error)
-            )
+            summary = (0, 0.0, 0.0, rec.error)
+        cell_rows.append((rec.lambda_index, rec.realization_index, rec.lam, rec.seed, *summary))
     mean_ratio_rows = list(zip(result.plan.lambdas, pooled_mean_ratios(result)))
     fractal_rows = list(zip(result.plan.lambdas, aggregate_fractal(result)))
     files = [
@@ -439,18 +411,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     out_dir = Path(args.out) if args.out else Path(f"dtcmorph_{args.command}")
     try:
+        cfg = resolve_config(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         files, seeds, workers, extra = _HANDLERS[args.command](cfg, out_dir)
         write_manifest(out_dir, args.command, cfg, seeds, files, workers, extra)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ from .diagnostics import (
     state_fractal_dimensions,
 )
 from .dynamics import magnetization_series
+from .errors import ConfigError
 from .floquet import diagonalize_floquet, fast_floquet_operator
 from .hamiltonians import ModelParams, default_params, sample_disorder
 
@@ -139,13 +140,22 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker-pool size: explicit argument, DTCMORPH_WORKERS, else cpu count."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("DTCMORPH_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker-pool size: explicit argument, DTCMORPH_WORKERS, else cpu count.
+
+    A count below 1, or a DTCMORPH_WORKERS that is not an integer, is a
+    configuration error.
+    """
+    if requested is None:
+        env = os.environ.get("DTCMORPH_WORKERS")
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ConfigError(f"DTCMORPH_WORKERS={env!r} is not an integer") from None
+    if requested < 1:
+        raise ConfigError(f"worker count must be >= 1, got {requested}")
+    return requested
 
 
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
@@ -164,41 +174,42 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
     return EnsembleResult(plan=plan, records=records)
 
 
-def _good_cells(result: EnsembleResult, lambda_index: int, attr: str) -> list:
-    cells = []
-    for record in result.cells_for(lambda_index):
-        if record.error is not None:
-            continue
-        value = getattr(record, attr)
-        if value is None:
-            raise ValueError(f"sweep records are missing the {attr!r} diagnostic")
-        cells.append(value)
+def surviving_cells(result: EnsembleResult, lambda_index: int, attr: str | None = None) -> list:
+    """Records of one lambda column that did not fail, in realization order.
+
+    With `attr`, every surviving record must carry that diagnostic.
+    """
+    cells = [r for r in result.cells_for(lambda_index) if r.error is None]
+    if attr is not None and any(getattr(r, attr) is None for r in cells):
+        raise ValueError(f"sweep records are missing the {attr!r} diagnostic")
     return cells
+
+
+def _pooled_ratios(result: EnsembleResult, lambda_index: int) -> np.ndarray:
+    cells = surviving_cells(result, lambda_index, "ratios")
+    return np.concatenate([r.ratios.ratios for r in cells])
 
 
 def pooled_mean_ratios(result: EnsembleResult) -> np.ndarray:
     """Pooled mean gap ratio per lambda, realizations merged in index order."""
     means = np.empty(len(result.plan.lambdas))
     for li in range(len(result.plan.lambdas)):
-        samples = _good_cells(result, li, "ratios")
-        pooled = np.concatenate([s.ratios for s in samples])
-        means[li] = pooled.mean()
+        means[li] = _pooled_ratios(result, li).mean()
     return means
 
 
 def pooled_histograms(result: EnsembleResult, bins: int = 20) -> list[HistogramData]:
     """Pooled ratio histogram per lambda."""
-    out = []
-    for li in range(len(result.plan.lambdas)):
-        samples = _good_cells(result, li, "ratios")
-        out.append(ratio_histogram(np.concatenate([s.ratios for s in samples]), bins=bins))
-    return out
+    return [
+        ratio_histogram(_pooled_ratios(result, li), bins=bins)
+        for li in range(len(result.plan.lambdas))
+    ]
 
 
 def aggregate_fractal(result: EnsembleResult) -> np.ndarray:
     """Mean fractal dimension per lambda (mean of per-record means)."""
     curve = np.empty(len(result.plan.lambdas))
     for li in range(len(result.plan.lambdas)):
-        dims = _good_cells(result, li, "fractal_dimensions")
-        curve[li] = np.mean([np.mean(d) for d in dims])
+        cells = surviving_cells(result, li, "fractal_dimensions")
+        curve[li] = np.mean([np.mean(r.fractal_dimensions) for r in cells])
     return curve

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .hamiltonians import ModelParams, default_params
 
 TOOL_NAME = "dtcmorph"
@@ -25,10 +25,6 @@ TOOL_VERSION = "0.1.0"
 UNIT_CONVENTION = {"hbar": 1.0, "default_period": 1.0}
 
 _MODEL_OVERRIDE_FIELDS = ("t1", "t2", "t3", "g", "j0", "mu", "jxy", "w")
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,6 @@ class RunConfig:
     bins: int = 20
     initial_config: int = 0
     workers: int | None = None
-    out_format: str = "csv"
     t1: float | None = None
     t2: float | None = None
     t3: float | None = None
@@ -56,8 +51,6 @@ class RunConfig:
     def __post_init__(self):
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.out_format != "csv":
-            raise ConfigError(f"unsupported output format {self.out_format!r}")
 
     def params_for(self, lam: float) -> ModelParams:
         """Model parameters at one deformation value, with any overrides applied."""

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
+from dtcmorph import ensemble
 from dtcmorph.errors import ValidationError
+
+SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
+SERIAL_COMMANDS = ("dynamics", "walk", "heff")
 
 
 def run_cli(args):
@@ -161,16 +165,27 @@ def test_config_file_drives_run(tmp_path):
         ["spectrum", "--n-sites", "3"],
         ["spectrum", "--realizations", "0"],
         ["walk", "--initial-config", "99", "--n-sites", "2"],
+        ["spectrum", "--workers", "0"],
+        ["walk", "--workers", "0", "--n-sites", "2"],
     ],
 )
 def test_bad_flags_exit_two(tmp_path, args):
     assert run_cli([*args, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_worker_env_exits_two(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("DTCMORPH_WORKERS", value)
+    assert run_cli(["spectrum", *common_args(tmp_path / "x")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sites": 4}), encoding="utf-8")
-    assert run_cli(["spectrum", "--config", str(cfg_path)]) == 2
+    # out_format was a config field whose only legal value was "csv"
+    for config in ({"sites": 4}, {"out_format": "csv"}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli(["spectrum", "--config", str(cfg_path)]) == 2
 
 
 def test_missing_config_file_exits_two(tmp_path):
@@ -203,3 +218,59 @@ def test_dynamics_manifest_counts_undefined_fidelities(tmp_path):
 def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
     corrupt_factors("phases")
     assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3
+
+
+def fail_cells(monkeypatch, should_fail):
+    real = ensemble.fast_floquet_operator
+
+    def flaky(params, disorder):
+        if should_fail(params, disorder):
+            raise RuntimeError("injected failure")
+        return real(params, disorder)
+
+    monkeypatch.setattr(ensemble, "fast_floquet_operator", flaky)
+
+
+def sweep_args(command, out):
+    return [command, "--lambdas", "0.2,0.5", "--realizations", "2", "--workers", "2",
+            *common_args(out)]
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_lambda_column_without_surviving_cell_exits_three(tmp_path, monkeypatch, capsys, command):
+    fail_cells(monkeypatch, lambda params, disorder: params.lam == 0.5)
+    assert run_cli(sweep_args(command, tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert "every cell failed at lambda 0.5" in err
+    assert "non-finite" not in err
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_some_failed_cells_are_reported_not_fatal(tmp_path, monkeypatch, capsys, command):
+    failed_seed = ensemble.derive_seed(7, 1, 0)
+    fail_cells(monkeypatch, lambda params, disorder: disorder.seed == failed_seed)
+    out = tmp_path / "x"
+    assert run_cli(sweep_args(command, out)) == 0
+    assert "cell (1,0) failed: RuntimeError: injected failure" in capsys.readouterr().err
+    if command == "sweep":
+        _, rows = read_csv(out / "sweep_cells.csv")
+        errors = {(row[0], row[1]): row[7] for row in rows}
+        assert errors.pop(("1", "0")) == "RuntimeError: injected failure"
+        assert set(errors.values()) == {""}
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS + SERIAL_COMMANDS)
+def test_manifest_lists_every_file(tmp_path, command):
+    out = tmp_path / command
+    args = [command, "--n-sites", "4", "--lambdas", "0.3,0.7", "--realizations", "2",
+            "--periods", "8", "--workers", "2", "--seed", "5", "--out", str(out)]
+    assert run_cli(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    # the serial commands never start a pool
+    assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
+    names = [entry["name"] for entry in manifest["files"]]
+    assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
+    for entry in manifest["files"]:
+        data = (out / entry["name"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+        assert data.count(b"\n") - 1 == entry["rows"]

@@ -12,6 +12,7 @@ from dtcmorph.ensemble import (
     run_cell,
     run_sweep,
 )
+from dtcmorph.errors import ConfigError
 from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator
 from dtcmorph.hamiltonians import default_params, sample_disorder
 
@@ -165,6 +166,11 @@ def test_worker_count_sources(monkeypatch):
     assert ensemble.worker_count() == 5
     monkeypatch.delenv("DTCMORPH_WORKERS")
     assert ensemble.worker_count() >= 1
+    with pytest.raises(ConfigError, match="worker count"):
+        ensemble.worker_count(0)
+    monkeypatch.setenv("DTCMORPH_WORKERS", "abc")
+    with pytest.raises(ConfigError, match="DTCMORPH_WORKERS"):
+        ensemble.worker_count()
 
 
 def test_cell_failure_recorded_not_raised(monkeypatch):

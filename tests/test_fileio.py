@@ -46,11 +46,6 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"n_sights": 8})
 
 
-def test_config_rejects_bad_format():
-    with pytest.raises(ConfigError):
-        RunConfig(out_format="parquet")
-
-
 def test_config_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_file(tmp_path / "absent.json")
