@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import mean_gap_ratio, reference_density
+from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, reference_density
 from .dynamics import (
     fidelity_map,
     magnetization_series,
@@ -42,7 +42,6 @@ HEFF_SPARSITY_THRESHOLD = 1e-3
 
 _CURVE_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _STATS_GRID = (0.001, 0.5, 0.999)
-_REFERENCE_KINDS = ("poisson", "goe", "coe")
 
 # per-command defaults for fields left unset by config file and flags
 COMMAND_DEFAULTS = {
@@ -139,9 +138,7 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int]:
         realizations=cfg.realizations,
         master_seed=cfg.master_seed,
         n_sites=cfg.n_sites,
-        periods=cfg.periods,
         diagnostics=diagnostics,
-        initial_config=cfg.initial_config,
         params_factory=lambda n, lam: cfg.params_for(lam),
     )
     workers = worker_count(cfg.workers)
@@ -198,7 +195,7 @@ def run_levels(cfg: RunConfig, out_dir: Path):
     result, seeds, workers = _sweep(cfg, ("levels",))
     hists = pooled_histograms(result, bins=cfg.bins)
     means = pooled_mean_ratios(result)
-    ref_means = tuple(mean_gap_ratio(kind) for kind in _REFERENCE_KINDS)
+    ref_means = tuple(mean_gap_ratio(kind) for kind in REFERENCE_KINDS)
     hist_rows = []
     summary_rows = []
     degenerate = []
@@ -213,7 +210,7 @@ def run_levels(cfg: RunConfig, out_dir: Path):
                     hist.edges[b + 1],
                     int(hist.counts[b]),
                     hist.density[b],
-                    *(reference_density(kind, center) for kind in _REFERENCE_KINDS),
+                    *(reference_density(kind, center) for kind in REFERENCE_KINDS),
                 )
             )
         samples = [r.ratios for r in surviving_cells(result, li)]
@@ -415,7 +412,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path(f"dtcmorph_{args.command}")
     try:
         cfg = resolve_config(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
         files, seeds, workers, extra = _HANDLERS[args.command](cfg, out_dir)
         write_manifest(out_dir, args.command, cfg, seeds, files, workers, extra)
     except ConfigError as exc:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ValidationError
 from .floquet import FloquetResult
+from .spins import check_normalized
 
 REFERENCE_KINDS = ("poisson", "goe", "coe")
 
@@ -122,9 +122,7 @@ def mean_gap_ratio(sample) -> float:
 def participation_ratio(psi: np.ndarray) -> float:
     """1 / sum_l |C_l|^4: how many configurations a normalized state occupies."""
     psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-9")
+    check_normalized(psi)
     return float(1.0 / np.sum(np.abs(psi) ** 4))
 
 

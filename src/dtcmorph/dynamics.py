@@ -131,17 +131,18 @@ def _spectrum_values(v) -> np.ndarray:
     return np.asarray(v.values if isinstance(v, PowerSpectrum) else v, dtype=float)
 
 
-def spectrum_fidelity(v_ref, v) -> float:
-    """Square root of the cosine similarity of two power spectra."""
+def spectrum_fidelity(v_ref, v) -> float | np.ndarray:
+    """Square root of the cosine similarity of two power spectra, column by column if 2-D."""
     a = _spectrum_values(v_ref)
     b = _spectrum_values(v)
     if a.shape != b.shape:
         raise ValueError(f"spectrum lengths differ: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
+    norm_a = np.linalg.norm(a, axis=0)
+    norm_b = np.linalg.norm(b, axis=0)
+    if np.any(norm_a == 0.0) or np.any(norm_b == 0.0):
         raise UndefinedFidelityError("fidelity of a zero power spectrum is undefined")
-    return float(np.sqrt(np.clip(np.dot(a, b) / (norm_a * norm_b), 0.0, 1.0)))
+    fid = np.sqrt(np.clip(np.sum(a * b, axis=0) / (norm_a * norm_b), 0.0, 1.0))
+    return float(fid) if fid.ndim == 0 else fid
 
 
 @dataclass
@@ -174,6 +175,7 @@ def _all_config_power_spectra(
     for m in range(n_periods):
         states = f @ states
         magnetizations[m] = weights @ (np.abs(states) ** 2)
+    check_normalized(states)  # a ValidationError if any column drifted
     return np.abs(_dft_values(magnetizations)) ** 2
 
 
@@ -209,9 +211,8 @@ def fidelity_map(
         spectra = refs.get(lam)
         if spectra is None:
             spectra = _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
-        for i in range(d):
-            fid_4t[i, col] = spectrum_fidelity(ref_4t[:, i], spectra[:, i])
-            fid_2t[i, col] = spectrum_fidelity(ref_2t[:, i], spectra[:, i])
+        fid_4t[:, col] = spectrum_fidelity(ref_4t, spectra)
+        fid_2t[:, col] = spectrum_fidelity(ref_2t, spectra)
         undefined_4t[:, col] = _undefined(ref_4t, spectra)
         undefined_2t[:, col] = _undefined(ref_2t, spectra)
     return FidelityMaps(

@@ -25,13 +25,11 @@ from .diagnostics import (
     ratio_histogram,
     state_fractal_dimensions,
 )
-from .dynamics import magnetization_series
 from .errors import ConfigError
 from .floquet import diagonalize_floquet, fast_floquet_operator
 from .hamiltonians import ModelParams, default_params, sample_disorder
 
-DIAGNOSTIC_NAMES = ("spectrum", "levels", "fractal", "magnetization")
-DEFAULT_DIAGNOSTICS = ("spectrum", "levels", "fractal")
+DIAGNOSTIC_NAMES = ("spectrum", "levels", "fractal")
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -59,9 +57,7 @@ class SweepPlan:
     realizations: int
     master_seed: int
     n_sites: int = 8
-    periods: int = 64
-    diagnostics: tuple = DEFAULT_DIAGNOSTICS
-    initial_config: int = 0
+    diagnostics: tuple = DIAGNOSTIC_NAMES
     params_factory: object = default_params
 
     def __post_init__(self):
@@ -90,7 +86,6 @@ class CellRecord:
     quasienergies: np.ndarray | None = None
     ratios: GapRatioSample | None = None
     fractal_dimensions: np.ndarray | None = None
-    magnetization: np.ndarray | None = None
     error: str | None = None
 
 
@@ -129,11 +124,6 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
             )
         if "fractal" in plan.diagnostics:
             record.fractal_dimensions = state_fractal_dimensions(result)
-        if "magnetization" in plan.diagnostics:
-            series = magnetization_series(
-                params, disorder, plan.initial_config, plan.periods
-            )
-            record.magnetization = np.concatenate([[series.initial_value], series.values])
     except Exception as exc:  # cell failures never abort the sweep
         record.error = f"{type(exc).__name__}: {exc}"
     return record

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import numbers
+import typing
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +27,21 @@ TOOL_VERSION = "0.1.0"
 UNIT_CONVENTION = {"hbar": 1.0, "default_period": 1.0}
 
 _MODEL_OVERRIDE_FIELDS = ("t1", "t2", "t3", "g", "j0", "mu", "jxy", "w")
+
+
+def _check_type(name: str, value, hint) -> None:
+    """ConfigError unless `value` fits the field type `hint` (e.g. int | None)."""
+    kind, *rest = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in rest:
+        return
+    is_list = isinstance(value, (list, tuple))
+    number = numbers.Integral if kind is int else numbers.Real
+    # an int is a valid float; JSON true/false (Python bool) is never a number
+    if is_list != (kind is tuple) or not all(
+        isinstance(v, number) and not isinstance(v, bool) for v in (value if is_list else [value])
+    ):
+        expected = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
+        raise ConfigError(f"config key {name!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +87,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, value in data.items():
+            _check_type(name, value, hints[name])
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -126,13 +142,17 @@ def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
         lines.append(",".join(format_value(v, context=name) for v in row))
         count += 1
     payload = ("\n".join(lines) + "\n").encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    path = Path(out_dir) / name
+    _write(Path(out_dir) / name, payload)
+    return EmittedFile(name=name, sha256=hashlib.sha256(payload).hexdigest(), rows=count)
+
+
+def _write(path: Path, payload: bytes) -> None:
+    """Write one output file, creating its directory on the first write of a run."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(payload)
     except OSError as exc:
-        raise OSError(f"cannot write output file {path}: {exc}") from exc
-    return EmittedFile(name=name, sha256=digest, rows=count)
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def write_manifest(
@@ -160,8 +180,5 @@ def write_manifest(
     if extra:
         payload.update(extra)
     path = Path(out_dir) / "manifest.json"
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write manifest {path}: {exc}") from exc
+    _write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path

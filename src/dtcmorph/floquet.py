@@ -48,7 +48,6 @@ class FloquetResult:
     configuration so degenerate clusters have a reproducible order.
     """
 
-    operator: np.ndarray
     quasienergies: np.ndarray
     states: np.ndarray
     period: float
@@ -171,7 +170,6 @@ def diagonalize_floquet(f: np.ndarray, period: float) -> FloquetResult:
     dominant = np.argmax(np.abs(vectors), axis=0)
     order = np.lexsort((dominant, eps))
     return FloquetResult(
-        operator=np.asarray(f, dtype=complex),
         quasienergies=eps[order],
         states=vectors[:, order],
         period=period,

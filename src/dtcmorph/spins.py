@@ -42,12 +42,6 @@ def basis_state(n_sites: int, config: int) -> np.ndarray:
     return psi
 
 
-def site_sign(config: int, site: int, n_sites: int) -> int:
-    """sigma^z eigenvalue (+1 or -1) of one site in a configuration."""
-    _check_site(site, n_sites)
-    return 1 - 2 * ((config >> (site - 1)) & 1)
-
-
 @lru_cache(maxsize=None)
 def sign_table(n_sites: int) -> np.ndarray:
     """(D, N) array of sigma^z eigenvalues; cached, treat as read-only."""
@@ -109,9 +103,12 @@ def total_magnetization(psi: np.ndarray) -> float:
 
 
 def check_normalized(psi: np.ndarray, tol: float = 1e-9) -> None:
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm {norm} deviates from 1 beyond {tol}")
+    """ValidationError unless the state, or every column of a 2-D block, has norm 1."""
+    # vecdot conjugates its first argument and needs no block-sized temporary
+    norms = np.sqrt(np.vecdot(psi, psi, axis=0).real)
+    deviation = float(np.max(np.abs(norms - 1.0)))
+    if not deviation <= tol:  # a NaN norm fails too
+        raise ValidationError(f"state norm deviates from 1 by {deviation:.3e} (tol {tol})")
 
 
 def max_hermiticity_defect(mat: np.ndarray) -> float:

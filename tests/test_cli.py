@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
-from dtcmorph import ensemble
+from dtcmorph import dynamics, ensemble
 from dtcmorph.errors import ValidationError
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
@@ -178,6 +178,7 @@ def test_bad_worker_env_exits_two(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("DTCMORPH_WORKERS", value)
     assert run_cli(["spectrum", *common_args(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_config_key_exits_two(tmp_path):
@@ -186,6 +187,21 @@ def test_unknown_config_key_exits_two(tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli(["spectrum", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"realizations": "3"}, {"n_sites": "4"}, {"initial_config": "1"}, {"j0": "x"},
+     {"realizations": True}, {"lambdas": ["0.5"]}],
+)
+@pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+def test_mistyped_config_value_exits_two(tmp_path, capsys, config, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config key {next(iter(config))!r} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_two(tmp_path):
@@ -220,6 +236,16 @@ def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
     assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3
 
 
+def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, monkeypatch, capsys):
+    real = dynamics.fast_floquet_operator
+    monkeypatch.setattr(dynamics, "fast_floquet_operator",
+                        lambda params, disorder: 1.001 * real(params, disorder))
+    out = tmp_path / "d"
+    assert run_cli(["dynamics", "--periods", "8", "--n-sites", "4", "--out", str(out)]) == 3
+    assert "state norm deviates from 1 by 8.028e-03" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def fail_cells(monkeypatch, should_fail):
     real = ensemble.fast_floquet_operator
 
@@ -243,6 +269,7 @@ def test_lambda_column_without_surviving_cell_exits_three(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "every cell failed at lambda 0.5" in err
     assert "non-finite" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", SWEEP_COMMANDS)

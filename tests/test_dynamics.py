@@ -163,6 +163,23 @@ def test_fidelity_symmetric_scale_invariant(seed, scale):
     assert spectrum_fidelity(scale * a, b) == pytest.approx(fab, abs=1e-9)
 
 
+def test_fidelity_columnwise_matches_scalar_calls():
+    rng = np.random.default_rng(8)
+    ref, spectra = rng.random((2, 16, 7))
+    together = spectrum_fidelity(ref, spectra)
+    assert together.shape == (7,)
+    for j in range(7):
+        a, b = ref[:, j], spectra[:, j]
+        single = spectrum_fidelity(a, b)
+        assert isinstance(single, float)
+        assert abs(together[j] - single) <= 1e-15
+        oracle = np.sqrt(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        assert abs(together[j] - oracle) <= 1e-15
+    spectra[:, 3] = 0.0
+    with pytest.raises(UndefinedFidelityError):
+        spectrum_fidelity(ref, spectra)
+
+
 def test_fidelity_map_reference_columns():
     p = default_params(4, 0.0)
     disorder = sample_disorder(p, 6)
@@ -303,3 +320,12 @@ def test_undefined_fidelities_are_the_zero_series():
         for col, expected in enumerate(flags[name]):
             assert set(np.flatnonzero(undefined[:, col])) == expected
     assert (maps.undefined_4t.sum(), maps.undefined_2t.sum()) == (36 + 70, 70 + 70)
+
+
+def test_fidelity_map_checks_the_all_configuration_norm(monkeypatch):
+    p = default_params(4, 0.0)
+    real = dynamics_module.fast_floquet_operator
+    monkeypatch.setattr(dynamics_module, "fast_floquet_operator",
+                        lambda params, disorder: 1.001 * real(params, disorder))
+    with pytest.raises(ValidationError, match="state norm deviates from 1 by 8.028e-03"):
+        fidelity_map(p, sample_disorder(p, 2), [0.0, 0.5, 1.0], 8)

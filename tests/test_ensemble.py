@@ -23,7 +23,6 @@ def small_plan(**overrides):
         realizations=3,
         master_seed=101,
         n_sites=4,
-        periods=8,
     )
     kwargs.update(overrides)
     return SweepPlan(**kwargs)
@@ -141,13 +140,6 @@ def test_aggregate_fractal_missing_diagnostic():
         aggregate_fractal(result)
 
 
-def test_magnetization_diagnostic_recorded():
-    plan = small_plan(diagnostics=("magnetization",), periods=6)
-    record = run_sweep(plan, workers=1).records[0]
-    assert record.magnetization.shape == (7,)
-    assert record.quasienergies is None
-
-
 def test_aggregates_invariant_under_record_order():
     result = run_sweep(small_plan(), workers=2)
     baseline_means = pooled_mean_ratios(result)
@@ -190,10 +182,3 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
     assert any(e and "injected failure" in e for e in errors)
     # aggregates skip the failed cell
     assert len(pooled_mean_ratios(result)) == 1
-
-
-def test_norm_drift_in_magnetization_is_a_cell_failure(corrupt_factors):
-    corrupt_factors("u1", 1.01)
-    plan = small_plan(lambdas=(0.4,), realizations=2, diagnostics=("magnetization",))
-    errors = [r.error for r in run_sweep(plan, workers=1).records]
-    assert all(e and e.startswith("ValidationError") for e in errors)

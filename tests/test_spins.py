@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtcmorph.errors import ValidationError
 from dtcmorph.spins import (
     apply_pauli,
     basis_state,
+    check_normalized,
     local_magnetization,
     magnetization_weights,
     total_magnetization,
@@ -121,3 +123,15 @@ def test_magnetization_weights_cached_consistent():
     assert w[0] == 1.0
     assert w[-1] == -1.0
     assert len(w) == 32
+
+
+def test_check_normalized_flags_one_drifted_column():
+    block = np.stack([random_state(3, seed) for seed in range(5)], axis=1)
+    check_normalized(block)
+    check_normalized(block[:, 0])
+    block[:, 2] *= 1 + 1e-6
+    with pytest.raises(ValidationError, match="1.000e-06"):
+        check_normalized(block)
+    block[:, 2] = np.nan
+    with pytest.raises(ValidationError, match="nan"):
+        check_normalized(block)
