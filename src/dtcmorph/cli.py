@@ -33,7 +33,7 @@ from .ensemble import (
     worker_count,
 )
 from .errors import ConfigError, ValidationError
-from .fileio import RunConfig, write_csv, write_manifest
+from .fileio import RunConfig, staged_output, write_csv, write_manifest
 from .floquet import diagonalize_floquet, effective_hamiltonian, fast_floquet_operator, sparsity_fraction
 from .hamiltonians import sample_disorder
 
@@ -131,8 +131,12 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int]:
-    """Run the ensemble sweep; a lambda column with no surviving cell fails the run."""
+def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int, dict]:
+    """Run the ensemble sweep; a lambda column with no surviving cell fails the run.
+
+    Returns the result, the seed provenance, the worker count and the
+    manifest's eigensolver block.
+    """
     plan = SweepPlan(
         lambdas=cfg.lambdas,
         realizations=cfg.realizations,
@@ -159,7 +163,11 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int]:
     for li, lam in enumerate(plan.lambdas):
         if not surviving_cells(result, li):
             raise ValidationError(f"every cell failed at lambda {lam}")
-    return result, seeds, workers
+    solver = {
+        "eigensolver_fallbacks": sum(r.eigensolver_fallback for r in result.records),
+        "blas_threads_per_cell": result.blas_threads,
+    }
+    return result, seeds, workers, solver
 
 
 def _state_rows(result: EnsembleResult, columns):
@@ -174,7 +182,7 @@ def _state_rows(result: EnsembleResult, columns):
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers = _sweep(cfg, ("spectrum",))
+    result, seeds, workers, solver = _sweep(cfg, ("spectrum",))
 
     def columns(rec):
         eigvals = np.exp(-1j * rec.quasienergies * cfg.params_for(rec.lam).period)
@@ -188,11 +196,11 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
             _state_rows(result, columns),
         )
     ]
-    return files, seeds, workers, {}
+    return files, seeds, workers, solver
 
 
 def run_levels(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers = _sweep(cfg, ("levels",))
+    result, seeds, workers, solver = _sweep(cfg, ("levels",))
     hists = pooled_histograms(result, bins=cfg.bins)
     means = pooled_mean_ratios(result)
     ref_means = tuple(mean_gap_ratio(kind) for kind in REFERENCE_KINDS)
@@ -246,11 +254,11 @@ def run_levels(cfg: RunConfig, out_dir: Path):
             summary_rows,
         ),
     ]
-    return files, seeds, workers, {"degenerate_gaps": degenerate}
+    return files, seeds, workers, {**solver, "degenerate_gaps": degenerate}
 
 
 def run_fractal(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers = _sweep(cfg, ("fractal",))
+    result, seeds, workers, solver = _sweep(cfg, ("fractal",))
     mean_rows = list(zip(result.plan.lambdas, aggregate_fractal(result)))
     files = [
         write_csv(
@@ -261,7 +269,7 @@ def run_fractal(cfg: RunConfig, out_dir: Path):
         ),
         write_csv(out_dir, "fractal_mean.csv", ("lambda", "mean_fractal_dimension"), mean_rows),
     ]
-    return files, seeds, workers, {}
+    return files, seeds, workers, solver
 
 
 def _shared_disorder(cfg: RunConfig):
@@ -362,7 +370,7 @@ def run_heff(cfg: RunConfig, out_dir: Path):
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers = _sweep(cfg, ("levels", "fractal"))
+    result, seeds, workers, solver = _sweep(cfg, ("levels", "fractal"))
     cell_rows = []
     for rec in result.records:
         if rec.error is None:
@@ -393,7 +401,7 @@ def run_full_sweep(cfg: RunConfig, out_dir: Path):
         write_csv(out_dir, "sweep_mean_ratio.csv", ("lambda", "pooled_mean_ratio"), mean_ratio_rows),
         write_csv(out_dir, "sweep_fractal.csv", ("lambda", "mean_fractal_dimension"), fractal_rows),
     ]
-    return files, seeds, workers, {}
+    return files, seeds, workers, solver
 
 
 _HANDLERS = {
@@ -412,8 +420,9 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path(f"dtcmorph_{args.command}")
     try:
         cfg = resolve_config(args)
-        files, seeds, workers, extra = _HANDLERS[args.command](cfg, out_dir)
-        write_manifest(out_dir, args.command, cfg, seeds, files, workers, extra)
+        with staged_output(out_dir) as staging:
+            files, seeds, workers, extra = _HANDLERS[args.command](cfg, staging)
+            write_manifest(staging, args.command, cfg, seeds, files, workers, extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

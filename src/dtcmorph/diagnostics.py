@@ -138,15 +138,16 @@ def fractal_dimension(p: float, dim: int) -> float:
 
 def state_fractal_dimensions(result: FloquetResult) -> np.ndarray:
     """Fractal dimension of every Floquet state, in quasienergy order."""
-    d = result.states.shape[0]
-    participation = 1.0 / np.sum(np.abs(result.states) ** 4, axis=0)
+    states = result.require_states()
+    d = states.shape[0]
+    participation = 1.0 / np.sum(np.abs(states) ** 4, axis=0)
     participation = np.clip(participation, 1.0, float(d))
     return np.log(participation) / np.log(d)
 
 
 def floquet_state_map(result: FloquetResult) -> np.ndarray:
     """|C_{alpha,l}|^2 as a (configuration x state) matrix; columns sum to 1."""
-    return np.abs(result.states) ** 2
+    return np.abs(result.require_states()) ** 2
 
 
 @dataclass

@@ -4,12 +4,16 @@ Every (lambda, realization) cell gets its own seed derived from the master
 seed by a keyed hash, so any cell can be regenerated in isolation and the
 result of a sweep is independent of scheduling. Cells run on a bounded
 thread pool (the heavy work is LAPACK, which releases the GIL); all
-floating-point reductions happen afterwards in fixed index order, so results
-are bitwise identical for any worker count.
+floating-point reductions happen afterwards in fixed index order. LAPACK
+results depend on the number of BLAS threads, so every cell runs with one
+OpenBLAS thread, whatever the worker count and the environment; results are
+then bitwise identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import os
 import struct
@@ -86,15 +90,21 @@ class CellRecord:
     quasienergies: np.ndarray | None = None
     ratios: GapRatioSample | None = None
     fractal_dimensions: np.ndarray | None = None
+    eigensolver_fallback: bool = False
     error: str | None = None
 
 
 @dataclass
 class EnsembleResult:
-    """All cell records of a sweep, ordered by (lambda_index, realization_index)."""
+    """All cell records of a sweep, ordered by (lambda_index, realization_index).
+
+    `blas_threads` is the OpenBLAS thread count every cell ran with, or None
+    when no OpenBLAS could be controlled.
+    """
 
     plan: SweepPlan
     records: list = field(default_factory=list)
+    blas_threads: int | None = None
 
     def cells_for(self, lambda_index: int) -> list:
         # sorted on the way out so aggregates do not depend on arrival order
@@ -115,7 +125,12 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
     try:
         params = plan.params(lam)
         disorder = sample_disorder(params, seed)
-        result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
+        result = diagonalize_floquet(
+            fast_floquet_operator(params, disorder),
+            params.period,
+            vectors="fractal" in plan.diagnostics,
+        )
+        record.eigensolver_fallback = result.fallback
         if "spectrum" in plan.diagnostics:
             record.quasienergies = result.quasienergies
         if "levels" in plan.diagnostics:
@@ -148,20 +163,65 @@ def worker_count(requested: int | None = None) -> int:
     return requested
 
 
+def _openblas_thread_setters() -> list:
+    """`openblas_set_num_threads_local` of each OpenBLAS this process has loaded.
+
+    numpy and scipy each bundle their own copy. The loaded ones are read from
+    /proc/self/maps; where that does not exist, the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return setters
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Limit every loaded OpenBLAS to one thread, restoring the old counts on exit.
+
+    Yields 1, or None when no OpenBLAS was found (then nothing changes). The
+    numpy and scipy builds keep one process-wide count, which even the
+    "_local" setter changes, so the limit is set once around a whole sweep by
+    the calling thread, never per cell by the workers.
+    """
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield 1 if setters else None
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
-    """Run every cell of the plan; deterministic for any worker count."""
+    """Run every cell of the plan, each with one BLAS thread.
+
+    Deterministic for any worker count and any BLAS thread setting.
+    """
     cells = [
         (li, ri)
         for li in range(len(plan.lambdas))
         for ri in range(plan.realizations)
     ]
     n_workers = worker_count(workers)
-    if n_workers == 1:
-        records = [run_cell(plan, li, ri) for li, ri in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
-    return EnsembleResult(plan=plan, records=records)
+    with _one_blas_thread() as blas_threads:
+        if n_workers == 1:
+            records = [run_cell(plan, li, ri) for li, ri in cells]
+        else:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
+    return EnsembleResult(plan=plan, records=records, blas_threads=blas_threads)
 
 
 def surviving_cells(result: EnsembleResult, lambda_index: int, attr: str | None = None) -> list:

@@ -5,15 +5,20 @@ with repr(), the shortest digit string that round-trips. Every numeric value
 is checked finite before anything touches disk. Each run emits one JSON
 manifest listing the resolved configuration, seed provenance, the unit
 convention and a sha256 digest per data file; timestamps live only there, so
-data files are byte-identical across reruns.
+data files are byte-identical across reruns. A run writes into a staging
+directory beside its output directory and moves its files in only once all
+of them, manifest included, are written (`staged_output`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import numbers
+import os
+import shutil
 import typing
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -144,6 +149,27 @@ def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     _write(Path(out_dir) / name, payload)
     return EmittedFile(name=name, sha256=hashlib.sha256(payload).hexdigest(), rows=count)
+
+
+@contextlib.contextmanager
+def staged_output(out_dir: Path):
+    """Yield a staging directory for one run's files; move them into `out_dir` on success.
+
+    The staging directory is a hidden sibling of `out_dir`, created at the
+    first write. When the body raises, it is deleted and `out_dir` is left as
+    it was. Otherwise each file is moved into `out_dir`, manifest.json last,
+    so a manifest in `out_dir` always describes files that are all there.
+    """
+    out_dir = Path(out_dir).resolve()
+    staging = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
+    try:
+        yield staging
+        if staging.exists():
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for path in sorted(staging.iterdir(), key=lambda p: (p.name == "manifest.json", p.name)):
+                os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _write(path: Path, payload: bytes) -> None:

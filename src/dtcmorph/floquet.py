@@ -13,6 +13,10 @@ rightmost). Two construction routes are provided:
 Where only states are evolved, F is never formed: `floquet_factors` holds it
 as N/2 segment-1 dimer factors, the segment-2 phases and N/2 segment-3 dimer
 factors, and `apply_floquet` applies them in place in O(N*D) per state.
+
+`diagonalize_floquet` uses a complex Schur decomposition when Floquet states
+are needed; for quasienergies alone it diagonalizes the Hermitian Cayley
+transform of F instead, with Schur as the one fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import backend
 from .errors import ValidationError
@@ -37,6 +42,9 @@ from .spins import max_hermiticity_defect, max_unitarity_defect
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+# the Cayley transform of F falls back to Schur above this relative
+# anti-Hermitian part, max|H - H^H| / max|H|
+CAYLEY_HERMITICITY_TOL = 1e-10
 
 
 @dataclass
@@ -45,12 +53,23 @@ class FloquetResult:
 
     `states` holds the orthonormal eigenvectors as columns, ordered like the
     ascending `quasienergies`; ties are broken by the index of the dominant
-    configuration so degenerate clusters have a reproducible order.
+    configuration so degenerate clusters have a reproducible order. An
+    eigenvalues-only result has `states` None; `fallback` marks one whose
+    Cayley solve was refused by its gate, so Schur computed it.
     """
 
     quasienergies: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     period: float
+    fallback: bool = False
+
+    def require_states(self) -> np.ndarray:
+        """The Floquet states; ValueError for an eigenvalues-only result."""
+        if self.states is None:
+            raise ValueError(
+                "this FloquetResult holds quasienergies only; diagonalize with vectors=True"
+            )
+        return self.states
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -151,34 +170,74 @@ def fast_floquet_operator(
     return mat
 
 
-def diagonalize_floquet(f: np.ndarray, period: float) -> FloquetResult:
+def _cayley_angles(f: np.ndarray) -> np.ndarray | None:
+    """Eigenphases theta in (0, 2*pi) of a unitary F, or None when refused.
+
+    H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, and each eigenvalue
+    e^{i*theta} of F becomes h = -cot(theta/2). H is symmetrized before
+    `eigvalsh`, which reads one triangle only. Refused (None): 1-F singular,
+    or H non-finite or further from Hermitian than CAYLEY_HERMITICITY_TOL.
+    """
+    d = f.shape[0]
+    h = np.negative(np.asarray(f, dtype=complex), order="F")
+    h.flat[:: d + 1] += 1.0  # 1 - F, in place from here on
+    lu, piv, info = lapack.zgetrf(h, overwrite_a=True)
+    if info != 0:
+        return None
+    h, info = lapack.zgetri(lu, piv, lwork=64 * d, overwrite_lu=True)
+    if info != 0:
+        return None
+    h *= 2j
+    h.flat[:: d + 1] -= 1j
+    herm = np.conj(h.T, order="F")
+    herm += h  # H + H^H, Hermitian to the last bit
+    h *= 2.0
+    h -= herm  # H - H^H
+    scale = np.abs(herm).max()
+    if not (np.isfinite(scale) and np.abs(h).max() <= CAYLEY_HERMITICITY_TOL * scale):
+        return None
+    values = scipy.linalg.eigvalsh(herm, overwrite_a=True, check_finite=False)
+    return 2.0 * np.arctan2(1.0, -0.5 * values)
+
+
+def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
     """Quasienergies and Floquet states of a unitary one-period propagator.
 
     Quasienergies are -arg(eigenvalue)/period folded onto the principal
     branch (-pi/period, pi/period]. A complex Schur decomposition is used so
-    the eigenbasis stays orthonormal inside degenerate clusters.
+    the eigenbasis stays orthonormal inside degenerate clusters. With
+    `vectors=False` only the sorted quasienergies are computed, from the
+    Hermitian Cayley transform of F (`_cayley_angles`); where its gate
+    refuses, Schur computes them and the result is marked `fallback`.
     """
     defect = max_unitarity_defect(f)
     if defect > UNITARITY_TOL:
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
-    upper, vectors = scipy.linalg.schur(np.asarray(f, dtype=complex), output="complex")
-    eps = -np.angle(np.diag(upper)) / period
+    angles = None if vectors else _cayley_angles(f)
+    fallback = angles is None and not vectors
+    if angles is None:
+        upper, states = scipy.linalg.schur(np.asarray(f, dtype=complex), output="complex")
+        angles = np.angle(np.diag(upper))
+    eps = -angles / period
     edge = np.pi / period
     eps = np.where(eps <= -edge, eps + 2.0 * edge, eps)
-    dominant = np.argmax(np.abs(vectors), axis=0)
+    if not vectors:
+        return FloquetResult(np.sort(eps), None, period, fallback=fallback)
+    dominant = np.argmax(np.abs(states), axis=0)
     order = np.lexsort((dominant, eps))
     return FloquetResult(
         quasienergies=eps[order],
-        states=vectors[:, order],
+        states=states[:, order],
         period=period,
     )
 
 
 def effective_hamiltonian(result: FloquetResult) -> np.ndarray:
     """Hermitian generator with F = exp(-i*H_eff*T), from the principal branch."""
-    h = (result.states * result.quasienergies) @ result.states.conj().T
+    states = result.require_states()
+    h = (states * result.quasienergies) @ states.conj().T
     return 0.5 * (h + h.conj().T)
 
 

@@ -10,14 +10,16 @@ def corrupt_factors(monkeypatch):
     """Scale one part of F's factor form in every evolution, breaking unitarity.
 
     `corrupt("u1" | "u3")` scales the first dimer factor, `corrupt("phases")`
-    the segment-2 diagonal.
+    the segment-2 diagonal; with `lam`, only at that deformation value.
     """
 
-    def corrupt(part: str, scale: float = 1.001):
+    def corrupt(part: str, scale: float = 1.001, lam: float | None = None):
         real = dynamics_module.floquet_factors
 
         def corrupted(params, disorder):
             factors = real(params, disorder)
+            if lam is not None and params.lam != lam:
+                return factors
             value = getattr(factors, part)
             value = scale * value if part == "phases" else (scale * value[0],) + value[1:]
             return dataclasses.replace(factors, **{part: value})

@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
-from dtcmorph import dynamics, ensemble
+from dtcmorph import dynamics, ensemble, floquet
 from dtcmorph.errors import ValidationError
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
@@ -295,9 +298,100 @@ def test_manifest_lists_every_file(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # the serial commands never start a pool
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
+    if command in SWEEP_COMMANDS:
+        assert manifest["eigensolver_fallbacks"] == 0
+        blas = 1 if ensemble._openblas_thread_setters() else None
+        assert manifest["blas_threads_per_cell"] == blas
+    else:
+        assert "eigensolver_fallbacks" not in manifest
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
     for entry in manifest["files"]:
         data = (out / entry["name"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert data.count(b"\n") - 1 == entry["rows"]
+
+
+def test_manifest_counts_eigensolver_fallbacks(tmp_path, monkeypatch):
+    monkeypatch.setattr(floquet, "_cayley_angles", lambda f: None)
+    out = tmp_path / "lev"
+    assert run_cli(sweep_args("levels", out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["eigensolver_fallbacks"] == 4
+
+
+def test_walk_failing_at_a_later_lambda_leaves_no_output(tmp_path, corrupt_factors):
+    # lambda = 0 succeeds and is written first; lambda = 0.5 fails its norm check
+    corrupt_factors("phases", scale=1.01, lam=0.5)
+    out = tmp_path / "w"
+    assert run_cli(["walk", "--periods", "12", *common_args(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, capsys):
+    real = cli.fast_floquet_operator
+
+    def broken_at_half(params, disorder):
+        f = real(params, disorder)
+        return 1.01 * f if params.lam == 0.5 else f
+
+    monkeypatch.setattr(cli, "fast_floquet_operator", broken_at_half)
+    out = tmp_path / "h"
+    assert run_cli(["heff", *common_args(out)]) == 3
+    assert "deviates from unitary" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_an_existing_output_directory_as_it_was(tmp_path, corrupt_factors):
+    out = tmp_path / "w"
+    assert run_cli(["walk", "--periods", "4", *common_args(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    corrupt_factors("phases", scale=1.01, lam=0.5)
+    assert run_cli(["walk", "--periods", "12", *common_args(out)]) == 3
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert [path.name for path in tmp_path.iterdir()] == ["w"]
+
+
+def test_rerun_into_an_existing_directory_replaces_its_files(tmp_path):
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    (out / "spectrum.csv").write_text("stale", encoding="utf-8")
+    assert run_cli(["spectrum", "--lambdas", "0.5", *common_args(out)]) == 0
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
+    assert manifest["files"][0]["sha256"] == digest
+    assert [path.name for path in tmp_path.iterdir()] == ["s"]
+
+
+def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
+    # last digits then depend on the thread count; every sweep cell must run
+    # with one BLAS thread whatever the environment and the worker count.
+    commands = {
+        "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
+        "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for blas in (None, "1"):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "DTCMORPH_WORKERS")}
+        env["PYTHONPATH"] = src
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        for workers in ("1", "2"):
+            for name, args in commands.items():
+                out = tmp_path / f"{name}-{blas}-{workers}"
+                subprocess.run(
+                    [sys.executable, "-m", "dtcmorph.cli", *args, "--n-sites", "8", "--seed", "5",
+                     "--workers", workers, "--out", str(out)],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+                outputs.setdefault(name, []).append(
+                    {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+                )
+    for name, runs in outputs.items():
+        assert len(runs[0]) == (2 if name == "levels" else 3)
+        assert all(run == runs[0] for run in runs), name

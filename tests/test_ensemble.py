@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dtcmorph.ensemble as ensemble
+import dtcmorph.floquet as floquet_module
 from dtcmorph.diagnostics import gap_ratios
 from dtcmorph.ensemble import (
     SweepPlan,
@@ -182,3 +183,54 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
     assert any(e and "injected failure" in e for e in errors)
     # aggregates skip the failed cell
     assert len(pooled_mean_ratios(result)) == 1
+
+
+def test_cells_without_fractal_solve_for_values_only():
+    plan = small_plan(diagnostics=("spectrum", "levels"))
+    for record in run_sweep(plan, workers=2).records:
+        params = plan.params(record.lam)
+        f = fast_floquet_operator(params, sample_disorder(params, record.seed))
+        values = diagonalize_floquet(f, params.period, vectors=False)
+        assert not record.eigensolver_fallback
+        assert np.array_equal(record.quasienergies, values.quasienergies)
+
+
+def test_cell_records_an_eigensolver_fallback(monkeypatch):
+    # with the Cayley route refused, Schur solves and the cell says so
+    monkeypatch.setattr(floquet_module, "_cayley_angles", lambda f: None)
+    plan = small_plan(lambdas=(0.4,), realizations=2, diagnostics=("levels",))
+    records = run_sweep(plan, workers=1).records
+    assert [r.eigensolver_fallback for r in records] == [True, True]
+    fractal = run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=1).records
+    assert not fractal[0].eigensolver_fallback  # Schur is its route, not a fallback
+
+
+def blas_thread_counts(setters):
+    counts = []
+    for setter in setters:
+        count = setter(1)
+        setter(count)
+        counts.append(count)
+    return counts
+
+
+def test_one_blas_thread_per_sweep_then_restored():
+    setters = ensemble._openblas_thread_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = blas_thread_counts(setters)
+    with pytest.raises(RuntimeError):
+        with ensemble._one_blas_thread() as threads:
+            assert threads == 1
+            assert blas_thread_counts(setters) == [1] * len(setters)
+            raise RuntimeError("cell body failed")
+    assert blas_thread_counts(setters) == before
+    assert run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=2).blas_threads == 1
+    assert blas_thread_counts(setters) == before
+
+
+def test_blas_budget_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(ensemble, "_openblas_thread_setters", lambda: [])
+    result = run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=1)
+    assert result.blas_threads is None
+    assert result.records[0].error is None

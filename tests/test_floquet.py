@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dtcmorph.diagnostics import floquet_state_map, gap_ratios, state_fractal_dimensions
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
     apply_floquet,
@@ -184,6 +185,79 @@ def test_spectral_round_trip(lam, seed):
     assert np.max(np.abs(np.abs(res.eigenvalues) - 1.0)) < 1e-10
     per_state = np.abs(f @ res.states - res.states * res.eigenvalues)
     assert np.max(per_state) < 1e-9
+
+
+# The Cayley route changes the numerical path, not the result: quasienergies
+# must agree with Schur and with numpy's eig to this tolerance, fixed before
+# measuring (measured worst over the grid below: 6.4e-13).
+VALUES_ONLY_TOL = 1e-11
+
+
+def folded(eigvals, period):
+    eps = -np.angle(eigvals) / period
+    return np.sort(np.where(eps <= -np.pi / period, eps + 2.0 * np.pi / period, eps))
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.001, 0.5, 0.999, 1.0])
+def test_values_only_matches_schur_and_eig(n_sites, lam):
+    p = default_params(n_sites, lam)
+    for seed in range(10):
+        f = fast_floquet_operator(p, sample_disorder(p, seed))
+        values = diagonalize_floquet(f, p.period, vectors=False)
+        assert values.states is None and not values.fallback
+        schur = diagonalize_floquet(f, p.period)
+        assert np.max(np.abs(values.quasienergies - schur.quasienergies)) < VALUES_ONLY_TOL
+        eig = folded(np.linalg.eigvals(f), p.period)
+        assert np.max(np.abs(values.quasienergies - eig)) < VALUES_ONLY_TOL
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_values_only_keeps_degenerate_gap_counts(lam):
+    # at the endpoints F is monomial and its clusters are exactly degenerate
+    p = default_params(8, lam)
+    f = fast_floquet_operator(p, sample_disorder(p, 5))
+    schur = gap_ratios(diagonalize_floquet(f, p.period).quasienergies)
+    values = gap_ratios(diagonalize_floquet(f, p.period, vectors=False).quasienergies)
+    assert schur.single_degenerate > 0
+    assert (values.double_degenerate, values.single_degenerate) == (
+        schur.double_degenerate,
+        schur.single_degenerate,
+    )
+
+
+@pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
+def test_values_only_falls_back_when_one_minus_f_is_singular(f):
+    values = diagonalize_floquet(f, 1.0, vectors=False)
+    assert values.fallback and values.states is None
+    assert np.array_equal(values.quasienergies, diagonalize_floquet(f, 1.0).quasienergies)
+
+
+def test_values_only_falls_back_on_the_hermiticity_gate():
+    # an eigenvalue 1e-9 from 1 in a random basis makes (1 - F)^-1 so
+    # ill-conditioned that H is measurably non-Hermitian (relative ~1e-6)
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    theta = rng.uniform(-np.pi, np.pi, 32)
+    theta[:2] = (1e-9, -3e-10)
+    f = (q * np.exp(1j * theta)) @ q.conj().T
+    values = diagonalize_floquet(f, 1.0, vectors=False)
+    assert values.fallback
+    assert np.max(np.abs(values.quasienergies - folded(np.exp(1j * theta), 1.0))) < 1e-12
+
+
+def test_values_only_rejects_non_unitary():
+    with pytest.raises(ValidationError):
+        diagonalize_floquet(np.diag([0.5 + 0j, 1.0]), 1.0, vectors=False)
+
+
+@pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions,
+                                      floquet_state_map])
+def test_state_consumers_reject_values_only_results(consumer):
+    p = default_params(4, 0.5)
+    f = fast_floquet_operator(p, sample_disorder(p, 0))
+    with pytest.raises(ValueError, match="quasienergies only; diagonalize with vectors=True"):
+        consumer(diagonalize_floquet(f, p.period, vectors=False))
 
 
 def test_effective_hamiltonian_identity():
