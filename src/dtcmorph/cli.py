@@ -26,6 +26,7 @@ from .ensemble import (
     SweepPlan,
     aggregate_fractal,
     derive_seed,
+    one_blas_thread,
     pooled_histograms,
     pooled_mean_ratios,
     run_sweep,
@@ -282,7 +283,7 @@ def _shared_disorder(cfg: RunConfig):
 def _write_config_table(out_dir: Path, name: str, index: str, lam: float, matrix):
     """One row (lambda, index, config_0 .. config_{D-1}) per matrix row."""
     header = ("lambda", index, *(f"config_{l}" for l in range(matrix.shape[1])))
-    return write_csv(out_dir, name, header, ((lam, i, *row) for i, row in enumerate(matrix)))
+    return write_csv(out_dir, name, header, ((lam, i, row) for i, row in enumerate(matrix)))
 
 
 # dynamics, walk and heff run serially and record one worker
@@ -348,16 +349,21 @@ def run_heff(cfg: RunConfig, out_dir: Path):
     disorder, seeds = _shared_disorder(cfg)
     files = []
     sparsity_rows = []
-    for li, lam in enumerate(cfg.lambdas):
-        params = cfg.params_for(lam)
-        result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
-        h_eff = effective_hamiltonian(result)
-        files.append(
-            _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
-        )
-        sparsity_rows.append(
-            (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD, sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
-        )
+    fallbacks = 0
+    # one BLAS thread, as in a sweep, so the digits do not depend on the thread count
+    with one_blas_thread() as blas_threads:
+        for li, lam in enumerate(cfg.lambdas):
+            params = cfg.params_for(lam)
+            result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
+            fallbacks += result.fallback
+            h_eff = effective_hamiltonian(result)
+            files.append(
+                _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
+            )
+            sparsity_rows.append(
+                (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD,
+                 sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
+            )
     files.append(
         write_csv(
             out_dir,
@@ -366,7 +372,8 @@ def run_heff(cfg: RunConfig, out_dir: Path):
             sparsity_rows,
         )
     )
-    return files, seeds, 1, {}
+    solver = {"eigensolver_fallbacks": fallbacks, "blas_threads_per_cell": blas_threads}
+    return files, seeds, 1, solver
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):

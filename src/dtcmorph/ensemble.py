@@ -187,13 +187,13 @@ def _openblas_thread_setters() -> list:
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Limit every loaded OpenBLAS to one thread, restoring the old counts on exit.
 
     Yields 1, or None when no OpenBLAS was found (then nothing changes). The
     numpy and scipy builds keep one process-wide count, which even the
-    "_local" setter changes, so the limit is set once around a whole sweep by
-    the calling thread, never per cell by the workers.
+    "_local" setter changes, so the limit is set once around a whole sweep or
+    serial loop by the calling thread, never per cell by pool workers.
     """
     setters = _openblas_thread_setters()
     previous = [setter(1) for setter in setters]
@@ -215,7 +215,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
         for ri in range(plan.realizations)
     ]
     n_workers = worker_count(workers)
-    with _one_blas_thread() as blas_threads:
+    with one_blas_thread() as blas_threads:
         if n_workers == 1:
             records = [run_cell(plan, li, ri) for li, ri in cells]
         else:

@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, ValidationError
 from .hamiltonians import ModelParams, default_params
 
@@ -139,12 +141,33 @@ class EmittedFile:
     rows: int
 
 
+def _format_cells(row, context: str) -> list:
+    """The cells of one row; a numpy array in it stands for its elements, in order.
+
+    A finite float array is rendered with repr over `tolist()`, which for
+    Python floats is exactly `format_value`'s rule; any other array, or one
+    holding a non-finite value, goes through `format_value` value by value.
+    """
+    cells = []
+    for value in row:
+        if not isinstance(value, np.ndarray):
+            cells.append(format_value(value, context))
+        elif value.dtype.kind == "f" and np.isfinite(value).all():
+            cells.extend(map(repr, value.tolist()))
+        else:
+            cells.extend(format_value(v, context) for v in value.tolist())
+    return cells
+
+
 def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
-    """Write one CSV table and return its digest record."""
+    """Write one CSV table and return its digest record.
+
+    A 1-D numpy array in a row stands for its elements (`_format_cells`).
+    """
     lines = [",".join(header)]
     count = 0
     for row in rows:
-        lines.append(",".join(format_value(v, context=name) for v in row))
+        lines.append(",".join(_format_cells(row, name)))
         count += 1
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     _write(Path(out_dir) / name, payload)

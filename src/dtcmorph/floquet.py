@@ -14,9 +14,10 @@ Where only states are evolved, F is never formed: `floquet_factors` holds it
 as N/2 segment-1 dimer factors, the segment-2 phases and N/2 segment-3 dimer
 factors, and `apply_floquet` applies them in place in O(N*D) per state.
 
-`diagonalize_floquet` uses a complex Schur decomposition when Floquet states
-are needed; for quasienergies alone it diagonalizes the Hermitian Cayley
-transform of F instead, with Schur as the one fallback.
+`diagonalize_floquet` diagonalizes the Hermitian Cayley transform of F, for
+quasienergies alone (`eigvalsh`) and for Floquet states (`eigh` plus
+Rayleigh quotients) alike; a complex Schur decomposition is the one
+fallback where the transform or its gates refuse.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import backend
 from .errors import ValidationError
@@ -45,6 +46,11 @@ UNITARITY_TOL = 1e-10
 # the Cayley transform of F falls back to Schur above this relative
 # anti-Hermitian part, max|H - H^H| / max|H|
 CAYLEY_HERMITICITY_TOL = 1e-10
+# Floquet states from the Cayley transform fall back to Schur above these
+# entrywise defects: the eigen-residual max|FV - V Lambda| and the
+# orthonormality max|V^H V - 1|
+CAYLEY_RESIDUAL_TOL = 1e-10
+ORTHONORMALITY_TOL = 1e-10
 
 
 @dataclass
@@ -55,7 +61,7 @@ class FloquetResult:
     ascending `quasienergies`; ties are broken by the index of the dominant
     configuration so degenerate clusters have a reproducible order. An
     eigenvalues-only result has `states` None; `fallback` marks one whose
-    Cayley solve was refused by its gate, so Schur computed it.
+    Cayley solve was refused by its gates, so Schur computed it.
     """
 
     quasienergies: np.ndarray
@@ -170,13 +176,14 @@ def fast_floquet_operator(
     return mat
 
 
-def _cayley_angles(f: np.ndarray) -> np.ndarray | None:
-    """Eigenphases theta in (0, 2*pi) of a unitary F, or None when refused.
+def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
+    """2H for the Hermitian Cayley transform H of a unitary F, or None when refused.
 
-    H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, and each eigenvalue
-    e^{i*theta} of F becomes h = -cot(theta/2). H is symmetrized before
-    `eigvalsh`, which reads one triangle only. Refused (None): 1-F singular,
-    or H non-finite or further from Hermitian than CAYLEY_HERMITICITY_TOL.
+    H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, shares F's
+    eigenvectors, and each eigenvalue e^{i*theta} of F becomes
+    h = -cot(theta/2). H is symmetrized before `eigh`/`eigvalsh`, which read
+    one triangle only. Refused (None): 1-F singular, or H non-finite or
+    further from Hermitian than CAYLEY_HERMITICITY_TOL.
     """
     d = f.shape[0]
     h = np.negative(np.asarray(f, dtype=complex), order="F")
@@ -196,28 +203,46 @@ def _cayley_angles(f: np.ndarray) -> np.ndarray | None:
     scale = np.abs(herm).max()
     if not (np.isfinite(scale) and np.abs(h).max() <= CAYLEY_HERMITICITY_TOL * scale):
         return None
-    values = scipy.linalg.eigvalsh(herm, overwrite_a=True, check_finite=False)
-    return 2.0 * np.arctan2(1.0, -0.5 * values)
+    return herm
 
 
 def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
     """Quasienergies and Floquet states of a unitary one-period propagator.
 
     Quasienergies are -arg(eigenvalue)/period folded onto the principal
-    branch (-pi/period, pi/period]. A complex Schur decomposition is used so
-    the eigenbasis stays orthonormal inside degenerate clusters. With
-    `vectors=False` only the sorted quasienergies are computed, from the
-    Hermitian Cayley transform of F (`_cayley_angles`); where its gate
-    refuses, Schur computes them and the result is marked `fallback`.
+    branch (-pi/period, pi/period]. F is diagonalized through its Hermitian
+    Cayley transform H (`_cayley_hermitian`). With `vectors=False` only the
+    sorted quasienergies are computed, from `eigvalsh(H)`. With states,
+    `eigh(H)` gives an orthonormal basis V, also inside exactly degenerate
+    clusters, and each eigenphase is the argument of the Rayleigh quotient
+    v^H F v; the call is gated on the eigen-residual max|FV - V Lambda| and
+    the orthonormality max|V^H V - 1|. Where the transform or a gate refuses,
+    a complex Schur decomposition computes the result instead and marks it
+    `fallback`.
     """
     defect = max_unitarity_defect(f)
     if defect > UNITARITY_TOL:
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
-    angles = None if vectors else _cayley_angles(f)
-    fallback = angles is None and not vectors
-    if angles is None:
+    herm = _cayley_hermitian(f)
+    angles = states = None
+    if herm is not None and not vectors:
+        values = scipy.linalg.eigvalsh(herm, overwrite_a=True, check_finite=False)
+        angles = 2.0 * np.arctan2(1.0, -0.5 * values)
+    elif herm is not None:
+        # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
+        _, basis = scipy.linalg.eigh(herm, overwrite_a=True, check_finite=False, driver="evd")
+        fv = f @ basis
+        quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
+        fv -= basis * quotients
+        residual = np.abs(fv).max()
+        gram = blas.zherk(1.0, basis, trans=2)  # upper triangle of V^H V, zeros below
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if residual <= CAYLEY_RESIDUAL_TOL and np.abs(gram).max() <= ORTHONORMALITY_TOL:
+            angles, states = np.angle(quotients), basis
+    fallback = angles is None
+    if fallback:
         upper, states = scipy.linalg.schur(np.asarray(f, dtype=complex), output="complex")
         angles = np.angle(np.diag(upper))
     eps = -angles / period
@@ -231,6 +256,7 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
         quasienergies=eps[order],
         states=states[:, order],
         period=period,
+        fallback=fallback,
     )
 
 

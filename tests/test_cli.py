@@ -298,12 +298,14 @@ def test_manifest_lists_every_file(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # the serial commands never start a pool
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
-    if command in SWEEP_COMMANDS:
+    # every command that diagonalizes F reports its fallbacks and BLAS threads
+    if command in SWEEP_COMMANDS + ("heff",):
         assert manifest["eigensolver_fallbacks"] == 0
         blas = 1 if ensemble._openblas_thread_setters() else None
         assert manifest["blas_threads_per_cell"] == blas
     else:
         assert "eigensolver_fallbacks" not in manifest
+        assert "blas_threads_per_cell" not in manifest
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
     for entry in manifest["files"]:
@@ -313,11 +315,15 @@ def test_manifest_lists_every_file(tmp_path, command):
 
 
 def test_manifest_counts_eigensolver_fallbacks(tmp_path, monkeypatch):
-    monkeypatch.setattr(floquet, "_cayley_angles", lambda f: None)
+    monkeypatch.setattr(floquet, "_cayley_hermitian", lambda f: None)
     out = tmp_path / "lev"
     assert run_cli(sweep_args("levels", out)) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["eigensolver_fallbacks"] == 4
+    out = tmp_path / "heff"
+    assert run_cli(["heff", "--lambdas", "0.2,0.5", *common_args(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["eigensolver_fallbacks"] == 2
 
 
 def test_walk_failing_at_a_later_lambda_leaves_no_output(tmp_path, corrupt_factors):
@@ -367,11 +373,13 @@ def test_rerun_into_an_existing_directory_replaces_its_files(tmp_path):
 
 def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
-    # last digits then depend on the thread count; every sweep cell must run
-    # with one BLAS thread whatever the environment and the worker count.
+    # last digits then depend on the thread count; every sweep cell and every
+    # heff lambda must run with one BLAS thread whatever the environment and
+    # the worker count (heff is serial and ignores --workers).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
+        "heff": ["heff", "--lambdas", "0.5"],
     }
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
@@ -393,5 +401,5 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                     {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
                 )
     for name, runs in outputs.items():
-        assert len(runs[0]) == (2 if name == "levels" else 3)
+        assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2}[name]
         assert all(run == runs[0] for run in runs), name

@@ -196,13 +196,16 @@ def test_cells_without_fractal_solve_for_values_only():
 
 
 def test_cell_records_an_eigensolver_fallback(monkeypatch):
-    # with the Cayley route refused, Schur solves and the cell says so
-    monkeypatch.setattr(floquet_module, "_cayley_angles", lambda f: None)
+    # with the Cayley route refused, Schur solves and the cell says so, with
+    # and without states
+    fractal_plan = small_plan(lambdas=(0.4,), realizations=1)
+    assert not run_sweep(fractal_plan, workers=1).records[0].eigensolver_fallback
+    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
     plan = small_plan(lambdas=(0.4,), realizations=2, diagnostics=("levels",))
     records = run_sweep(plan, workers=1).records
     assert [r.eigensolver_fallback for r in records] == [True, True]
-    fractal = run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=1).records
-    assert not fractal[0].eigensolver_fallback  # Schur is its route, not a fallback
+    fractal = run_sweep(fractal_plan, workers=1).records
+    assert fractal[0].eigensolver_fallback and fractal[0].error is None
 
 
 def blas_thread_counts(setters):
@@ -220,7 +223,7 @@ def test_one_blas_thread_per_sweep_then_restored():
         pytest.skip("no OpenBLAS loaded in this process")
     before = blas_thread_counts(setters)
     with pytest.raises(RuntimeError):
-        with ensemble._one_blas_thread() as threads:
+        with ensemble.one_blas_thread() as threads:
             assert threads == 1
             assert blas_thread_counts(setters) == [1] * len(setters)
             raise RuntimeError("cell body failed")

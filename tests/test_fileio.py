@@ -96,6 +96,34 @@ def test_write_csv_rejects_nan_rows(tmp_path):
         write_csv(tmp_path, "bad.csv", ("a",), [(float("nan"),)])
 
 
+def test_write_csv_array_cells_match_format_value(tmp_path):
+    # an array cell is written as its elements, byte for byte as format_value
+    # renders them one by one
+    floats = np.array([-0.0, 1e-300, 5e-324, 0.1, -2.5e17, 1.0 / 3.0])
+    rows = [
+        ("a", True, 3, np.int64(-4), floats),
+        (np.float64(0.5), floats[::-1], np.array([1, 2], dtype=np.int64), "b"),
+        (False, np.array([np.float32(0.1)]), -0.0),
+    ]
+    emitted = write_csv(tmp_path, "mixed.csv", ("h",), rows)
+    expected = ["h"]
+    for row in rows:
+        cells = []
+        for value in row:
+            values = value.tolist() if isinstance(value, np.ndarray) else [value]
+            cells.extend(format_value(v) for v in values)
+        expected.append(",".join(cells))
+    assert (tmp_path / "mixed.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert emitted.rows == 3
+    assert "-0.0,1e-300,5e-324" in expected[1]
+
+
+def test_write_csv_rejects_nan_in_an_array_cell(tmp_path):
+    with pytest.raises(ValidationError, match=r"non-finite value in output \(bad.csv\)"):
+        write_csv(tmp_path, "bad.csv", ("a", "b"), [(0.5, np.array([1.0, np.nan]))])
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_manifest_contents(tmp_path):
     cfg = RunConfig(n_sites=4, lambdas=(0.5,), realizations=1, periods=8)
     emitted = write_csv(tmp_path, "data.csv", ("x",), [(1.0,)])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import dtcmorph.floquet as floquet_module
 from dtcmorph.diagnostics import floquet_state_map, gap_ratios, state_fractal_dimensions
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
@@ -193,9 +195,13 @@ def test_spectral_round_trip(lam, seed):
 VALUES_ONLY_TOL = 1e-11
 
 
-def folded(eigvals, period):
+def unsorted_folded(eigvals, period):
     eps = -np.angle(eigvals) / period
-    return np.sort(np.where(eps <= -np.pi / period, eps + 2.0 * np.pi / period, eps))
+    return np.where(eps <= -np.pi / period, eps + 2.0 * np.pi / period, eps)
+
+
+def folded(eigvals, period):
+    return np.sort(unsorted_folded(eigvals, period))
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
@@ -249,6 +255,103 @@ def test_values_only_falls_back_on_the_hermiticity_gate():
 def test_values_only_rejects_non_unitary():
     with pytest.raises(ValidationError):
         diagonalize_floquet(np.diag([0.5 + 0j, 1.0]), 1.0, vectors=False)
+
+
+# Floquet states from the Cayley transform: quasienergies must agree with
+# Schur and eig to VALUES_ONLY_TOL and H_eff to HEFF_RTOL of its largest
+# entry. At the exact endpoints the basis inside a degenerate cluster is
+# arbitrary but the projector onto the cluster is not. Its rounding error
+# grows as 1/gap (Davis-Kahan), gap being the quasienergy distance to the
+# nearest other cluster, so projectors must agree to PROJECTOR_RTOL / gap.
+# At the endpoints the gaps inside a cluster are < 1e-14 and those between
+# clusters > 2e-4 for N <= 8 (measured), so CLUSTER_GAP splits them cleanly.
+HEFF_RTOL = 1e-10
+PROJECTOR_RTOL = 1e-12
+CLUSTER_GAP = 1e-9
+
+
+def schur_reference(f, period):
+    """Folded quasienergies and Schur vectors, sorted by quasienergy."""
+    upper, vecs = scipy.linalg.schur(f, output="complex")
+    eps = unsorted_folded(np.diag(upper), period)
+    order = np.argsort(eps, kind="stable")
+    return eps[order], vecs[:, order]
+
+
+def generator(states, eps):
+    h = (states * eps) @ states.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def cluster_projectors(eps, states, period):
+    """(projector, distance to the nearest other cluster) per cluster of sorted eps."""
+    bounds = np.flatnonzero(np.diff(eps) > CLUSTER_GAP) + 1
+    gaps = np.diff(np.r_[eps, eps[0] + 2.0 * np.pi / period])[np.r_[bounds, len(eps)] - 1]
+    return [
+        (block @ block.conj().T, min(gaps[k - 1], gaps[k]))
+        for k, block in enumerate(np.split(states, bounds, axis=1))
+    ]
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.001, 0.5, 0.999, 1.0])
+def test_vectors_route_matches_schur_and_eig(n_sites, lam):
+    p = default_params(n_sites, lam)
+    for seed in range(10):
+        f = fast_floquet_operator(p, sample_disorder(p, seed))
+        res = diagonalize_floquet(f, p.period)
+        assert not res.fallback
+        eps, vecs = schur_reference(f, p.period)
+        assert np.max(np.abs(res.quasienergies - eps)) < VALUES_ONLY_TOL
+        eig_values, eig_vecs = np.linalg.eig(f)
+        assert np.max(np.abs(res.quasienergies - folded(eig_values, p.period))) < VALUES_ONLY_TOL
+        h_eff = effective_hamiltonian(res)
+        h_schur = generator(vecs, eps)
+        scale = np.abs(h_schur).max()
+        assert np.max(np.abs(h_eff - h_schur)) <= HEFF_RTOL * scale
+        eig_eps = unsorted_folded(eig_values, p.period)
+        h_eig = np.linalg.solve(eig_vecs.T, (eig_vecs * eig_eps).T).T  # V diag(eps) V^-1
+        assert np.max(np.abs(h_eff - h_eig)) <= HEFF_RTOL * scale
+        if lam in (0.0, 1.0):
+            ours = cluster_projectors(res.quasienergies, res.states, p.period)
+            theirs = cluster_projectors(eps, vecs, p.period)
+            assert len(ours) == len(theirs)
+            assert n_sites < 8 or len(ours) < p.dim  # N = 8 has degenerate clusters
+            for (mine, _), (ref, gap) in zip(ours, theirs):
+                assert np.max(np.abs(mine - ref)) < PROJECTOR_RTOL / gap
+
+
+@pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
+def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
+    res = diagonalize_floquet(f, 1.0)
+    assert res.fallback
+    assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(len(f)))) < 1e-12
+    assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
+
+
+@pytest.mark.parametrize("gate", ["residual", "orthonormality"])
+def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
+    real_eigh = scipy.linalg.eigh
+
+    def corrupted_eigh(a, **kwargs):
+        values, basis = real_eigh(a, **kwargs)
+        if gate == "residual":
+            # still orthonormal, but mixes eigenvectors of different eigenvalues
+            c = np.sqrt(0.5)
+            basis[:, [0, -1]] = basis[:, [0, -1]] @ np.array([[c, -c], [c, c]])
+        else:
+            basis[:, 1] = basis[:, 0]  # still eigenvectors, no longer orthonormal
+        return values, basis
+
+    p = default_params(4, 0.5)
+    f = fast_floquet_operator(p, sample_disorder(p, 3))
+    clean = diagonalize_floquet(f, p.period)
+    monkeypatch.setattr(floquet_module.scipy.linalg, "eigh", corrupted_eigh)
+    res = diagonalize_floquet(f, p.period)
+    assert res.fallback and not clean.fallback
+    assert np.max(np.abs(res.quasienergies - clean.quasienergies)) < VALUES_ONLY_TOL
+    assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(p.dim))) < 1e-12
+    assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
 
 
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions,
