@@ -12,11 +12,8 @@ its file formats (`cli`, `fileio`).
 from .diagnostics import (
     GapRatioSample,
     HistogramData,
-    floquet_state_map,
-    fractal_dimension,
     gap_ratios,
     mean_gap_ratio,
-    participation_ratio,
     ratio_histogram,
     reference_density,
     state_fractal_dimensions,
@@ -46,8 +43,8 @@ from .ensemble import (
     run_sweep,
     surviving_cells,
 )
-from .errors import UndefinedFidelityError, ValidationError
-from .fileio import ConfigError, RunConfig, TOOL_VERSION
+from .errors import ConfigError, UndefinedFidelityError, ValidationError
+from .fileio import RunConfig, TOOL_VERSION
 from .floquet import (
     FloquetFactors,
     FloquetResult,
@@ -67,14 +64,8 @@ from .hamiltonians import (
     build_h2,
     build_h3,
     default_params,
-    replace_lambda,
     sample_disorder,
 )
-from .spins import (
-    apply_pauli,
-    basis_state,
-    local_magnetization,
-    total_magnetization,
-)
+from .spins import basis_state, local_magnetization
 
 __version__ = TOOL_VERSION

@@ -117,11 +117,10 @@ def resolve_config(args) -> RunConfig:
     if not cfg.lambdas:
         raise ConfigError("empty lambda grid")
     try:
-        cfg.params_for(cfg.lambdas[0])  # surface invalid model parameters early
+        for lam in cfg.lambdas:
+            cfg.params_for(lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if any(not 0.0 <= v <= 1.0 for v in cfg.lambdas):
-        raise ConfigError("lambda grid values must lie in [0, 1]")
     if not 0 <= cfg.initial_config < (1 << cfg.n_sites):
         raise ConfigError(
             f"initial configuration {cfg.initial_config} outside [0, {1 << cfg.n_sites})"

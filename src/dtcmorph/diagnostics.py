@@ -21,7 +21,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .floquet import FloquetResult
-from .spins import check_normalized
 
 REFERENCE_KINDS = ("poisson", "goe", "coe")
 
@@ -39,12 +38,11 @@ class GapRatioSample:
     """
 
     ratios: np.ndarray
-    source: tuple | None = None
     double_degenerate: int = 0
     single_degenerate: int = 0
 
 
-def gap_ratios(quasienergies: np.ndarray, source: tuple | None = None) -> GapRatioSample:
+def gap_ratios(quasienergies: np.ndarray) -> GapRatioSample:
     """Ratios of consecutive gaps of an ascending spectrum (D-2 values)."""
     eps = np.asarray(quasienergies, dtype=float)
     if eps.ndim != 1 or len(eps) < 3:
@@ -61,7 +59,6 @@ def gap_ratios(quasienergies: np.ndarray, source: tuple | None = None) -> GapRat
     ratios[tiny_hi] = 1.0
     return GapRatioSample(
         ratios=np.clip(ratios, 0.0, 1.0),
-        source=source,
         double_degenerate=int(np.sum(tiny_hi)),
         single_degenerate=int(np.sum(tiny_lo & ~tiny_hi)),
     )
@@ -104,50 +101,23 @@ def reference_density(kind: str, r):
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
-def mean_gap_ratio(sample) -> float:
-    """Mean ratio of a sample, or the first moment of a reference density.
-
-    Accepts a GapRatioSample, an array of ratios, or one of REFERENCE_KINDS
-    (computed by adaptive quadrature of r * P(r)).
-    """
-    if isinstance(sample, str):
-        value, _ = quad(lambda r: r * reference_density(sample, r), 0.0, 1.0, limit=200)
-        return value
-    ratios = sample.ratios if isinstance(sample, GapRatioSample) else np.asarray(sample)
-    if len(ratios) == 0:
-        raise ValueError("empty ratio sample")
-    return float(np.mean(ratios))
-
-
-def participation_ratio(psi: np.ndarray) -> float:
-    """1 / sum_l |C_l|^4: how many configurations a normalized state occupies."""
-    psi = np.asarray(psi, dtype=complex)
-    check_normalized(psi)
-    return float(1.0 / np.sum(np.abs(psi) ** 4))
-
-
-def fractal_dimension(p: float, dim: int) -> float:
-    """ln P / ln D, mapping participation ratio onto [0, 1]."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    if not (1.0 - 1e-9 <= p <= dim * (1.0 + 1e-9)):
-        raise ValueError(f"participation ratio {p} outside [1, {dim}]")
-    p = min(max(p, 1.0), float(dim))
-    return float(np.log(p) / np.log(dim))
+def mean_gap_ratio(kind: str) -> float:
+    """First moment of a reference density, by adaptive quadrature of r * P(r)."""
+    value, _ = quad(lambda r: r * reference_density(kind, r), 0.0, 1.0, limit=200)
+    return value
 
 
 def state_fractal_dimensions(result: FloquetResult) -> np.ndarray:
-    """Fractal dimension of every Floquet state, in quasienergy order."""
+    """Fractal dimension ln P / ln D of every Floquet state, in quasienergy order.
+
+    P = 1 / sum_l |C_l|^4 is the participation ratio: how many of the D
+    configurations a state occupies.
+    """
     states = result.require_states()
     d = states.shape[0]
     participation = 1.0 / np.sum(np.abs(states) ** 4, axis=0)
     participation = np.clip(participation, 1.0, float(d))
     return np.log(participation) / np.log(d)
-
-
-def floquet_state_map(result: FloquetResult) -> np.ndarray:
-    """|C_{alpha,l}|^2 as a (configuration x state) matrix; columns sum to 1."""
-    return np.abs(result.require_states()) ** 2
 
 
 @dataclass

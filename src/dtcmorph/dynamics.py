@@ -11,13 +11,13 @@ one at bin n/2 when n is a multiple of 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UndefinedFidelityError
 from .floquet import FloquetFactors, apply_floquet, fast_floquet_operator, floquet_factors
-from .hamiltonians import DisorderRealization, ModelParams, replace_lambda
+from .hamiltonians import DisorderRealization, ModelParams
 from .spins import basis_state, check_normalized, magnetization_weights
 
 # a fidelity is undefined where the product of the two spectrum norms is below
@@ -49,7 +49,6 @@ class WalkRecord:
     """Configuration populations |<l|F^m|i>|^2 for m = 0..n (rows)."""
 
     populations: np.ndarray
-    initial_config: int
 
 
 def evolve_stroboscopic(f, psi0: np.ndarray, n_periods: int) -> np.ndarray:
@@ -200,7 +199,7 @@ def fidelity_map(
         raise ValueError("lambda grid must lie within [0, 1]")
     d = params.dim
     refs = {
-        lam: _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
+        lam: _all_config_power_spectra(replace(params, lam=lam), disorder, n_periods)
         for lam in (0.0, 1.0)
     }
     ref_4t, ref_2t = refs[0.0], refs[1.0]
@@ -210,7 +209,7 @@ def fidelity_map(
     for col, lam in enumerate(lambdas):
         spectra = refs.get(lam)
         if spectra is None:
-            spectra = _all_config_power_spectra(replace_lambda(params, lam), disorder, n_periods)
+            spectra = _all_config_power_spectra(replace(params, lam=lam), disorder, n_periods)
         fid_4t[:, col] = spectrum_fidelity(ref_4t, spectra)
         fid_2t[:, col] = spectrum_fidelity(ref_2t, spectra)
         undefined_4t[:, col] = _undefined(ref_4t, spectra)
@@ -232,7 +231,7 @@ def walk_populations(
 ) -> WalkRecord:
     """Quantum walk over configurations: populations after each period."""
     states = _evolve_config(params, disorder, initial_config, n_periods)
-    return WalkRecord(populations=np.abs(states) ** 2, initial_config=initial_config)
+    return WalkRecord(populations=np.abs(states) ** 2)
 
 
 def walk_support(record: WalkRecord, threshold: float = 1e-3) -> int:

@@ -106,11 +106,6 @@ class EnsembleResult:
     records: list = field(default_factory=list)
     blas_threads: int | None = None
 
-    def cells_for(self, lambda_index: int) -> list:
-        # sorted on the way out so aggregates do not depend on arrival order
-        cells = [r for r in self.records if r.lambda_index == lambda_index]
-        return sorted(cells, key=lambda r: r.realization_index)
-
 
 def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> CellRecord:
     """Compute one sweep cell; failures are recorded, not raised."""
@@ -134,9 +129,7 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
         if "spectrum" in plan.diagnostics:
             record.quasienergies = result.quasienergies
         if "levels" in plan.diagnostics:
-            record.ratios = gap_ratios(
-                result.quasienergies, source=(lam, seed, plan.n_sites)
-            )
+            record.ratios = gap_ratios(result.quasienergies)
         if "fractal" in plan.diagnostics:
             record.fractal_dimensions = state_fractal_dimensions(result)
     except Exception as exc:  # cell failures never abort the sweep
@@ -227,9 +220,13 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
 def surviving_cells(result: EnsembleResult, lambda_index: int, attr: str | None = None) -> list:
     """Records of one lambda column that did not fail, in realization order.
 
-    With `attr`, every surviving record must carry that diagnostic.
+    The column is a slice of `result.records`, which `run_sweep` orders by
+    (lambda, realization). With `attr`, every surviving record must carry
+    that diagnostic.
     """
-    cells = [r for r in result.cells_for(lambda_index) if r.error is None]
+    n = result.plan.realizations
+    column = result.records[lambda_index * n:(lambda_index + 1) * n]
+    cells = [r for r in column if r.error is None]
     if attr is not None and any(getattr(r, attr) is None for r in cells):
         raise ValueError(f"sweep records are missing the {attr!r} diagnostic")
     return cells

@@ -121,8 +121,14 @@ class RunConfig:
 
 
 def format_value(value, context: str = "") -> str:
-    """Render one CSV cell; rejects non-finite numbers."""
+    """Render one CSV cell; rejects non-finite numbers.
+
+    A string holding a comma, a quote or a line break is quoted as RFC 4180
+    says: wrapped in double quotes, with each inner quote doubled.
+    """
     if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, bool):
         return str(int(value))

@@ -16,7 +16,7 @@ and recrystallizes the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,11 +92,6 @@ def default_params(n_sites: int, lam: float = 0.0) -> ModelParams:
         jxy=(np.pi / 4) / t_seg,
         w=np.pi / t_seg,
     )
-
-
-def replace_lambda(params: ModelParams, lam: float) -> ModelParams:
-    """Same coupling profile at a different deformation value."""
-    return replace(params, lam=lam)
 
 
 def sample_disorder(params: ModelParams, seed: int) -> DisorderRealization:

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-PAULI_AXES = ("x", "y", "z")
-
 
 def dimension(n_sites: int) -> int:
     return 1 << n_sites
@@ -64,42 +62,12 @@ def _check_site(site: int, n_sites: int) -> None:
         raise ValueError(f"site {site} outside [1, {n_sites}]")
 
 
-def apply_pauli(axis: str, site: int, psi: np.ndarray) -> np.ndarray:
-    """Apply a single-site Pauli operator, returning a new state vector.
-
-    Sign convention: with |0> the sigma^z=+1 eigenstate, sigma^y|0> = i|1>.
-    """
-    if axis not in PAULI_AXES:
-        raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
-    psi = np.asarray(psi, dtype=complex)
-    n = n_sites_of(psi)
-    _check_site(site, n)
-    mask = 1 << (site - 1)
-    idx = np.arange(len(psi))
-    if axis == "z":
-        return sign_table(n)[:, site - 1] * psi
-    flipped = psi[idx ^ mask]
-    if axis == "x":
-        return flipped
-    # y: amplitude entering a configuration with the bit set picks up +i,
-    # with the bit cleared -i
-    bit_set = (idx & mask) != 0
-    return np.where(bit_set, 1j, -1j) * flipped
-
-
 def local_magnetization(psi: np.ndarray, site: int) -> float:
     """Expectation value <psi|sigma^z_site|psi>."""
     psi = np.asarray(psi, dtype=complex)
     n = n_sites_of(psi)
     _check_site(site, n)
     return float(sign_table(n)[:, site - 1] @ np.abs(psi) ** 2)
-
-
-def total_magnetization(psi: np.ndarray) -> float:
-    """Site-averaged longitudinal magnetization (1/N) sum_l <sigma^z_l>."""
-    psi = np.asarray(psi, dtype=complex)
-    n = n_sites_of(psi)
-    return float(magnetization_weights(n) @ np.abs(psi) ** 2)
 
 
 def check_normalized(psi: np.ndarray, tol: float = 1e-9) -> None:

@@ -207,6 +207,15 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, config, command):
     assert not out.exists()
 
 
+def test_config_lambda_outside_unit_interval_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lambdas": [0.5, -0.1]}), encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "-0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert run_cli(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -249,12 +258,12 @@ def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
-def fail_cells(monkeypatch, should_fail):
+def fail_cells(monkeypatch, should_fail, error=None):
     real = ensemble.fast_floquet_operator
 
     def flaky(params, disorder):
         if should_fail(params, disorder):
-            raise RuntimeError("injected failure")
+            raise error or RuntimeError("injected failure")
         return real(params, disorder)
 
     monkeypatch.setattr(ensemble, "fast_floquet_operator", flaky)
@@ -287,6 +296,22 @@ def test_some_failed_cells_are_reported_not_fatal(tmp_path, monkeypatch, capsys,
         errors = {(row[0], row[1]): row[7] for row in rows}
         assert errors.pop(("1", "0")) == "RuntimeError: injected failure"
         assert set(errors.values()) == {""}
+
+
+def test_failed_cell_error_with_commas_stays_one_csv_field(tmp_path, monkeypatch):
+    failed = {ensemble.derive_seed(7, 1, 0), ensemble.derive_seed(7, 1, 2)}
+    message = ("Unable to allocate 256. MiB for an array with shape (4096, 4096) "
+               "and data type complex128")
+    fail_cells(monkeypatch, lambda params, disorder: disorder.seed in failed, MemoryError(message))
+    out = tmp_path / "x"
+    args = ["sweep", "--n-sites", "4", "--lambdas", "0.3,0.5,0.9", "--realizations", "4",
+            "--workers", "1", "--seed", "7", "--out", str(out)]
+    assert run_cli(args) == 0
+    header, rows = read_csv(out / "sweep_cells.csv")
+    assert len(header) == 8 and all(len(row) == 8 for row in rows)
+    errors = {(row[0], row[1]): row[7] for row in rows}
+    assert errors.pop(("1", "0")) == errors.pop(("1", "2")) == f"MemoryError: {message}"
+    assert set(errors.values()) == {""}
 
 
 @pytest.mark.parametrize("command", SWEEP_COMMANDS + SERIAL_COMMANDS)

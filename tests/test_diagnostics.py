@@ -5,17 +5,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dtcmorph.diagnostics import (
-    fractal_dimension,
-    floquet_state_map,
     gap_ratios,
     mean_gap_ratio,
-    participation_ratio,
     ratio_histogram,
     reference_density,
     state_fractal_dimensions,
 )
-from dtcmorph.errors import ValidationError
-from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator
+from dtcmorph.floquet import FloquetResult, diagonalize_floquet, fast_floquet_operator
 from dtcmorph.hamiltonians import default_params, sample_disorder
 
 
@@ -127,81 +123,63 @@ def test_mean_gap_ratio_references():
     assert mean_gap_ratio("coe") == pytest.approx(0.5269216860, abs=1e-6)
 
 
-def test_mean_gap_ratio_sample():
-    assert mean_gap_ratio(np.array([0.5, 1.0])) == pytest.approx(0.75)
-    assert mean_gap_ratio(gap_ratios(np.array([0.0, 1.0, 3.0]))) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        mean_gap_ratio(np.array([]))
+# --- fractal dimensions --------------------------------------------------
 
 
-# --- participation ratio and fractal dimension ---------------------------
+def result_with_states(states):
+    return FloquetResult(
+        quasienergies=np.zeros(states.shape[1]), states=states, period=1.0
+    )
+
+
+def spread_columns(d, sizes):
+    """One column per size k, spread evenly over the first k of d configurations."""
+    states = np.zeros((d, len(sizes)), dtype=complex)
+    for col, k in enumerate(sizes):
+        states[:k, col] = 1 / np.sqrt(k)
+    return states
 
 
 def test_participation_ratio_limits():
+    # the participation ratio of a state is D ** D_2: 1 for a basis state, D if uniform
     d = 16
-    basis = np.zeros(d, dtype=complex)
-    basis[3] = 1.0
-    assert participation_ratio(basis) == pytest.approx(1.0)
-    uniform = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    assert participation_ratio(uniform) == pytest.approx(d)
-    pair = np.zeros(d, dtype=complex)
-    pair[[1, 5]] = 1 / np.sqrt(2)
-    assert participation_ratio(pair) == pytest.approx(2.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), phase=st.floats(0, 2 * np.pi))
-def test_participation_ratio_invariances(seed, phase):
-    rng = np.random.default_rng(seed)
-    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    psi /= np.linalg.norm(psi)
-    base = participation_ratio(psi)
-    assert participation_ratio(psi[rng.permutation(16)]) == pytest.approx(base)
-    assert participation_ratio(np.exp(1j * phase) * psi) == pytest.approx(base)
-
-
-def test_participation_ratio_rejects_unnormalized():
-    with pytest.raises(ValidationError):
-        participation_ratio(np.ones(4, dtype=complex))
+    states = np.zeros((d, 3), dtype=complex)
+    states[3, 0] = 1.0
+    states[:, 1] = 1 / np.sqrt(d)
+    states[[1, 5], 2] = 1 / np.sqrt(2)
+    dims = state_fractal_dimensions(result_with_states(states))
+    assert d**dims == pytest.approx([1.0, d, 2.0])
 
 
 def test_fractal_dimension_limits():
-    assert fractal_dimension(1.0, 256) == 0.0
-    assert fractal_dimension(256.0, 256) == pytest.approx(1.0)
-    assert fractal_dimension(16.0, 256) == pytest.approx(0.5)
+    # hand-built D = 256: a basis column, a uniform column, 16 configurations
+    dims = state_fractal_dimensions(result_with_states(spread_columns(256, [1, 256, 16])))
+    assert dims[0] == 0.0
+    assert dims[1] == pytest.approx(1.0)
+    assert dims[2] == pytest.approx(0.5)
 
 
 def test_fractal_dimension_monotone():
-    values = [fractal_dimension(p, 64) for p in np.linspace(1, 64, 20)]
-    assert np.all(np.diff(values) > 0)
-
-
-def test_fractal_dimension_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        fractal_dimension(0.5, 16)
-    with pytest.raises(ValueError):
-        fractal_dimension(20.0, 16)
-    with pytest.raises(ValueError):
-        fractal_dimension(1.0, 1)
-
-
-# --- state map ------------------------------------------------------------
-
-
-def test_state_map_identity():
-    res = diagonalize_floquet(np.eye(8, dtype=complex), 1.0)
-    assert np.allclose(floquet_state_map(res), np.eye(8))
-
-
-def test_state_map_columns_normalized():
-    p = default_params(6, 0.5)
-    res = diagonalize_floquet(
-        fast_floquet_operator(p, sample_disorder(p, 3)), p.period
+    # column k spreads evenly over 2^k of the D = 256 configurations: ln 2^k / ln 256 = k / 8
+    dims = state_fractal_dimensions(
+        result_with_states(spread_columns(256, [1 << k for k in range(9)]))
     )
-    prob_map = floquet_state_map(res)
-    assert prob_map.shape == (64, 64)
-    assert np.all(prob_map >= 0)
-    assert np.allclose(prob_map.sum(axis=0), 1.0, atol=1e-9)
+    assert np.all(np.diff(dims) > 0)
+    assert dims == pytest.approx(np.arange(9) / 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_state_fractal_dimensions_invariances(seed):
+    rng = np.random.default_rng(seed)
+    d = 256
+    states = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+    states /= np.linalg.norm(states, axis=0)
+    base = state_fractal_dimensions(result_with_states(states))
+    permuted = states[rng.permutation(d)]
+    rephased = states * np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
+    assert state_fractal_dimensions(result_with_states(permuted)) == pytest.approx(base)
+    assert state_fractal_dimensions(result_with_states(rephased)) == pytest.approx(base)
 
 
 def test_melted_states_more_fractal_than_crystal():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -73,6 +74,22 @@ def test_format_value_round_trips_floats():
     assert format_value(np.float64(0.1)) == "0.1"
     assert format_value(np.int64(7)) == "7"
     assert format_value(3) == "3"
+
+
+@pytest.mark.parametrize(
+    "text, cell",
+    [
+        ("a,b", '"a,b"'),
+        ('say "x"', '"say ""x"""'),
+        ("two\nlines", '"two\nlines"'),
+        ("MemoryError: plain text", "MemoryError: plain text"),
+    ],
+)
+def test_format_value_quotes_strings_like_rfc_4180(tmp_path, text, cell):
+    assert format_value(text) == cell
+    write_csv(tmp_path, "t.csv", ("error", "n"), [(text, 1)])
+    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["error", "n"], [text, "1"]]
 
 
 def test_format_value_rejects_non_finite():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import dtcmorph.floquet as floquet_module
-from dtcmorph.diagnostics import floquet_state_map, gap_ratios, state_fractal_dimensions
+from dtcmorph.diagnostics import gap_ratios, state_fractal_dimensions
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
     apply_floquet,
@@ -354,8 +354,7 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
     assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
 
 
-@pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions,
-                                      floquet_state_map])
+@pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])
 def test_state_consumers_reject_values_only_results(consumer):
     p = default_params(4, 0.5)
     f = fast_floquet_operator(p, sample_disorder(p, 0))

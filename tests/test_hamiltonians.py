@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from dtcmorph.hamiltonians import (
     build_h2,
     build_h3,
     default_params,
-    replace_lambda,
     sample_disorder,
 )
 from dtcmorph.spins import max_hermiticity_defect
@@ -191,8 +192,8 @@ def test_builders_linear_in_lambda():
     p = default_params(4, lam)
     disorder = sample_disorder(p, 17)
     for build in (build_h1, lambda q: build_h2(q, disorder), lambda q: build_h3(q, disorder)):
-        at_zero = build(replace_lambda(p, 0.0))
-        at_one = build(replace_lambda(p, 1.0))
+        at_zero = build(replace(p, lam=0.0))
+        at_one = build(replace(p, lam=1.0))
         blended = (1 - lam) * at_zero + lam * at_one
         assert np.max(np.abs(build(p) - blended)) < 1e-12
 

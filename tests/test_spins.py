@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from dtcmorph.errors import ValidationError
 from dtcmorph.spins import (
-    apply_pauli,
     basis_state,
     check_normalized,
     local_magnetization,
     magnetization_weights,
-    total_magnetization,
 )
 
 
@@ -18,68 +16,6 @@ def random_state(n_sites, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
     return psi / np.linalg.norm(psi)
-
-
-def test_pauli_x_flips_single_bit():
-    psi = basis_state(3, 0)
-    out = apply_pauli("x", 1, psi)
-    assert np.allclose(out, basis_state(3, 1))
-
-
-def test_pauli_z_on_up_is_identity():
-    psi = basis_state(3, 0)
-    out = apply_pauli("z", 1, psi)
-    assert np.allclose(out, psi)
-
-
-def test_pauli_y_sign_convention():
-    # sigma^y |0> = i |1>
-    psi = basis_state(3, 0)
-    out = apply_pauli("y", 1, psi)
-    assert np.allclose(out, 1j * basis_state(3, 1))
-
-
-def test_pauli_y_on_down():
-    # sigma^y |1> = -i |0>
-    psi = basis_state(2, 1)
-    out = apply_pauli("y", 1, psi)
-    assert np.allclose(out, -1j * basis_state(2, 0))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    axis=st.sampled_from(["x", "y", "z"]),
-    site=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pauli_squares_to_identity(axis, site, seed):
-    psi = random_state(4, seed)
-    twice = apply_pauli(axis, site, apply_pauli(axis, site, psi))
-    assert np.max(np.abs(twice - psi)) < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    axis=st.sampled_from(["x", "y", "z"]),
-    site=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pauli_preserves_norm(axis, site, seed):
-    psi = random_state(4, seed)
-    out = apply_pauli(axis, site, psi)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-@pytest.mark.parametrize("site", [0, 5, -1])
-def test_pauli_site_out_of_range(axis, site):
-    with pytest.raises(ValueError):
-        apply_pauli(axis, site, basis_state(4, 0))
-
-
-def test_pauli_bad_axis():
-    with pytest.raises(ValueError):
-        apply_pauli("q", 1, basis_state(2, 0))
 
 
 def test_local_magnetization_polarized():
@@ -100,6 +36,11 @@ def test_local_magnetization_superposition_is_zero():
 def test_local_magnetization_site_range():
     with pytest.raises(ValueError):
         local_magnetization(basis_state(2, 0), 3)
+
+
+def total_magnetization(psi):
+    # how dynamics reads the total magnetization of a state
+    return float(magnetization_weights(int(np.log2(psi.size))) @ np.abs(psi) ** 2)
 
 
 def test_total_magnetization_examples():
