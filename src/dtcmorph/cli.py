@@ -290,16 +290,18 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
     disorder, seeds = _shared_disorder(cfg)
     series_rows = []
     power_rows = []
-    for lam in cfg.lambdas:
-        params = cfg.params_for(lam)
-        series = magnetization_series(params, disorder, cfg.initial_config, cfg.periods)
-        series_rows.append((lam, 0, series.initial_value))
-        for m, value in enumerate(series.values, start=1):
-            series_rows.append((lam, m, value))
-        spectrum = power_spectrum(series)
-        for k in range(cfg.periods):
-            power_rows.append((lam, k, spectrum.frequencies[k], spectrum.values[k]))
-    maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods)
+    # one BLAS thread, as in a sweep, so the digits do not depend on the thread count
+    with one_blas_thread() as blas_threads:
+        for lam in cfg.lambdas:
+            params = cfg.params_for(lam)
+            series = magnetization_series(params, disorder, cfg.initial_config, cfg.periods)
+            series_rows.append((lam, 0, series.initial_value))
+            for m, value in enumerate(series.values, start=1):
+                series_rows.append((lam, m, value))
+            spectrum = power_spectrum(series)
+            for k in range(cfg.periods):
+                power_rows.append((lam, k, spectrum.frequencies[k], spectrum.values[k]))
+        maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods)
     fid4_rows = []
     fid2_rows = []
     for i in range(1 << cfg.n_sites):
@@ -316,7 +318,8 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
         "fidelity_4t.csv": int(maps.undefined_4t.sum()),
         "fidelity_2t.csv": int(maps.undefined_2t.sum()),
     }
-    return files, seeds, 1, {"undefined_fidelities": undefined}
+    extra = {"undefined_fidelities": undefined, "blas_threads_per_cell": blas_threads}
+    return files, seeds, 1, extra
 
 
 def run_walk(cfg: RunConfig, out_dir: Path):

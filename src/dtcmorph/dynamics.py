@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedFidelityError
-from .floquet import FloquetFactors, apply_floquet, fast_floquet_operator, floquet_factors
+from .floquet import FloquetFactors, apply_floquet, floquet_factors, stripped_floquet_powers
 from .hamiltonians import DisorderRealization, ModelParams
 from .spins import basis_state, check_normalized, magnetization_weights
 
@@ -165,15 +165,20 @@ class FidelityMaps:
 def _all_config_power_spectra(
     params: ModelParams, disorder: DisorderRealization, n_periods: int
 ) -> np.ndarray:
-    """(n, D) power spectra of the magnetization series of every basis state."""
-    f = fast_floquet_operator(params, disorder)
+    """(n, D) power spectra of the magnetization series of every basis state.
+
+    Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
+    U3 conserves both, so dense F is never built.
+    """
     d = params.dim
     weights = magnetization_weights(params.n_sites)
-    states = np.eye(d, dtype=complex)  # column i = configuration i
+    populations = np.empty((d, d))
     magnetizations = np.empty((n_periods, d))
-    for m in range(n_periods):
-        states = f @ states
-        magnetizations[m] = weights @ (np.abs(states) ** 2)
+    powers = stripped_floquet_powers(floquet_factors(params, disorder), n_periods)
+    for m, states in enumerate(powers):
+        np.abs(states, out=populations)
+        populations *= populations
+        np.matmul(weights, populations, out=magnetizations[m])
     check_normalized(states)  # a ValidationError if any column drifted
     return np.abs(_dft_values(magnetizations)) ** 2
 
@@ -194,9 +199,10 @@ def fidelity_map(
     The lam = 0 and lam = 1 references are reused as grid columns when the
     grid holds those values.
     """
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0.0) or np.any(lambdas > 1.0):
-        raise ValueError("lambda grid must lie within [0, 1]")
+    grid = [replace(params, lam=lam) for lam in lambdas]  # ModelParams checks each lam
     d = params.dim
     refs = {
         lam: _all_config_power_spectra(replace(params, lam=lam), disorder, n_periods)
@@ -206,10 +212,10 @@ def fidelity_map(
     shape = (d, len(lambdas))
     fid_4t, fid_2t = np.empty(shape), np.empty(shape)
     undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    for col, lam in enumerate(lambdas):
-        spectra = refs.get(lam)
+    for col, lam_params in enumerate(grid):
+        spectra = refs.get(lam_params.lam)
         if spectra is None:
-            spectra = _all_config_power_spectra(replace(params, lam=lam), disorder, n_periods)
+            spectra = _all_config_power_spectra(lam_params, disorder, n_periods)
         fid_4t[:, col] = spectrum_fidelity(ref_4t, spectra)
         fid_2t[:, col] = spectrum_fidelity(ref_2t, spectra)
         undefined_4t[:, col] = _undefined(ref_4t, spectra)

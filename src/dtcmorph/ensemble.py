@@ -67,8 +67,8 @@ class SweepPlan:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        if any(not 0.0 <= v <= 1.0 for v in self.lambdas):
-            raise ValueError("lambda grid values must lie in [0, 1]")
+        for lam in self.lambdas:
+            self.params(lam)  # ModelParams rejects a lam outside [0, 1]
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         unknown = set(self.diagnostics) - set(DIAGNOSTIC_NAMES)

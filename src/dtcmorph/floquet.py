@@ -13,6 +13,8 @@ rightmost). Two construction routes are provided:
 Where only states are evolved, F is never formed: `floquet_factors` holds it
 as N/2 segment-1 dimer factors, the segment-2 phases and N/2 segment-3 dimer
 factors, and `apply_floquet` applies them in place in O(N*D) per state.
+`stripped_floquet_powers` evolves all 2^N configurations at once through one
+merged dimer layer per period, again without F.
 
 `diagonalize_floquet` diagonalizes the Hermitian Cayley transform of F, for
 quasienergies alone (`eigvalsh`) and for Floquet states (`eigh` plus
@@ -23,6 +25,7 @@ fallback where the transform or its gates refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -155,6 +158,37 @@ def apply_floquet(factors: FloquetFactors, psi: np.ndarray) -> None:
     psi *= factors.phases.reshape((-1,) + (1,) * (psi.ndim - 1))
     for k, gate in enumerate(factors.u3):
         backend.apply_pair_gate(psi, 2 * k, gate)
+
+
+def _kron_halves(gates) -> tuple:
+    """(G_hi, G_lo) with kron(G_hi, G_lo) the product of the dimer gates, gates[0] lowest."""
+    split = len(gates) // 2
+    one = np.ones((1, 1), dtype=complex)
+    return tuple(reduce(np.kron, part[::-1], one) for part in (gates[split:], gates[:split]))
+
+
+def stripped_floquet_powers(factors: FloquetFactors, n_periods: int):
+    """Yield U3^H F^m for m = 1..n, all 2^N columns at once, never forming F.
+
+    F^m = U3 [U2 (U1 U3)]^(m-1) U2 U1, so after U2 U1 every period applies
+    the merged dimer gates u1[k] @ u3[k] and then the phases. The gates form
+    K_hi (x) K_lo over the upper and lower dimers, applied as two GEMMs with
+    the phases folded into the batched K_lo: O((d_hi + d_lo) D^2) per period
+    against O(D^3) for F @ states. The missing left U3 keeps column norms and
+    every observable that commutes with it, such as the total magnetization.
+    The same D x D buffer is yielded each period and overwritten by the next.
+    """
+    k_hi, k_lo = _kron_halves([a @ b for a, b in zip(factors.u1, factors.u3)])
+    d_hi, d_lo = len(k_hi), len(k_lo)
+    phased_lo = factors.phases.reshape(d_hi, d_lo, 1) * k_lo  # diag(phases) (I (x) K_lo)
+    states = np.kron(*_kron_halves(factors.u1))
+    states *= factors.phases[:, None]
+    scratch = np.empty_like(states)
+    for m in range(n_periods):
+        if m:
+            np.matmul(k_hi, states.reshape(d_hi, -1), out=scratch.reshape(d_hi, -1))
+            np.matmul(phased_lo, scratch.reshape(d_hi, d_lo, -1), out=states.reshape(d_hi, d_lo, -1))
+        yield states
 
 
 def fast_floquet_operator(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
-from dtcmorph import dynamics, ensemble, floquet
+from dtcmorph import ensemble, floquet
 from dtcmorph.errors import ValidationError
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
@@ -248,12 +248,13 @@ def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
     assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3
 
 
-def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, monkeypatch, capsys):
-    real = dynamics.fast_floquet_operator
-    monkeypatch.setattr(dynamics, "fast_floquet_operator",
-                        lambda params, disorder: 1.001 * real(params, disorder))
+def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, corrupt_factors, capsys):
+    # the series runs at lambda = 0.5 only; the lambda = 0 reference of the
+    # fidelity maps is the one corrupted evolution, so the map's check trips
+    corrupt_factors("phases", lam=0.0)
     out = tmp_path / "d"
-    assert run_cli(["dynamics", "--periods", "8", "--n-sites", "4", "--out", str(out)]) == 3
+    args = ["dynamics", "--lambdas", "0.5", "--periods", "8", "--n-sites", "4", "--out", str(out)]
+    assert run_cli(args) == 3
     assert "state norm deviates from 1 by 8.028e-03" in capsys.readouterr().err
     assert not out.exists()
 
@@ -323,13 +324,16 @@ def test_manifest_lists_every_file(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # the serial commands never start a pool
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
-    # every command that diagonalizes F reports its fallbacks and BLAS threads
+    # every command that diagonalizes F reports its fallbacks; every command
+    # that runs under the one-BLAS-thread limit reports its BLAS threads
     if command in SWEEP_COMMANDS + ("heff",):
         assert manifest["eigensolver_fallbacks"] == 0
+    else:
+        assert "eigensolver_fallbacks" not in manifest
+    if command != "walk":
         blas = 1 if ensemble._openblas_thread_setters() else None
         assert manifest["blas_threads_per_cell"] == blas
     else:
-        assert "eigensolver_fallbacks" not in manifest
         assert "blas_threads_per_cell" not in manifest
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
@@ -399,12 +403,14 @@ def test_rerun_into_an_existing_directory_replaces_its_files(tmp_path):
 def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
     # last digits then depend on the thread count; every sweep cell and every
-    # heff lambda must run with one BLAS thread whatever the environment and
-    # the worker count (heff is serial and ignores --workers).
+    # heff and dynamics lambda must run with one BLAS thread whatever the
+    # environment and the worker count (heff and dynamics are serial and
+    # ignore --workers).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
         "heff": ["heff", "--lambdas", "0.5"],
+        "dynamics": ["dynamics", "--lambdas", "0,0.5,1", "--periods", "16"],
     }
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
@@ -426,5 +432,5 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                     {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
                 )
     for name, runs in outputs.items():
-        assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2}[name]
+        assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4}[name]
         assert all(run == runs[0] for run in runs), name

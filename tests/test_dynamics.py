@@ -18,7 +18,7 @@ import dtcmorph.dynamics as dynamics_module
 from dtcmorph.errors import UndefinedFidelityError, ValidationError
 from dtcmorph.floquet import fast_floquet_operator
 from dtcmorph.hamiltonians import default_params, sample_disorder
-from dtcmorph.spins import basis_state
+from dtcmorph.spins import basis_state, magnetization_weights
 
 # the lam=0 drive walks the fully polarized state around a 4-configuration
 # cycle: all-up -> odd sites down -> all-down -> even sites down -> all-up
@@ -204,6 +204,18 @@ def test_fidelity_map_rejects_bad_grid():
         fidelity_map(p, sample_disorder(p, 0), [0.0, 1.2], 8)
 
 
+def test_fidelity_map_checks_its_inputs_before_any_evolution(monkeypatch):
+    p = default_params(4, 0.0)
+    calls = []
+    monkeypatch.setattr(dynamics_module, "_all_config_power_spectra",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="lam must lie in"):
+        fidelity_map(p, sample_disorder(p, 0), [0.5, -0.1], 8)
+    with pytest.raises(ValueError, match="n_periods"):
+        fidelity_map(p, sample_disorder(p, 0), [0.5], 0)
+    assert calls == []
+
+
 def test_walk_initial_row_is_indicator():
     p = default_params(4, 0.3)
     record = walk_populations(p, sample_disorder(p, 9), 6, 5)
@@ -257,6 +269,29 @@ def test_dft_values_columns_match_single_series():
     together = dynamics_module._dft_values(block)
     for j in range(5):
         assert np.array_equal(together[:, j], dynamics_module._dft_values(block[:, j]))
+
+
+def dense_power_spectra(params, disorder, n_periods):
+    """The all-configuration spectra from powers of dense F, the oracle of the factor route."""
+    f = fast_floquet_operator(params, disorder)
+    weights = magnetization_weights(params.n_sites)
+    states = np.eye(params.dim, dtype=complex)
+    magnetizations = np.empty((n_periods, params.dim))
+    for m in range(n_periods):
+        states = f @ states
+        magnetizations[m] = weights @ (np.abs(states) ** 2)
+    return np.abs(dynamics_module._dft_values(magnetizations)) ** 2
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_all_config_power_spectra_match_dense_powers(n_sites, lam):
+    p = default_params(n_sites, lam)
+    disorder = sample_disorder(p, 5)
+    expected = dense_power_spectra(p, disorder, 32)
+    got = dynamics_module._all_config_power_spectra(p, disorder, 32)
+    assert got.shape == expected.shape == (32, p.dim)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_fidelity_map_reuses_endpoint_spectra(monkeypatch):
@@ -322,10 +357,9 @@ def test_undefined_fidelities_are_the_zero_series():
     assert (maps.undefined_4t.sum(), maps.undefined_2t.sum()) == (36 + 70, 70 + 70)
 
 
-def test_fidelity_map_checks_the_all_configuration_norm(monkeypatch):
+def test_fidelity_map_checks_the_all_configuration_norm(corrupt_factors):
+    # each period applies the phases once, so 8 periods drift by 1.001^8 - 1
     p = default_params(4, 0.0)
-    real = dynamics_module.fast_floquet_operator
-    monkeypatch.setattr(dynamics_module, "fast_floquet_operator",
-                        lambda params, disorder: 1.001 * real(params, disorder))
+    corrupt_factors("phases")
     with pytest.raises(ValidationError, match="state norm deviates from 1 by 8.028e-03"):
         fidelity_map(p, sample_disorder(p, 2), [0.0, 0.5, 1.0], 8)

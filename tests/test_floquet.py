@@ -14,8 +14,9 @@ from dtcmorph.floquet import (
     floquet_operator,
     propagator,
     sparsity_fraction,
+    stripped_floquet_powers,
 )
-from dtcmorph.hamiltonians import default_params, sample_disorder
+from dtcmorph.hamiltonians import build_h3, default_params, sample_disorder
 from dtcmorph.spins import basis_state, max_unitarity_defect
 
 
@@ -141,6 +142,20 @@ def test_factor_form_matches_dense_oracle(n_sites, lam):
         mat = np.eye(p.dim, dtype=complex)
         apply_floquet(factors, mat)
         assert np.max(np.abs(mat - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_stripped_powers_are_floquet_powers_without_the_last_u3(n_sites, lam):
+    p = default_params(n_sites, lam)
+    disorder = sample_disorder(p, 4)
+    dense = floquet_operator(p, disorder)
+    u3 = propagator(build_h3(p, disorder), p.t3)
+    power = np.eye(p.dim, dtype=complex)
+    for m, states in enumerate(stripped_floquet_powers(floquet_factors(p, disorder), 6), 1):
+        power = dense @ power
+        assert np.max(np.abs(u3 @ states - power)) < 1e-12
+    assert m == 6
 
 
 def test_diagonalize_identity():
