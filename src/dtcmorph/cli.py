@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, reference_density
-from .dynamics import (
-    fidelity_map,
-    magnetization_series,
-    power_spectrum,
-    walk_populations,
-    walk_support,
-)
+from .dynamics import fidelity_map, power_spectrum, walk_populations, walk_support
 from .ensemble import (
     EnsembleResult,
     SweepPlan,
@@ -131,11 +125,11 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int, dict]:
+def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, dict]:
     """Run the ensemble sweep; a lambda column with no surviving cell fails the run.
 
-    Returns the result, the seed provenance, the worker count and the
-    manifest's eigensolver block.
+    Returns the result and its manifest fields: seed provenance, worker count
+    and eigensolver fallbacks.
     """
     plan = SweepPlan(
         lambdas=cfg.lambdas,
@@ -163,11 +157,11 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, list, int, dict
     for li, lam in enumerate(plan.lambdas):
         if not surviving_cells(result, li):
             raise ValidationError(f"every cell failed at lambda {lam}")
-    solver = {
+    return result, {
+        "cell_seeds": seeds,
+        "workers": workers,
         "eigensolver_fallbacks": sum(r.eigensolver_fallback for r in result.records),
-        "blas_threads_per_cell": result.blas_threads,
     }
-    return result, seeds, workers, solver
 
 
 def _state_rows(result: EnsembleResult, columns):
@@ -182,7 +176,7 @@ def _state_rows(result: EnsembleResult, columns):
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers, solver = _sweep(cfg, ("spectrum",))
+    result, fields = _sweep(cfg, ("spectrum",))
 
     def columns(rec):
         eigvals = np.exp(-1j * rec.quasienergies * cfg.params_for(rec.lam).period)
@@ -196,11 +190,11 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
             _state_rows(result, columns),
         )
     ]
-    return files, seeds, workers, solver
+    return files, fields
 
 
 def run_levels(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers, solver = _sweep(cfg, ("levels",))
+    result, fields = _sweep(cfg, ("levels",))
     hists = pooled_histograms(result, bins=cfg.bins)
     means = pooled_mean_ratios(result)
     ref_means = tuple(mean_gap_ratio(kind) for kind in REFERENCE_KINDS)
@@ -254,11 +248,11 @@ def run_levels(cfg: RunConfig, out_dir: Path):
             summary_rows,
         ),
     ]
-    return files, seeds, workers, {**solver, "degenerate_gaps": degenerate}
+    return files, {**fields, "degenerate_gaps": degenerate}
 
 
 def run_fractal(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers, solver = _sweep(cfg, ("fractal",))
+    result, fields = _sweep(cfg, ("fractal",))
     mean_rows = list(zip(result.plan.lambdas, aggregate_fractal(result)))
     files = [
         write_csv(
@@ -269,14 +263,18 @@ def run_fractal(cfg: RunConfig, out_dir: Path):
         ),
         write_csv(out_dir, "fractal_mean.csv", ("lambda", "mean_fractal_dimension"), mean_rows),
     ]
-    return files, seeds, workers, solver
+    return files, fields
 
 
 def _shared_disorder(cfg: RunConfig):
-    """One disorder realization shared across the whole lambda grid."""
+    """One disorder realization shared across the whole lambda grid, and its manifest fields.
+
+    The commands that use it run serially and record one worker.
+    """
     seed = derive_seed(cfg.master_seed, 0, 0)
     disorder = sample_disorder(cfg.params_for(0.0), seed)
-    return disorder, [{"lambda_index": 0, "realization_index": 0, "seed": seed}]
+    seeds = [{"lambda_index": 0, "realization_index": 0, "seed": seed}]
+    return disorder, {"cell_seeds": seeds, "workers": 1}
 
 
 def _write_config_table(out_dir: Path, name: str, index: str, lam: float, matrix):
@@ -285,23 +283,18 @@ def _write_config_table(out_dir: Path, name: str, index: str, lam: float, matrix
     return write_csv(out_dir, name, header, ((lam, i, row) for i, row in enumerate(matrix)))
 
 
-# dynamics, walk and heff run serially and record one worker
 def run_dynamics(cfg: RunConfig, out_dir: Path):
-    disorder, seeds = _shared_disorder(cfg)
+    disorder, fields = _shared_disorder(cfg)
+    maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods, cfg.initial_config)
     series_rows = []
     power_rows = []
-    # one BLAS thread, as in a sweep, so the digits do not depend on the thread count
-    with one_blas_thread() as blas_threads:
-        for lam in cfg.lambdas:
-            params = cfg.params_for(lam)
-            series = magnetization_series(params, disorder, cfg.initial_config, cfg.periods)
-            series_rows.append((lam, 0, series.initial_value))
-            for m, value in enumerate(series.values, start=1):
-                series_rows.append((lam, m, value))
-            spectrum = power_spectrum(series)
-            for k in range(cfg.periods):
-                power_rows.append((lam, k, spectrum.frequencies[k], spectrum.values[k]))
-        maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods)
+    for lam, series in zip(cfg.lambdas, maps.series):
+        series_rows.append((lam, 0, series.initial_value))
+        for m, value in enumerate(series.values, start=1):
+            series_rows.append((lam, m, value))
+        spectrum = power_spectrum(series)
+        for k in range(cfg.periods):
+            power_rows.append((lam, k, spectrum.frequencies[k], spectrum.values[k]))
     fid4_rows = []
     fid2_rows = []
     for i in range(1 << cfg.n_sites):
@@ -318,12 +311,11 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
         "fidelity_4t.csv": int(maps.undefined_4t.sum()),
         "fidelity_2t.csv": int(maps.undefined_2t.sum()),
     }
-    extra = {"undefined_fidelities": undefined, "blas_threads_per_cell": blas_threads}
-    return files, seeds, 1, extra
+    return files, {**fields, "undefined_fidelities": undefined}
 
 
 def run_walk(cfg: RunConfig, out_dir: Path):
-    disorder, seeds = _shared_disorder(cfg)
+    disorder, fields = _shared_disorder(cfg)
     files = []
     support_rows = []
     for li, lam in enumerate(cfg.lambdas):
@@ -344,28 +336,26 @@ def run_walk(cfg: RunConfig, out_dir: Path):
             support_rows,
         )
     )
-    return files, seeds, 1, {}
+    return files, fields
 
 
 def run_heff(cfg: RunConfig, out_dir: Path):
-    disorder, seeds = _shared_disorder(cfg)
+    disorder, fields = _shared_disorder(cfg)
     files = []
     sparsity_rows = []
     fallbacks = 0
-    # one BLAS thread, as in a sweep, so the digits do not depend on the thread count
-    with one_blas_thread() as blas_threads:
-        for li, lam in enumerate(cfg.lambdas):
-            params = cfg.params_for(lam)
-            result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
-            fallbacks += result.fallback
-            h_eff = effective_hamiltonian(result)
-            files.append(
-                _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
-            )
-            sparsity_rows.append(
-                (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD,
-                 sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
-            )
+    for li, lam in enumerate(cfg.lambdas):
+        params = cfg.params_for(lam)
+        result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
+        fallbacks += result.fallback
+        h_eff = effective_hamiltonian(result)
+        files.append(
+            _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
+        )
+        sparsity_rows.append(
+            (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD,
+             sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
+        )
     files.append(
         write_csv(
             out_dir,
@@ -374,12 +364,11 @@ def run_heff(cfg: RunConfig, out_dir: Path):
             sparsity_rows,
         )
     )
-    solver = {"eigensolver_fallbacks": fallbacks, "blas_threads_per_cell": blas_threads}
-    return files, seeds, 1, solver
+    return files, {**fields, "eigensolver_fallbacks": fallbacks}
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):
-    result, seeds, workers, solver = _sweep(cfg, ("levels", "fractal"))
+    result, fields = _sweep(cfg, ("levels", "fractal"))
     cell_rows = []
     for rec in result.records:
         if rec.error is None:
@@ -410,7 +399,7 @@ def run_full_sweep(cfg: RunConfig, out_dir: Path):
         write_csv(out_dir, "sweep_mean_ratio.csv", ("lambda", "pooled_mean_ratio"), mean_ratio_rows),
         write_csv(out_dir, "sweep_fractal.csv", ("lambda", "mean_fractal_dimension"), fractal_rows),
     ]
-    return files, seeds, workers, solver
+    return files, fields
 
 
 _HANDLERS = {
@@ -429,9 +418,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path(f"dtcmorph_{args.command}")
     try:
         cfg = resolve_config(args)
-        with staged_output(out_dir) as staging:
-            files, seeds, workers, extra = _HANDLERS[args.command](cfg, staging)
-            write_manifest(staging, args.command, cfg, seeds, files, workers, extra)
+        # every command runs with one BLAS thread, as a sweep does, so the
+        # digits of its CSVs do not depend on the BLAS thread count
+        with staged_output(out_dir) as staging, one_blas_thread() as blas_threads:
+            files, fields = _HANDLERS[args.command](cfg, staging)
+            fields = {**fields, "blas_threads_per_cell": blas_threads}
+            write_manifest(staging, args.command, cfg, files, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,8 @@ class FidelityMaps:
     lam grid. One shared disorder realization is used across the whole grid.
     `undefined_4t`/`undefined_2t` flag the entries whose fidelity compares
     rounding noise (see UNDEFINED_FIDELITY_RTOL); their values are kept as
-    computed.
+    computed. `series` holds the magnetization series of one initial
+    configuration per column, taken from the same evolution.
     """
 
     lambdas: np.ndarray
@@ -160,12 +161,14 @@ class FidelityMaps:
     fid_2t: np.ndarray
     undefined_4t: np.ndarray
     undefined_2t: np.ndarray
+    series: list
 
 
 def _all_config_power_spectra(
-    params: ModelParams, disorder: DisorderRealization, n_periods: int
-) -> np.ndarray:
-    """(n, D) power spectra of the magnetization series of every basis state.
+    params: ModelParams, disorder: DisorderRealization, n_periods: int, initial_config: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, D) power spectra of the magnetization series of every basis state,
+    and the (n,) series of `initial_config` itself.
 
     Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
     U3 conserves both, so dense F is never built.
@@ -180,7 +183,8 @@ def _all_config_power_spectra(
         populations *= populations
         np.matmul(weights, populations, out=magnetizations[m])
     check_normalized(states)  # a ValidationError if any column drifted
-    return np.abs(_dft_values(magnetizations)) ** 2
+    # a copy, so the (n, D) block is freed on return
+    return np.abs(_dft_values(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
 
 
 def _undefined(ref: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -193,29 +197,39 @@ def fidelity_map(
     disorder: DisorderRealization,
     lambdas,
     n_periods: int,
+    initial_config: int = 0,
 ) -> FidelityMaps:
-    """Both fidelity maps over every initial configuration and the lam grid.
+    """Both fidelity maps over every initial configuration and the lam grid,
+    plus the magnetization series of `initial_config` at each grid lam.
 
     The lam = 0 and lam = 1 references are reused as grid columns when the
     grid holds those values.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
+    d = params.dim
+    if not 0 <= initial_config < d:
+        raise ValueError(f"configuration {initial_config} outside [0, {d})")
     lambdas = np.asarray(lambdas, dtype=float)
     grid = [replace(params, lam=lam) for lam in lambdas]  # ModelParams checks each lam
-    d = params.dim
     refs = {
-        lam: _all_config_power_spectra(replace(params, lam=lam), disorder, n_periods)
+        lam: _all_config_power_spectra(
+            replace(params, lam=lam), disorder, n_periods, initial_config
+        )
         for lam in (0.0, 1.0)
     }
-    ref_4t, ref_2t = refs[0.0], refs[1.0]
+    ref_4t, ref_2t = refs[0.0][0], refs[1.0][0]
+    initial_value = float(magnetization_weights(params.n_sites)[initial_config])
     shape = (d, len(lambdas))
     fid_4t, fid_2t = np.empty(shape), np.empty(shape)
     undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    series = []
     for col, lam_params in enumerate(grid):
-        spectra = refs.get(lam_params.lam)
-        if spectra is None:
-            spectra = _all_config_power_spectra(lam_params, disorder, n_periods)
+        evolved = refs.get(lam_params.lam)
+        if evolved is None:
+            evolved = _all_config_power_spectra(lam_params, disorder, n_periods, initial_config)
+        spectra, values = evolved
+        series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
         fid_4t[:, col] = spectrum_fidelity(ref_4t, spectra)
         fid_2t[:, col] = spectrum_fidelity(ref_2t, spectra)
         undefined_4t[:, col] = _undefined(ref_4t, spectra)
@@ -226,6 +240,7 @@ def fidelity_map(
         fid_2t=fid_2t,
         undefined_4t=undefined_4t,
         undefined_2t=undefined_2t,
+        series=series,
     )
 
 

@@ -138,19 +138,9 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker-pool size: explicit argument, DTCMORPH_WORKERS, else cpu count.
-
-    A count below 1, or a DTCMORPH_WORKERS that is not an integer, is a
-    configuration error.
-    """
+    """Worker-pool size: the requested count, else the cpu count; below 1 is a ConfigError."""
     if requested is None:
-        env = os.environ.get("DTCMORPH_WORKERS")
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ConfigError(f"DTCMORPH_WORKERS={env!r} is not an integer") from None
+        return os.cpu_count() or 1
     if requested < 1:
         raise ConfigError(f"worker count must be >= 1, got {requested}")
     return requested
@@ -185,8 +175,9 @@ def one_blas_thread():
 
     Yields 1, or None when no OpenBLAS was found (then nothing changes). The
     numpy and scipy builds keep one process-wide count, which even the
-    "_local" setter changes, so the limit is set once around a whole sweep or
-    serial loop by the calling thread, never per cell by pool workers.
+    "_local" setter changes, so the limit is set once around a whole command
+    or sweep by the calling thread, never per cell by pool workers. Nested
+    scopes are harmless: the inner one restores the outer one's count.
     """
     setters = _openblas_thread_setters()
     previous = [setter(1) for setter in setters]

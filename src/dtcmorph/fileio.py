@@ -210,16 +210,12 @@ def _write(path: Path, payload: bytes) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_manifest(
-    out_dir: Path,
-    command: str,
-    config: RunConfig,
-    cell_seeds,
-    files,
-    workers: int,
-    extra: dict | None = None,
-) -> Path:
-    """Emit manifest.json; it alone suffices to reproduce the run."""
+def write_manifest(out_dir: Path, command: str, config: RunConfig, files, fields: dict) -> Path:
+    """Emit manifest.json; it alone suffices to reproduce the run.
+
+    `fields` holds the command's own entries (seed provenance, worker count,
+    numerical health), merged over the common ones.
+    """
     payload = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
@@ -228,12 +224,9 @@ def write_manifest(
         "units": UNIT_CONVENTION,
         "config": config.to_dict(),
         "master_seed": config.master_seed,
-        "cell_seeds": cell_seeds,
-        "workers": workers,
         "files": [asdict(f) for f in files],
+        **fields,
     }
-    if extra:
-        payload.update(extra)
     path = Path(out_dir) / "manifest.json"
     _write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-from .spins import dimension
+from .spins import dimension, sign_table
 
 MAX_SITES = 12  # dense 2^N x 2^N matrices only; D <= 4096
 
@@ -123,12 +122,27 @@ def build_h1(params: ModelParams) -> np.ndarray:
     return h
 
 
+def pair_coupling_diagonal(n_sites: int, j0: float, mu: float) -> np.ndarray:
+    """Diagonal of sum_{l<m} j0/(m-l)^mu * s_l*s_m over all 2^n configurations."""
+    signs = sign_table(n_sites)
+    weights = np.zeros((n_sites, n_sites))
+    for l in range(n_sites):
+        for m in range(l + 1, n_sites):
+            weights[l, m] = j0 / (m - l) ** mu
+    return np.einsum("cl,lm,cm->c", signs, weights, signs)
+
+
+def field_diagonal(w: np.ndarray) -> np.ndarray:
+    """Diagonal of sum_l w[l]*s_l over all 2^len(w) configurations."""
+    return sign_table(len(w)) @ np.asarray(w, dtype=float)
+
+
 def h2_diagonal(params: ModelParams, disorder: DisorderRealization) -> np.ndarray:
     """Diagonal of the segment-2 Hamiltonian over all configurations."""
     _check_disorder(params, disorder)
-    diag = backend.pair_coupling_diagonal(params.n_sites, params.j0, params.mu)
+    diag = pair_coupling_diagonal(params.n_sites, params.j0, params.mu)
     if params.lam != 1.0:
-        diag = diag + (1.0 - params.lam) * backend.field_diagonal(disorder.w)
+        diag = diag + (1.0 - params.lam) * field_diagonal(disorder.w)
     return diag
 
 
@@ -184,5 +198,5 @@ def build_h3(params: ModelParams, disorder: DisorderRealization) -> np.ndarray:
             sel = (((idx >> bit_a) ^ (idx >> bit_b)) & 1) == 1
             h[idx[sel] ^ pair_mask, idx[sel]] += hop
     if params.lam != 0.0:
-        h[idx, idx] += params.lam * backend.field_diagonal(disorder.w)
+        h[idx, idx] += params.lam * field_diagonal(disorder.w)
     return h

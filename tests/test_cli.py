@@ -11,6 +11,7 @@ import pytest
 
 import dtcmorph.cli as cli
 from dtcmorph import ensemble, floquet
+from dtcmorph.dynamics import magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
@@ -176,14 +177,6 @@ def test_bad_flags_exit_two(tmp_path, args):
     assert run_cli([*args, "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_worker_env_exits_two(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("DTCMORPH_WORKERS", value)
-    assert run_cli(["spectrum", *common_args(tmp_path / "x")]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
 def test_unknown_config_key_exits_two(tmp_path):
     # out_format was a config field whose only legal value was "csv"
     for config in ({"sites": 4}, {"out_format": "csv"}):
@@ -249,14 +242,51 @@ def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
 
 
 def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, corrupt_factors, capsys):
-    # the series runs at lambda = 0.5 only; the lambda = 0 reference of the
-    # fidelity maps is the one corrupted evolution, so the map's check trips
+    # the grid holds lambda = 0.5 only; the lambda = 0 reference of the
+    # fidelity maps is the one corrupted evolution, so its norm check trips
     corrupt_factors("phases", lam=0.0)
     out = tmp_path / "d"
     args = ["dynamics", "--lambdas", "0.5", "--periods", "8", "--n-sites", "4", "--out", str(out)]
     assert run_cli(args) == 3
     assert "state norm deviates from 1 by 8.028e-03" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The series and power rows of `dynamics` come from the all-configuration
+# evolution of the fidelity maps; they must match the single-state route
+# (`magnetization_series`, `power_spectrum`) to this absolute tolerance,
+# fixed before measuring.
+DYNAMICS_SERIES_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 8])
+def test_dynamics_series_match_the_single_state_route(tmp_path, n_sites):
+    lambdas = (0.0, 0.5, 1.0)
+    half_down = (1 << (n_sites // 2)) - 1  # zero magnetization: series identically 0 at lam = 1
+    configs = (0, half_down, (1 << n_sites) - 2)
+    for config in configs:
+        out = tmp_path / str(config)
+        args = ["dynamics", "--n-sites", str(n_sites), "--lambdas", "0,0.5,1", "--periods", "16",
+                "--initial-config", str(config), "--seed", "9", "--out", str(out)]
+        assert run_cli(args) == 0
+        _, series_rows = read_csv(out / "dynamics_series.csv")
+        _, power_rows = read_csv(out / "dynamics_power.csv")
+        cfg = cli.resolve_config(cli.build_parser().parse_args(args))
+        disorder, _ = cli._shared_disorder(cfg)
+        for li, lam in enumerate(lambdas):
+            series = magnetization_series(cfg.params_for(lam), disorder, config, 16)
+            expected = [series.initial_value, *series.values]
+            rows = series_rows[17 * li:17 * (li + 1)]
+            assert [(float(r[0]), int(r[1])) for r in rows] == [(lam, m) for m in range(17)]
+            got = np.array([float(r[2]) for r in rows])
+            assert np.max(np.abs(got - expected)) <= DYNAMICS_SERIES_TOL
+            if config == half_down and lam == 1.0:
+                assert np.max(np.abs(got)) <= DYNAMICS_SERIES_TOL
+            spectrum = power_spectrum(series)
+            rows = power_rows[16 * li:16 * (li + 1)]
+            assert [float(r[2]) for r in rows] == spectrum.frequencies.tolist()
+            got = np.array([float(r[3]) for r in rows])
+            assert np.max(np.abs(got - spectrum.values)) <= DYNAMICS_SERIES_TOL
 
 
 def fail_cells(monkeypatch, should_fail, error=None):
@@ -325,16 +355,13 @@ def test_manifest_lists_every_file(tmp_path, command):
     # the serial commands never start a pool
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
     # every command that diagonalizes F reports its fallbacks; every command
-    # that runs under the one-BLAS-thread limit reports its BLAS threads
+    # runs under the one-BLAS-thread limit and reports its BLAS threads
     if command in SWEEP_COMMANDS + ("heff",):
         assert manifest["eigensolver_fallbacks"] == 0
     else:
         assert "eigensolver_fallbacks" not in manifest
-    if command != "walk":
-        blas = 1 if ensemble._openblas_thread_setters() else None
-        assert manifest["blas_threads_per_cell"] == blas
-    else:
-        assert "blas_threads_per_cell" not in manifest
+    blas = 1 if ensemble._openblas_thread_setters() else None
+    assert manifest["blas_threads_per_cell"] == blas
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
     for entry in manifest["files"]:
@@ -402,21 +429,21 @@ def test_rerun_into_an_existing_directory_replaces_its_files(tmp_path):
 
 def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
-    # last digits then depend on the thread count; every sweep cell and every
-    # heff and dynamics lambda must run with one BLAS thread whatever the
-    # environment and the worker count (heff and dynamics are serial and
-    # ignore --workers).
+    # last digits then depend on the thread count; every command must run
+    # with one BLAS thread whatever the environment and the worker count
+    # (heff, dynamics and walk are serial and ignore --workers).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
         "heff": ["heff", "--lambdas", "0.5"],
         "dynamics": ["dynamics", "--lambdas", "0,0.5,1", "--periods", "16"],
+        "walk": ["walk", "--lambdas", "0,0.5,1"],
     }
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
     for blas in (None, "1"):
         env = {key: value for key, value in os.environ.items()
-               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "DTCMORPH_WORKERS")}
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = src
         if blas is not None:
             env["OPENBLAS_NUM_THREADS"] = blas
@@ -432,5 +459,5 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                     {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
                 )
     for name, runs in outputs.items():
-        assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4}[name]
+        assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4, "walk": 4}[name]
         assert all(run == runs[0] for run in runs), name

@@ -213,6 +213,9 @@ def test_fidelity_map_checks_its_inputs_before_any_evolution(monkeypatch):
         fidelity_map(p, sample_disorder(p, 0), [0.5, -0.1], 8)
     with pytest.raises(ValueError, match="n_periods"):
         fidelity_map(p, sample_disorder(p, 0), [0.5], 0)
+    for config in (-1, 16):
+        with pytest.raises(ValueError, match=f"configuration {config} outside"):
+            fidelity_map(p, sample_disorder(p, 0), [0.5], 8, initial_config=config)
     assert calls == []
 
 
@@ -289,7 +292,7 @@ def test_all_config_power_spectra_match_dense_powers(n_sites, lam):
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 5)
     expected = dense_power_spectra(p, disorder, 32)
-    got = dynamics_module._all_config_power_spectra(p, disorder, 32)
+    got, _ = dynamics_module._all_config_power_spectra(p, disorder, 32, 0)
     assert got.shape == expected.shape == (32, p.dim)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -302,9 +305,9 @@ def test_fidelity_map_reuses_endpoint_spectra(monkeypatch):
     calls = []
     real = dynamics_module._all_config_power_spectra
 
-    def counting(params, disorder, n_periods):
+    def counting(params, disorder, n_periods, initial_config):
         calls.append(params.lam)
-        return real(params, disorder, n_periods)
+        return real(params, disorder, n_periods, initial_config)
 
     monkeypatch.setattr(dynamics_module, "_all_config_power_spectra", counting)
     maps = fidelity_map(p, disorder, lambdas, 16)

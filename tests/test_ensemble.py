@@ -144,17 +144,11 @@ def test_aggregate_fractal_missing_diagnostic():
         aggregate_fractal(result)
 
 
-def test_worker_count_sources(monkeypatch):
+def test_worker_count_sources():
     assert ensemble.worker_count(3) == 3
-    monkeypatch.setenv("DTCMORPH_WORKERS", "5")
-    assert ensemble.worker_count() == 5
-    monkeypatch.delenv("DTCMORPH_WORKERS")
     assert ensemble.worker_count() >= 1
     with pytest.raises(ConfigError, match="worker count"):
         ensemble.worker_count(0)
-    monkeypatch.setenv("DTCMORPH_WORKERS", "abc")
-    with pytest.raises(ConfigError, match="DTCMORPH_WORKERS"):
-        ensemble.worker_count()
 
 
 def test_cell_failure_recorded_not_raised(monkeypatch):
@@ -220,6 +214,11 @@ def test_one_blas_thread_per_sweep_then_restored():
             raise RuntimeError("cell body failed")
     assert blas_thread_counts(setters) == before
     assert run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=2).blas_threads == 1
+    assert blas_thread_counts(setters) == before
+    with ensemble.one_blas_thread():
+        # a sweep nested in a command's scope leaves the outer limit in place
+        run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=2)
+        assert blas_thread_counts(setters) == [1] * len(setters)
     assert blas_thread_counts(setters) == before
 
 

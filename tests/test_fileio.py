@@ -148,10 +148,12 @@ def test_manifest_contents(tmp_path):
         tmp_path,
         "spectrum",
         cfg,
-        [{"lambda_index": 0, "realization_index": 0, "seed": 42}],
         [emitted],
-        workers=2,
-        extra={"note": "test"},
+        {
+            "cell_seeds": [{"lambda_index": 0, "realization_index": 0, "seed": 42}],
+            "workers": 2,
+            "note": "test",
+        },
     )
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["tool"] == "dtcmorph"

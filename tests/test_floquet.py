@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dtcmorph.floquet as floquet_module
 from dtcmorph.diagnostics import gap_ratios, state_fractal_dimensions
@@ -16,8 +18,8 @@ from dtcmorph.floquet import (
     sparsity_fraction,
     stripped_floquet_powers,
 )
-from dtcmorph.hamiltonians import build_h3, default_params, sample_disorder
-from dtcmorph.spins import basis_state, max_unitarity_defect
+from dtcmorph.hamiltonians import ModelParams, build_h3, default_params, sample_disorder
+from dtcmorph.spins import basis_state, magnetization_weights, max_unitarity_defect
 
 
 def expm_taylor(a):
@@ -231,6 +233,50 @@ def test_values_only_matches_schur_and_eig(n_sites, lam):
         assert np.max(np.abs(values.quasienergies - schur.quasienergies)) < VALUES_ONLY_TOL
         eig = folded(np.linalg.eigvals(f), p.period)
         assert np.max(np.abs(values.quasienergies - eig)) < VALUES_ONLY_TOL
+
+
+@st.composite
+def coupling_params(draw):
+    """Model parameters anywhere in the accepted coupling space, not just the default profile.
+
+    g*t1 lands on pi/2 (an exact spin flip, the default drive) and on pi
+    (minus the identity) as well as on arbitrary values.
+    """
+    durations = st.floats(0.1, 1.0)
+    t1, t2, t3 = draw(durations), draw(durations), draw(durations)
+    g_t1 = draw(st.one_of(st.sampled_from([np.pi / 2, np.pi]), st.floats(0.0, 2 * np.pi)))
+    return ModelParams(
+        n_sites=draw(st.sampled_from([2, 4, 6])),
+        lam=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        t1=t1,
+        t2=t2,
+        t3=t3,
+        g=g_t1 / t1,
+        j0=draw(st.floats(0.1, 2.0)),
+        mu=draw(st.floats(0.5, 3.0)),
+        jxy=draw(st.floats(0.0, 3.0)),
+        w=draw(st.floats(0.5, 10.0)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=coupling_params(), seed=st.integers(0, 2**32 - 1))
+def test_coupling_space_matches_dense_oracle(p, seed):
+    disorder = sample_disorder(p, seed)
+    dense = floquet_operator(p, disorder)
+    assert np.max(np.abs(fast_floquet_operator(p, disorder) - dense)) < 1e-10
+    factors = floquet_factors(p, disorder)
+    mat = np.eye(p.dim, dtype=complex)
+    apply_floquet(factors, mat)
+    assert np.max(np.abs(mat - dense)) < 1e-12
+    weights = magnetization_weights(p.n_sites)
+    power = np.eye(p.dim, dtype=complex)
+    for states in stripped_floquet_powers(factors, 6):
+        power = dense @ power
+        got = weights @ (np.abs(states) ** 2)
+        assert np.max(np.abs(got - weights @ (np.abs(power) ** 2))) < 1e-12
+    eps = diagonalize_floquet(dense, p.period).quasienergies
+    assert np.max(np.abs(eps - folded(np.linalg.eigvals(dense), p.period))) < VALUES_ONLY_TOL
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
