@@ -25,7 +25,6 @@ from .ensemble import (
     pooled_mean_ratios,
     run_sweep,
     surviving_cells,
-    worker_count,
 )
 from .errors import ConfigError, ValidationError
 from .fileio import RunConfig, staged_output, write_csv, write_manifest
@@ -125,7 +124,7 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, dict]:
+def _sweep(cfg: RunConfig, states: bool) -> tuple[EnsembleResult, dict]:
     """Run the ensemble sweep; a lambda column with no surviving cell fails the run.
 
     Returns the result and its manifest fields: seed provenance, worker count
@@ -135,12 +134,10 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, dict]:
         lambdas=cfg.lambdas,
         realizations=cfg.realizations,
         master_seed=cfg.master_seed,
-        n_sites=cfg.n_sites,
-        diagnostics=diagnostics,
-        params_factory=lambda n, lam: cfg.params_for(lam),
+        base=cfg.params_for(0.0),
+        states=states,
     )
-    workers = worker_count(cfg.workers)
-    result = run_sweep(plan, workers=workers)
+    result = run_sweep(plan, workers=cfg.workers)
     seeds = [
         {
             "lambda_index": r.lambda_index,
@@ -159,7 +156,7 @@ def _sweep(cfg: RunConfig, diagnostics) -> tuple[EnsembleResult, dict]:
             raise ValidationError(f"every cell failed at lambda {lam}")
     return result, {
         "cell_seeds": seeds,
-        "workers": workers,
+        "workers": result.workers,
         "eigensolver_fallbacks": sum(r.eigensolver_fallback for r in result.records),
     }
 
@@ -176,10 +173,11 @@ def _state_rows(result: EnsembleResult, columns):
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path):
-    result, fields = _sweep(cfg, ("spectrum",))
+    result, fields = _sweep(cfg, states=False)
+    period = result.plan.base.period
 
     def columns(rec):
-        eigvals = np.exp(-1j * rec.quasienergies * cfg.params_for(rec.lam).period)
+        eigvals = np.exp(-1j * rec.quasienergies * period)
         return rec.quasienergies, eigvals.real, eigvals.imag
 
     files = [
@@ -194,7 +192,7 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
 
 
 def run_levels(cfg: RunConfig, out_dir: Path):
-    result, fields = _sweep(cfg, ("levels",))
+    result, fields = _sweep(cfg, states=False)
     hists = pooled_histograms(result, bins=cfg.bins)
     means = pooled_mean_ratios(result)
     ref_means = tuple(mean_gap_ratio(kind) for kind in REFERENCE_KINDS)
@@ -252,7 +250,7 @@ def run_levels(cfg: RunConfig, out_dir: Path):
 
 
 def run_fractal(cfg: RunConfig, out_dir: Path):
-    result, fields = _sweep(cfg, ("fractal",))
+    result, fields = _sweep(cfg, states=True)
     mean_rows = list(zip(result.plan.lambdas, aggregate_fractal(result)))
     files = [
         write_csv(
@@ -368,7 +366,7 @@ def run_heff(cfg: RunConfig, out_dir: Path):
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):
-    result, fields = _sweep(cfg, ("levels", "fractal"))
+    result, fields = _sweep(cfg, states=True)
     cell_rows = []
     for rec in result.records:
         if rec.error is None:

@@ -18,7 +18,7 @@ import hashlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .floquet import diagonalize_floquet, fast_floquet_operator
-from .hamiltonians import ModelParams, default_params, sample_disorder
-
-DIAGNOSTIC_NAMES = ("spectrum", "levels", "fractal")
+from .hamiltonians import ModelParams, sample_disorder
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -55,28 +53,27 @@ def derive_seed(master_seed: int, lambda_index: int, realization_index: int) -> 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """What to compute: lambda grid x realizations, with seed provenance."""
+    """What to compute: lambda grid x realizations, with seed provenance.
+
+    Every cell runs `base` at its own lambda and records its quasienergies and
+    gap ratios; with `states` also the fractal dimensions of its Floquet states.
+    """
 
     lambdas: tuple
     realizations: int
     master_seed: int
-    n_sites: int = 8
-    diagnostics: tuple = DIAGNOSTIC_NAMES
-    params_factory: object = default_params
+    base: ModelParams
+    states: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         for lam in self.lambdas:
             self.params(lam)  # ModelParams rejects a lam outside [0, 1]
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        unknown = set(self.diagnostics) - set(DIAGNOSTIC_NAMES)
-        if unknown:
-            raise ValueError(f"unknown diagnostics: {sorted(unknown)}")
 
     def params(self, lam: float) -> ModelParams:
-        return self.params_factory(self.n_sites, lam)
+        return replace(self.base, lam=lam)
 
 
 @dataclass
@@ -98,12 +95,14 @@ class CellRecord:
 class EnsembleResult:
     """All cell records of a sweep, ordered by (lambda_index, realization_index).
 
-    `blas_threads` is the OpenBLAS thread count every cell ran with, or None
-    when no OpenBLAS could be controlled.
+    `workers` is the size of the cells' thread pool; `blas_threads` is the
+    OpenBLAS thread count every cell ran with, or None when no OpenBLAS could
+    be controlled.
     """
 
     plan: SweepPlan
     records: list = field(default_factory=list)
+    workers: int = 1
     blas_threads: int | None = None
 
 
@@ -123,14 +122,12 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
         result = diagonalize_floquet(
             fast_floquet_operator(params, disorder),
             params.period,
-            vectors="fractal" in plan.diagnostics,
+            vectors=plan.states,
         )
         record.eigensolver_fallback = result.fallback
-        if "spectrum" in plan.diagnostics:
-            record.quasienergies = result.quasienergies
-        if "levels" in plan.diagnostics:
-            record.ratios = gap_ratios(result.quasienergies)
-        if "fractal" in plan.diagnostics:
+        record.quasienergies = result.quasienergies
+        record.ratios = gap_ratios(result.quasienergies)
+        if plan.states:
             record.fractal_dimensions = state_fractal_dimensions(result)
     except Exception as exc:  # cell failures never abort the sweep
         record.error = f"{type(exc).__name__}: {exc}"
@@ -189,9 +186,10 @@ def one_blas_thread():
 
 
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
-    """Run every cell of the plan, each with one BLAS thread.
+    """Run every cell of the plan on a pool of `worker_count(workers)` threads.
 
-    Deterministic for any worker count and any BLAS thread setting.
+    Every cell runs with one BLAS thread; the result is deterministic for any
+    worker count and any BLAS thread setting.
     """
     cells = [
         (li, ri)
@@ -199,33 +197,24 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
         for ri in range(plan.realizations)
     ]
     n_workers = worker_count(workers)
-    with one_blas_thread() as blas_threads:
-        if n_workers == 1:
-            records = [run_cell(plan, li, ri) for li, ri in cells]
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
-    return EnsembleResult(plan=plan, records=records, blas_threads=blas_threads)
+    with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=n_workers) as pool:
+        records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
+    return EnsembleResult(plan=plan, records=records, workers=n_workers, blas_threads=blas_threads)
 
 
-def surviving_cells(result: EnsembleResult, lambda_index: int, attr: str | None = None) -> list:
+def surviving_cells(result: EnsembleResult, lambda_index: int) -> list:
     """Records of one lambda column that did not fail, in realization order.
 
     The column is a slice of `result.records`, which `run_sweep` orders by
-    (lambda, realization). With `attr`, every surviving record must carry
-    that diagnostic.
+    (lambda, realization).
     """
     n = result.plan.realizations
     column = result.records[lambda_index * n:(lambda_index + 1) * n]
-    cells = [r for r in column if r.error is None]
-    if attr is not None and any(getattr(r, attr) is None for r in cells):
-        raise ValueError(f"sweep records are missing the {attr!r} diagnostic")
-    return cells
+    return [r for r in column if r.error is None]
 
 
 def _pooled_ratios(result: EnsembleResult, lambda_index: int) -> np.ndarray:
-    cells = surviving_cells(result, lambda_index, "ratios")
-    return np.concatenate([r.ratios.ratios for r in cells])
+    return np.concatenate([r.ratios.ratios for r in surviving_cells(result, lambda_index)])
 
 
 def pooled_mean_ratios(result: EnsembleResult) -> np.ndarray:
@@ -246,8 +235,10 @@ def pooled_histograms(result: EnsembleResult, bins: int = 20) -> list[HistogramD
 
 def aggregate_fractal(result: EnsembleResult) -> np.ndarray:
     """Mean fractal dimension per lambda (mean of per-record means)."""
+    if not result.plan.states:
+        raise ValueError("a sweep without states records no 'fractal_dimensions'")
     curve = np.empty(len(result.plan.lambdas))
     for li in range(len(result.plan.lambdas)):
-        cells = surviving_cells(result, li, "fractal_dimensions")
+        cells = surviving_cells(result, li)
         curve[li] = np.mean([np.mean(r.fractal_dimensions) for r in cells])
     return curve

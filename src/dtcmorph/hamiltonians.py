@@ -47,6 +47,10 @@ class ModelParams:
             )
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+        for name in ("t1", "t2", "t3", "g", "j0", "mu", "jxy", "w"):
+            # a NaN would pass every comparison below
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.t1, self.t2, self.t3) <= 0.0:
             raise ValueError("segment durations must be positive")
         if self.w < 0.0:

@@ -151,8 +151,8 @@ def test_criterion_5_level_statistics_crossover():
         lambdas=(0.001, 0.5, 0.999),
         realizations=100,
         master_seed=424242,
-        n_sites=N_SITES,
-        diagnostics=("levels",),
+        base=default_params(N_SITES),
+        states=False,
     )
     means = pooled_mean_ratios(run_sweep(plan))
     coe_mean = mean_gap_ratio("coe")
@@ -176,8 +176,7 @@ def test_criterion_6_fractal_dimension_hump():
         lambdas=(0.001, 0.5, 0.999),
         realizations=20,
         master_seed=777,
-        n_sites=N_SITES,
-        diagnostics=("fractal",),
+        base=default_params(N_SITES),
     )
     curve = aggregate_fractal(run_sweep(plan))
     checks = [

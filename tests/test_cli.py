@@ -13,6 +13,9 @@ import dtcmorph.cli as cli
 from dtcmorph import ensemble, floquet
 from dtcmorph.dynamics import magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
+from dtcmorph.fileio import RunConfig
+from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator
+from dtcmorph.hamiltonians import sample_disorder
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
 SERIAL_COMMANDS = ("dynamics", "walk", "heff")
@@ -209,6 +212,41 @@ def test_config_lambda_outside_unit_interval_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config", [{"w": float("nan")}, {"g": float("inf")}, {"t1": float("nan")}, {"j0": float("nan")}]
+)
+@pytest.mark.parametrize("command", ["walk", "heff", "dynamics", "levels"])
+def test_non_finite_config_coupling_exits_two(tmp_path, capsys, config, command):
+    # JSON as Python reads it accepts NaN and Infinity
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", str(cfg_path), "--n-sites", "2", "--out", str(out)]) == 2
+    assert f"{next(iter(config))} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_with_coupling_overrides_matches_direct_solve(tmp_path):
+    config = {"w": 7.5, "g": 4.2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "s"
+    args = ["spectrum", "--config", str(cfg_path), "--n-sites", "4", "--lambdas", "0.3,0.7",
+            "--realizations", "2", "--seed", "9", "--out", str(out)]
+    assert run_cli(args) == 0
+    cfg = RunConfig(n_sites=4, **config)
+    _, rows = read_csv(out / "spectrum.csv")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert len(manifest["cell_seeds"]) == 4
+    for cell in manifest["cell_seeds"]:
+        lam = (0.3, 0.7)[cell["lambda_index"]]
+        params = cfg.params_for(lam)
+        f = fast_floquet_operator(params, sample_disorder(params, cell["seed"]))
+        direct = diagonalize_floquet(f, params.period, vectors=False).quasienergies
+        got = [float(r[3]) for r in rows if float(r[0]) == lam and int(r[1]) == cell["seed"]]
+        assert got == direct.tolist()
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert run_cli(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -402,6 +440,21 @@ def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, 
     assert run_cli(["heff", *common_args(out)]) == 3
     assert "deviates from unitary" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_heff_with_a_nan_propagator_exits_three(tmp_path, monkeypatch, capsys):
+    real = cli.fast_floquet_operator
+
+    def nan_entry(params, disorder):
+        f = real(params, disorder)
+        f[1, 2] = np.nan
+        return f
+
+    monkeypatch.setattr(cli, "fast_floquet_operator", nan_entry)
+    out = tmp_path / "h"
+    assert run_cli(["heff", *common_args(out)]) == 3
+    assert "deviates from unitary by nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_an_existing_output_directory_as_it_was(tmp_path, corrupt_factors):

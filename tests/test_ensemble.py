@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def small_plan(**overrides):
         lambdas=(0.2, 0.8),
         realizations=3,
         master_seed=101,
-        n_sites=4,
+        base=default_params(4),
     )
     kwargs.update(overrides)
     return SweepPlan(**kwargs)
@@ -61,8 +63,12 @@ def test_plan_validation():
         small_plan(lambdas=(0.5, 1.5))
     with pytest.raises(ValueError):
         small_plan(realizations=0)
-    with pytest.raises(ValueError):
-        small_plan(diagnostics=("nonsense",))
+
+
+def test_plan_params_keep_the_base_couplings():
+    base = replace(default_params(4), g=4.2, w=7.5)
+    plan = small_plan(base=base)
+    assert plan.params(0.8) == replace(base, lam=0.8)
 
 
 def test_degenerate_sweep_matches_direct_pipeline():
@@ -112,7 +118,7 @@ def test_pooled_ratio_ordering_melted_vs_recrystallized():
         lambdas=(0.5, 0.999),
         realizations=10,
         master_seed=77,
-        n_sites=6,
+        base=default_params(6),
     )
     means = pooled_mean_ratios(run_sweep(plan))
     assert means[0] > means[1]
@@ -139,7 +145,7 @@ def test_aggregate_fractal_curve_length():
 
 
 def test_aggregate_fractal_missing_diagnostic():
-    result = run_sweep(small_plan(diagnostics=("levels",)), workers=1)
+    result = run_sweep(small_plan(states=False), workers=1)
     with pytest.raises(ValueError, match="fractal_dimensions"):
         aggregate_fractal(result)
 
@@ -149,6 +155,9 @@ def test_worker_count_sources():
     assert ensemble.worker_count() >= 1
     with pytest.raises(ConfigError, match="worker count"):
         ensemble.worker_count(0)
+    plan = small_plan(lambdas=(0.4,), realizations=1)
+    assert run_sweep(plan, workers=3).workers == 3
+    assert run_sweep(plan).workers == ensemble.worker_count()
 
 
 def test_cell_failure_recorded_not_raised(monkeypatch):
@@ -171,13 +180,15 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
 
 
 def test_cells_without_fractal_solve_for_values_only():
-    plan = small_plan(diagnostics=("spectrum", "levels"))
+    plan = small_plan(states=False)
     for record in run_sweep(plan, workers=2).records:
         params = plan.params(record.lam)
         f = fast_floquet_operator(params, sample_disorder(params, record.seed))
         values = diagonalize_floquet(f, params.period, vectors=False)
         assert not record.eigensolver_fallback
         assert np.array_equal(record.quasienergies, values.quasienergies)
+        assert np.array_equal(record.ratios.ratios, gap_ratios(values.quasienergies).ratios)
+        assert record.fractal_dimensions is None
 
 
 def test_cell_records_an_eigensolver_fallback(monkeypatch):
@@ -186,7 +197,7 @@ def test_cell_records_an_eigensolver_fallback(monkeypatch):
     fractal_plan = small_plan(lambdas=(0.4,), realizations=1)
     assert not run_sweep(fractal_plan, workers=1).records[0].eigensolver_fallback
     monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
-    plan = small_plan(lambdas=(0.4,), realizations=2, diagnostics=("levels",))
+    plan = small_plan(lambdas=(0.4,), realizations=2, states=False)
     records = run_sweep(plan, workers=1).records
     assert [r.eigensolver_fallback for r in records] == [True, True]
     fractal = run_sweep(fractal_plan, workers=1).records

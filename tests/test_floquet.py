@@ -68,6 +68,13 @@ def test_propagator_rejects_non_hermitian():
         propagator(mat, 1.0)
 
 
+def test_propagator_rejects_a_nan_hamiltonian():
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="deviates from Hermitian by nan"):
+        propagator(h, 1.0)
+
+
 def test_propagator_rejects_negative_duration():
     with pytest.raises(ValueError):
         propagator(np.eye(2, dtype=complex), -0.1)

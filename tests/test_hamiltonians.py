@@ -85,6 +85,13 @@ def test_params_reject_bad_lambda():
         default_params(4, lam=1.5)
 
 
+@pytest.mark.parametrize("name", ["t1", "t2", "t3", "g", "j0", "mu", "jxy", "w"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_non_finite_couplings(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(default_params(4), **{name: value})
+
+
 def test_sample_disorder_deterministic():
     p = default_params(8)
     a = sample_disorder(p, 123)
