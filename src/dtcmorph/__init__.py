@@ -51,6 +51,7 @@ from .floquet import (
     apply_floquet,
     diagonalize_floquet,
     effective_hamiltonian,
+    endpoint_spectrum,
     fast_floquet_operator,
     floquet_factors,
     floquet_operator,

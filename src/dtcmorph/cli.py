@@ -28,7 +28,13 @@ from .ensemble import (
 )
 from .errors import ConfigError, ValidationError
 from .fileio import RunConfig, staged_output, write_csv, write_manifest
-from .floquet import diagonalize_floquet, effective_hamiltonian, fast_floquet_operator, sparsity_fraction
+from .floquet import (
+    diagonalize_floquet,
+    effective_hamiltonian,
+    endpoint_spectrum,
+    fast_floquet_operator,
+    sparsity_fraction,
+)
 from .hamiltonians import sample_disorder
 
 WALK_SUPPORT_THRESHOLD = 1e-3
@@ -127,8 +133,8 @@ def resolve_config(args) -> RunConfig:
 def _sweep(cfg: RunConfig, states: bool) -> tuple[EnsembleResult, dict]:
     """Run the ensemble sweep; a lambda column with no surviving cell fails the run.
 
-    Returns the result and its manifest fields: seed provenance, worker count
-    and eigensolver fallbacks.
+    Returns the result and its manifest fields: seed provenance, worker count,
+    eigensolver fallbacks and closed-form (endpoint) cells.
     """
     plan = SweepPlan(
         lambdas=cfg.lambdas,
@@ -158,6 +164,7 @@ def _sweep(cfg: RunConfig, states: bool) -> tuple[EnsembleResult, dict]:
         "cell_seeds": seeds,
         "workers": result.workers,
         "eigensolver_fallbacks": sum(r.eigensolver_fallback for r in result.records),
+        "closed_form_cells": sum(r.closed_form for r in result.records),
     }
 
 
@@ -341,10 +348,13 @@ def run_heff(cfg: RunConfig, out_dir: Path):
     disorder, fields = _shared_disorder(cfg)
     files = []
     sparsity_rows = []
-    fallbacks = 0
+    fallbacks = closed_form = 0
     for li, lam in enumerate(cfg.lambdas):
         params = cfg.params_for(lam)
-        result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
+        result = endpoint_spectrum(params, disorder)
+        closed_form += result is not None
+        if result is None:
+            result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
         fallbacks += result.fallback
         h_eff = effective_hamiltonian(result)
         files.append(
@@ -362,7 +372,7 @@ def run_heff(cfg: RunConfig, out_dir: Path):
             sparsity_rows,
         )
     )
-    return files, {**fields, "eigensolver_fallbacks": fallbacks}
+    return files, {**fields, "eigensolver_fallbacks": fallbacks, "closed_form_cells": closed_form}
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):

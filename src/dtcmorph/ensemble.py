@@ -30,7 +30,7 @@ from .diagnostics import (
     state_fractal_dimensions,
 )
 from .errors import ConfigError
-from .floquet import diagonalize_floquet, fast_floquet_operator
+from .floquet import diagonalize_floquet, endpoint_spectrum, fast_floquet_operator
 from .hamiltonians import ModelParams, sample_disorder
 
 _SEED_MASK = (1 << 64) - 1
@@ -88,6 +88,7 @@ class CellRecord:
     ratios: GapRatioSample | None = None
     fractal_dimensions: np.ndarray | None = None
     eigensolver_fallback: bool = False
+    closed_form: bool = False
     error: str | None = None
 
 
@@ -119,11 +120,14 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
     try:
         params = plan.params(lam)
         disorder = sample_disorder(params, seed)
-        result = diagonalize_floquet(
-            fast_floquet_operator(params, disorder),
-            params.period,
-            vectors=plan.states,
-        )
+        result = endpoint_spectrum(params, disorder, vectors=plan.states)
+        record.closed_form = result is not None
+        if result is None:
+            result = diagonalize_floquet(
+                fast_floquet_operator(params, disorder),
+                params.period,
+                vectors=plan.states,
+            )
         record.eigensolver_fallback = result.fallback
         record.quasienergies = result.quasienergies
         record.ratios = gap_ratios(result.quasienergies)

@@ -16,10 +16,15 @@ factors, and `apply_floquet` applies them in place in O(N*D) per state.
 `stripped_floquet_powers` evolves all 2^N configurations at once through one
 merged dimer layer per period, again without F.
 
-`diagonalize_floquet` diagonalizes the Hermitian Cayley transform of F, for
-quasienergies alone (`eigvalsh`) and for Floquet states (`eigh` plus
-Rayleigh quotients) alike; a complex Schur decomposition is the one
-fallback where the transform or its gates refuse.
+Spectra come by one of two routes. Where every dimer gate is monomial, F is
+a permutation times phases (at lam = 0 and 1 with the default couplings),
+and `endpoint_spectrum` reads quasienergies and Floquet states off F's
+permutation cycles in closed form, with no dense F and no eigensolve.
+Everywhere else `diagonalize_floquet` diagonalizes the Hermitian Cayley
+transform of dense F, for quasienergies alone (`eigvalsh`) and for Floquet
+states (`eigh` plus Rayleigh quotients) alike; a complex Schur decomposition
+is the one fallback where the transform or its gates refuse. Callers try
+the closed form first.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ CAYLEY_HERMITICITY_TOL = 1e-10
 # orthonormality max|V^H V - 1|
 CAYLEY_RESIDUAL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
+# a dimer gate is monomial (a permutation times phases) when its off-pattern
+# entries and modulus defects are at most this; at the default endpoints
+# they are cos(pi/2) = 6e-17 and propagator round-off up to 2.2e-16
+MONOMIAL_TOL = 1e-14
 
 
 @dataclass
@@ -278,10 +287,19 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     if fallback:
         upper, states = scipy.linalg.schur(np.asarray(f, dtype=complex), output="complex")
         angles = np.angle(np.diag(upper))
+    return _ordered_result(angles, states if vectors else None, period, fallback)
+
+
+def _ordered_result(angles, states, period: float, fallback: bool = False) -> FloquetResult:
+    """Quasienergies -angles/period on the principal branch, ascending.
+
+    With `states` (eigenvectors as columns, matching `angles`), ties are
+    broken by the index of each state's dominant configuration.
+    """
     eps = -angles / period
     edge = np.pi / period
     eps = np.where(eps <= -edge, eps + 2.0 * edge, eps)
-    if not vectors:
+    if states is None:
         return FloquetResult(np.sort(eps), None, period, fallback=fallback)
     dominant = np.argmax(np.abs(states), axis=0)
     order = np.lexsort((dominant, eps))
@@ -291,6 +309,115 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
         period=period,
         fallback=fallback,
     )
+
+
+def _monomial(gate: np.ndarray):
+    """(rows, values) with gate[:, j] = values[j] e_rows[j], or None.
+
+    The gate counts as monomial when one entry per column has unit modulus,
+    every other entry is at most MONOMIAL_TOL and no two columns share a row;
+    a NaN fails.
+    """
+    cols = np.arange(len(gate))
+    rows = np.argmax(np.abs(gate), axis=0)
+    values = gate[rows, cols]
+    rest = np.abs(gate)
+    rest[rows, cols] = np.abs(np.abs(values) - 1.0)
+    if not rest.max() <= MONOMIAL_TOL or len(set(rows.tolist())) < len(rows):
+        return None
+    return rows, values
+
+
+def _permutation_action(factors: FloquetFactors):
+    """(sigma, phi) with F e_c = phi[c] e_sigma[c] for every configuration c.
+
+    Built by bit operations from the monomial dimer gates and the phases, in
+    O(N*D); None when a gate is not monomial or a phase is off the unit circle.
+    """
+    if not np.abs(np.abs(factors.phases) - 1.0).max() <= MONOMIAL_TOL:
+        return None
+    configs = np.arange(len(factors.phases))
+    sigma, phi = configs, np.ones(len(configs), dtype=complex)
+    for layer in (factors.u1, factors.u3):
+        if layer is factors.u3:  # the segment-2 phases act between the layers
+            phi = phi * factors.phases[sigma]
+        moved = np.zeros_like(configs)
+        for k, gate in enumerate(layer):
+            action = _monomial(gate)
+            if action is None:
+                return None
+            bits = (sigma >> 2 * k) & 3
+            moved |= action[0][bits] << 2 * k
+            phi = phi * action[1][bits]
+        sigma = moved
+    return sigma, phi
+
+
+def _cycles(sigma: np.ndarray):
+    """Yield every cycle of the permutation `sigma`, grouped by length L.
+
+    Each group is an (n, L) array whose row holds one cycle c, sigma(c),
+    sigma^2(c), ..., starting from its smallest configuration.
+    """
+    configs = np.arange(len(sigma))
+    length = np.zeros(len(sigma), dtype=int)
+    leader = configs
+    image = sigma
+    step = 1
+    while not length.all():
+        length[(length == 0) & (image == configs)] = step
+        leader = np.minimum(leader, image)
+        image = sigma[image]
+        step += 1
+    leaders = np.flatnonzero(leader == configs)
+    for size in np.unique(length[leaders]):
+        walk = [leaders[length[leaders] == size]]
+        for _ in range(size - 1):
+            walk.append(sigma[walk[-1]])
+        yield np.stack(walk, axis=1)
+
+
+def endpoint_spectrum(
+    params: ModelParams, disorder: DisorderRealization, vectors: bool = True
+) -> FloquetResult | None:
+    """Quasienergies and Floquet states of a monomial F from its permutation cycles.
+
+    Where every dimer gate is monomial (the exact endpoints lam = 0 and 1 at
+    the default couplings), F e_c = phi_c e_sigma(c). A cycle c_0 .. c_{L-1}
+    of sigma with total phase Phi has the eigenvalues
+    mu_k = exp(i(arg Phi + 2 pi k)/L), and the eigenvector of mu_k is the
+    phase-twisted Fourier mode with entry (prod_{i<j} phi_{c_i}) mu_k^-j / sqrt(L)
+    on c_j. F is never formed and nothing is diagonalized; the only D x D
+    array is `states`, built only with `vectors`. The modes are gated
+    like the Cayley route's states: eigen-residual (F applied through sigma
+    and phi) and orthonormality within CAYLEY_RESIDUAL_TOL and
+    ORTHONORMALITY_TOL. None where F is not monomial or a gate refuses.
+    """
+    action = _permutation_action(floquet_factors(params, disorder))
+    if action is None:
+        return None
+    sigma, phi = action
+    states = np.zeros((params.dim, params.dim), dtype=complex) if vectors else None
+    angles = []
+    for cycles in _cycles(sigma):
+        n, size = cycles.shape
+        steps = np.arange(size)
+        cycle_phi = phi[cycles]
+        prefix = np.cumprod(np.c_[np.ones(n), cycle_phi[:, :-1]], axis=1)
+        total = prefix[:, -1] * cycle_phi[:, -1]  # Phi of each cycle
+        theta = (np.angle(total)[:, None] + 2.0 * np.pi * steps) / size
+        mu = np.exp(1j * theta)  # (cycle, k)
+        # (cycle, j, k): entry j of the mode of mu_k
+        mode = prefix[:, :, None] * np.exp(-1j * steps[:, None] * theta[:, None, :]) / np.sqrt(size)
+        residual = np.abs(cycle_phi[:, :, None] * mode - mu[:, None, :] * np.roll(mode, -1, axis=1))
+        gram = np.matmul(mode.conj().transpose(0, 2, 1), mode) - np.eye(size)
+        if not (residual.max() <= CAYLEY_RESIDUAL_TOL and np.abs(gram).max() <= ORTHONORMALITY_TOL):
+            return None
+        if states is not None:
+            cols = sum(map(len, angles)) + np.arange(n * size).reshape(n, 1, size)
+            states[cycles[:, :, None], cols] = mode
+        angles.append(np.angle(mu).ravel())
+    return _ordered_result(np.concatenate(angles), states, params.period)
 
 
 def effective_hamiltonian(result: FloquetResult) -> np.ndarray:

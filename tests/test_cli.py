@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -392,12 +393,15 @@ def test_manifest_lists_every_file(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # the serial commands never start a pool
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
-    # every command that diagonalizes F reports its fallbacks; every command
-    # runs under the one-BLAS-thread limit and reports its BLAS threads
+    # every command that diagonalizes F reports its fallbacks and its
+    # closed-form endpoint cells (none on this grid); every command runs
+    # under the one-BLAS-thread limit and reports its BLAS threads
     if command in SWEEP_COMMANDS + ("heff",):
         assert manifest["eigensolver_fallbacks"] == 0
+        assert manifest["closed_form_cells"] == 0
     else:
         assert "eigensolver_fallbacks" not in manifest
+        assert "closed_form_cells" not in manifest
     blas = 1 if ensemble._openblas_thread_setters() else None
     assert manifest["blas_threads_per_cell"] == blas
     names = [entry["name"] for entry in manifest["files"]]
@@ -418,6 +422,41 @@ def test_manifest_counts_eigensolver_fallbacks(tmp_path, monkeypatch):
     assert run_cli(["heff", "--lambdas", "0.2,0.5", *common_args(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["eigensolver_fallbacks"] == 2
+
+
+def test_manifest_counts_closed_form_cells(tmp_path):
+    # heff's default grid holds both exact endpoints, and only they are monomial
+    out = tmp_path / "heff"
+    assert run_cli(["heff", *common_args(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["lambdas"] == [0.0, 0.5, 1.0]
+    assert (manifest["closed_form_cells"], manifest["eigensolver_fallbacks"]) == (2, 0)
+    out = tmp_path / "spectrum"
+    args = ["spectrum", "--lambdas", "0,0.5,1", "--realizations", "2", *common_args(out)]
+    assert run_cli(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["closed_form_cells"], manifest["eigensolver_fallbacks"]) == (4, 0)
+
+
+@pytest.mark.parametrize("corrupt", [lambda phases: 1.01 * phases,
+                                     lambda phases: np.where(np.arange(len(phases)) == 1,
+                                                             np.nan, phases)])
+def test_heff_with_corrupt_endpoint_phases_exits_three(tmp_path, monkeypatch, capsys, corrupt):
+    # corrupt segment-2 phases at lambda = 0 must not pass through the closed
+    # form: it refuses them, and the built F fails its unitarity gate
+    real = floquet.floquet_factors
+
+    def corrupted(params, disorder):
+        factors = real(params, disorder)
+        if params.lam != 0.0:
+            return factors
+        return dataclasses.replace(factors, phases=corrupt(factors.phases))
+
+    monkeypatch.setattr(floquet, "floquet_factors", corrupted)
+    out = tmp_path / "h"
+    assert run_cli(["heff", "--n-sites", "4", "--lambdas", "0", "--out", str(out)]) == 3
+    assert "deviates from unitary" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_walk_failing_at_a_later_lambda_leaves_no_output(tmp_path, corrupt_factors):

@@ -204,6 +204,18 @@ def test_cell_records_an_eigensolver_fallback(monkeypatch):
     assert fractal[0].eigensolver_fallback and fractal[0].error is None
 
 
+def test_endpoint_cells_take_the_closed_form():
+    # every state of the closed form spreads evenly over one 4-cycle (lam = 0)
+    # or 2-cycle (lam = 1) of configurations: fractal dimension ln L / ln D
+    plan = small_plan(lambdas=(0.0, 0.5, 1.0), realizations=2)
+    records = run_sweep(plan, workers=2).records
+    assert [r.closed_form for r in records] == [True, True, False, False, True, True]
+    for record, cycle in zip(records[::2], (4, None, 2)):
+        if cycle is not None:
+            expected = np.log(cycle) / np.log(plan.base.dim)
+            assert np.max(np.abs(record.fractal_dimensions - expected)) < 1e-12
+
+
 def blas_thread_counts(setters):
     counts = []
     for setter in setters:

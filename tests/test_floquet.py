@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from dtcmorph.floquet import (
     apply_floquet,
     diagonalize_floquet,
     effective_hamiltonian,
+    endpoint_spectrum,
     fast_floquet_operator,
     floquet_factors,
     floquet_operator,
@@ -18,7 +21,13 @@ from dtcmorph.floquet import (
     sparsity_fraction,
     stripped_floquet_powers,
 )
-from dtcmorph.hamiltonians import ModelParams, build_h3, default_params, sample_disorder
+from dtcmorph.hamiltonians import (
+    ModelParams,
+    build_h3,
+    default_params,
+    pair_coupling_diagonal,
+    sample_disorder,
+)
 from dtcmorph.spins import basis_state, magnetization_weights, max_unitarity_defect
 
 
@@ -282,8 +291,15 @@ def test_coupling_space_matches_dense_oracle(p, seed):
         power = dense @ power
         got = weights @ (np.abs(states) ** 2)
         assert np.max(np.abs(got - weights @ (np.abs(power) ** 2))) < 1e-12
+    eig = folded(np.linalg.eigvals(dense), p.period)
     eps = diagonalize_floquet(dense, p.period).quasienergies
-    assert np.max(np.abs(eps - folded(np.linalg.eigvals(dense), p.period))) < VALUES_ONLY_TOL
+    assert np.max(np.abs(eps - eig)) < VALUES_ONLY_TOL
+    # wherever F is monomial, the closed form must match the dense oracle too
+    closed = endpoint_spectrum(p, disorder)
+    if closed is not None:
+        assert np.max(np.abs(closed.quasienergies - eig)) < VALUES_ONLY_TOL
+        assert np.max(np.abs(dense @ closed.states - closed.states * closed.eigenvalues)) < 1e-12
+        assert max_unitarity_defect(closed.states) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -351,14 +367,26 @@ def generator(states, eps):
     return 0.5 * (h + h.conj().T)
 
 
+def cluster_bounds(eps):
+    """Start index of every cluster of sorted eps but the first."""
+    return np.flatnonzero(np.diff(eps) > CLUSTER_GAP) + 1
+
+
 def cluster_projectors(eps, states, period):
-    """(projector, distance to the nearest other cluster) per cluster of sorted eps."""
-    bounds = np.flatnonzero(np.diff(eps) > CLUSTER_GAP) + 1
+    """Yield (projector, distance to the nearest other cluster) per cluster of sorted eps."""
+    bounds = cluster_bounds(eps)
     gaps = np.diff(np.r_[eps, eps[0] + 2.0 * np.pi / period])[np.r_[bounds, len(eps)] - 1]
-    return [
-        (block @ block.conj().T, min(gaps[k - 1], gaps[k]))
-        for k, block in enumerate(np.split(states, bounds, axis=1))
-    ]
+    for k, block in enumerate(np.split(states, bounds, axis=1)):
+        yield block @ block.conj().T, min(gaps[k - 1], gaps[k])
+
+
+def assert_same_cluster_projectors(eps, states, ref_eps, ref_states, period):
+    """The clusters of both spectra coincide, their projectors to PROJECTOR_RTOL / gap."""
+    assert np.array_equal(cluster_bounds(eps), cluster_bounds(ref_eps))
+    ours = cluster_projectors(eps, states, period)
+    theirs = cluster_projectors(ref_eps, ref_states, period)
+    for (mine, _), (ref, gap) in zip(ours, theirs):
+        assert np.max(np.abs(mine - ref)) < PROJECTOR_RTOL / gap
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
@@ -381,12 +409,109 @@ def test_vectors_route_matches_schur_and_eig(n_sites, lam):
         h_eig = np.linalg.solve(eig_vecs.T, (eig_vecs * eig_eps).T).T  # V diag(eps) V^-1
         assert np.max(np.abs(h_eff - h_eig)) <= HEFF_RTOL * scale
         if lam in (0.0, 1.0):
-            ours = cluster_projectors(res.quasienergies, res.states, p.period)
-            theirs = cluster_projectors(eps, vecs, p.period)
-            assert len(ours) == len(theirs)
-            assert n_sites < 8 or len(ours) < p.dim  # N = 8 has degenerate clusters
-            for (mine, _), (ref, gap) in zip(ours, theirs):
-                assert np.max(np.abs(mine - ref)) < PROJECTOR_RTOL / gap
+            assert_same_cluster_projectors(res.quasienergies, res.states, eps, vecs, p.period)
+            # N = 8 has degenerate clusters
+            assert n_sites < 8 or len(cluster_bounds(eps)) + 1 < p.dim
+
+
+# The closed form at the exact endpoints: its states are the Fourier modes of
+# F's permutation cycles, so within a degenerate cluster they may differ from
+# any solver's basis, but the cluster projectors and H_eff may not.
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
+    p = default_params(n_sites, lam)
+    for seed in range(1 if n_sites == 10 else 5):
+        disorder = sample_disorder(p, seed)
+        res = endpoint_spectrum(p, disorder)
+        assert res is not None and not res.fallback
+        dense = floquet_operator(p, disorder)
+        eps, vecs = schur_reference(dense, p.period)
+        assert np.max(np.abs(res.quasienergies - eps)) < VALUES_ONLY_TOL
+        eig_values, eig_vecs = np.linalg.eig(dense)
+        assert np.max(np.abs(res.quasienergies - folded(eig_values, p.period))) < VALUES_ONLY_TOL
+        assert np.max(np.abs(dense @ res.states - res.states * res.eigenvalues)) < 1e-12
+        assert max_unitarity_defect(res.states) < 1e-12
+        assert_same_cluster_projectors(res.quasienergies, res.states, eps, vecs, p.period)
+        h_eff = effective_hamiltonian(res)
+        h_schur = generator(vecs, eps)
+        scale = np.abs(h_schur).max()
+        assert np.max(np.abs(h_eff - h_schur)) <= HEFF_RTOL * scale
+        eig_eps = unsorted_folded(eig_values, p.period)
+        h_eig = np.linalg.solve(eig_vecs.T, (eig_vecs * eig_eps).T).T  # V diag(eps) V^-1
+        assert np.max(np.abs(h_eff - h_eig)) <= HEFF_RTOL * scale
+        cayley = diagonalize_floquet(fast_floquet_operator(p, disorder), p.period)
+        ours, theirs = gap_ratios(res.quasienergies), gap_ratios(cayley.quasienergies)
+        assert (ours.double_degenerate, ours.single_degenerate) == (
+            theirs.double_degenerate,
+            theirs.single_degenerate,
+        )
+        values = endpoint_spectrum(p, disorder, vectors=False)
+        assert values.states is None
+        assert np.array_equal(values.quasienergies, res.quasienergies)
+
+
+def detuned(p, **products):
+    """p with g*t1 or jxy*t3 set to the given value."""
+    fields = {"g_t1": ("g", p.t1), "jxy_t3": ("jxy", p.t3)}
+    return dataclasses.replace(
+        p, **{fields[k][0]: v / fields[k][1] for k, v in products.items()}
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        default_params(6, 0.5),
+        detuned(default_params(6, 0.0), g_t1=np.pi / 2 + 1e-6),
+        detuned(default_params(6, 0.0), jxy_t3=np.pi / 4 + 1e-6),
+        detuned(default_params(6, 0.0), jxy_t3=0.6),
+        detuned(default_params(6, 1.0), g_t1=np.pi / 2 - 1e-6),
+    ],
+)
+def test_endpoint_spectrum_refuses_a_non_monomial_propagator(p):
+    assert endpoint_spectrum(p, sample_disorder(p, 1)) is None
+    assert endpoint_spectrum(p, sample_disorder(p, 1), vectors=False) is None
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6])
+def test_endpoint_spectrum_with_cycles_of_several_lengths(n_sites):
+    # g*t1 = pi makes U1 = -1 at lam = 0, so the dimer swap alone permutes:
+    # configurations with every dimer uu or dd are fixed, the rest pair up
+    p = detuned(default_params(n_sites, 0.0), g_t1=np.pi)
+    disorder = sample_disorder(p, 3)
+    res = endpoint_spectrum(p, disorder)
+    fixed = 2 ** (n_sites // 2)
+    cycle_lengths = np.repeat([1.0, 2.0], [fixed, p.dim - fixed])
+    dims = np.sort(state_fractal_dimensions(res))
+    assert np.max(np.abs(dims - np.log(cycle_lengths) / np.log(p.dim))) < 1e-12
+    dense = floquet_operator(p, disorder)
+    eig = folded(np.linalg.eigvals(dense), p.period)
+    assert np.max(np.abs(res.quasienergies - eig)) < VALUES_ONLY_TOL
+    assert np.max(np.abs(dense @ res.states - res.states * res.eigenvalues)) < 1e-12
+    assert max_unitarity_defect(res.states) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "part,corrupt",
+    [
+        ("phases", lambda phases: np.where(np.arange(len(phases)) == 3, np.nan, phases)),
+        ("phases", lambda phases: 1.001 * phases),
+        ("u1", lambda gates: (1.001 * gates[0],) + gates[1:]),
+        ("u3", lambda gates: (np.full((4, 4), np.nan),) + gates[1:]),
+    ],
+)
+def test_endpoint_spectrum_refuses_corrupt_factors(monkeypatch, part, corrupt):
+    real = floquet_module.floquet_factors
+
+    def corrupted(params, disorder):
+        factors = real(params, disorder)
+        return dataclasses.replace(factors, **{part: corrupt(getattr(factors, part))})
+
+    monkeypatch.setattr(floquet_module, "floquet_factors", corrupted)
+    for lam in (0.0, 1.0):
+        p = default_params(4, lam)
+        assert endpoint_spectrum(p, sample_disorder(p, 2)) is None
 
 
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
@@ -488,3 +613,34 @@ def test_quasienergy_clustering_regression():
         r1 = diagonalize_floquet(fast_floquet_operator(p1, d1), p1.period)
         frac1 = cluster_fraction(r1.quasienergies, [0, np.pi], p1.period, tol)
         assert frac1 == pytest.approx(0.578125, abs=1e-9)
+
+
+def test_closed_form_explains_criterion_4():
+    # Over criterion 4's 20 seeds the closed-form quasienergies land in the
+    # clusters exactly as often as the Cayley route's. At lam = 1 the drive
+    # flips every spin, the z fields cancel over two periods and
+    # F^2 = diag(exp(-2i t2 E_Ising)): the pair +-exp(-i t2 E_Ising(c)) sits
+    # t2 |E_Ising(c)| / T from the 2T centers, independent of the disorder,
+    # so the Ising coupling j0 t2 = 0.15 alone sets the fraction; without it
+    # every quasienergy sits on a center at both endpoints.
+    tol = 0.1 * np.pi
+    fractions = {}
+    for lam, centers in ((0.0, [0, np.pi / 2, -np.pi / 2, np.pi]), (1.0, [0, np.pi])):
+        p = dataclasses.replace(default_params(8, lam), j0=0.0)
+        closed = endpoint_spectrum(p, sample_disorder(p, 0), vectors=False).quasienergies
+        assert cluster_fraction(closed, centers, p.period, 1e-12) == 1.0
+        p = default_params(8, lam)
+        per_seed = []
+        for seed in range(20):
+            disorder = sample_disorder(p, seed)
+            closed = endpoint_spectrum(p, disorder, vectors=False).quasienergies
+            cayley = diagonalize_floquet(fast_floquet_operator(p, disorder), p.period).quasienergies
+            frac = cluster_fraction(closed, centers, p.period, tol)
+            assert frac == cluster_fraction(cayley, centers, p.period, tol)
+            per_seed.append(frac)
+        fractions[lam] = np.mean(per_seed)
+    assert fractions[0.0] == 0.875
+    assert fractions[1.0] == 0.578125
+    p = default_params(8, 1.0)
+    ising = p.t2 * pair_coupling_diagonal(p.n_sites, p.j0, p.mu) / p.period
+    assert cluster_fraction(ising, [0, np.pi], p.period, tol) == 0.578125
