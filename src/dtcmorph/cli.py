@@ -33,6 +33,7 @@ from .floquet import (
     effective_hamiltonian,
     endpoint_spectrum,
     fast_floquet_operator,
+    floquet_factors,
     sparsity_fraction,
 )
 from .hamiltonians import sample_disorder
@@ -282,35 +283,41 @@ def _shared_disorder(cfg: RunConfig):
     return disorder, {"cell_seeds": seeds, "workers": 1}
 
 
-def _write_config_table(out_dir: Path, name: str, index: str, lam: float, matrix):
-    """One row (lambda, index, config_0 .. config_{D-1}) per matrix row."""
-    header = ("lambda", index, *(f"config_{l}" for l in range(matrix.shape[1])))
-    return write_csv(out_dir, name, header, ((lam, i, row) for i, row in enumerate(matrix)))
+def _write_config_table(out_dir: Path, name: str, index: str, lam: float, dim: int, rows):
+    """One row (lambda, index, config_0 .. config_{dim-1}) per array in `rows`, streamed."""
+    header = ("lambda", index, *(f"config_{l}" for l in range(dim)))
+    return write_csv(out_dir, name, header, ((lam, i, row) for i, row in enumerate(rows)))
 
 
 def run_dynamics(cfg: RunConfig, out_dir: Path):
     disorder, fields = _shared_disorder(cfg)
     maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods, cfg.initial_config)
-    series_rows = []
-    power_rows = []
-    for lam, series in zip(cfg.lambdas, maps.series):
-        series_rows.append((lam, 0, series.initial_value))
-        for m, value in enumerate(series.values, start=1):
-            series_rows.append((lam, m, value))
-        spectrum = power_spectrum(series)
-        for k in range(cfg.periods):
-            power_rows.append((lam, k, spectrum.frequencies[k], spectrum.values[k]))
-    fid4_rows = []
-    fid2_rows = []
-    for i in range(1 << cfg.n_sites):
-        for col, lam in enumerate(cfg.lambdas):
-            fid4_rows.append((i, lam, maps.fid_4t[i, col]))
-            fid2_rows.append((i, lam, maps.fid_2t[i, col]))
+    spectra = [power_spectrum(series) for series in maps.series]
+
+    def series_rows():
+        for lam, series in zip(cfg.lambdas, maps.series):
+            yield lam, 0, series.initial_value
+            for m, value in enumerate(series.values, start=1):
+                yield lam, m, value
+
+    def power_rows():
+        for lam, spectrum in zip(cfg.lambdas, spectra):
+            for k in range(cfg.periods):
+                yield lam, k, spectrum.frequencies[k], spectrum.values[k]
+
+    def fidelity_rows(fid):
+        for i in range(1 << cfg.n_sites):
+            for col, lam in enumerate(cfg.lambdas):
+                yield i, lam, fid[i, col]
+
     files = [
-        write_csv(out_dir, "dynamics_series.csv", ("lambda", "m", "magnetization"), series_rows),
-        write_csv(out_dir, "dynamics_power.csv", ("lambda", "k", "frequency", "power"), power_rows),
-        write_csv(out_dir, "fidelity_4t.csv", ("initial_config", "lambda", "fidelity"), fid4_rows),
-        write_csv(out_dir, "fidelity_2t.csv", ("initial_config", "lambda", "fidelity"), fid2_rows),
+        write_csv(out_dir, "dynamics_series.csv", ("lambda", "m", "magnetization"), series_rows()),
+        write_csv(out_dir, "dynamics_power.csv", ("lambda", "k", "frequency", "power"),
+                  power_rows()),
+        write_csv(out_dir, "fidelity_4t.csv", ("initial_config", "lambda", "fidelity"),
+                  fidelity_rows(maps.fid_4t)),
+        write_csv(out_dir, "fidelity_2t.csv", ("initial_config", "lambda", "fidelity"),
+                  fidelity_rows(maps.fid_2t)),
     ]
     undefined = {
         "fidelity_4t.csv": int(maps.undefined_4t.sum()),
@@ -328,7 +335,9 @@ def run_walk(cfg: RunConfig, out_dir: Path):
             cfg.params_for(lam), disorder, cfg.initial_config, cfg.periods
         )
         files.append(
-            _write_config_table(out_dir, f"walk_{li:03d}.csv", "m", lam, record.populations)
+            _write_config_table(
+                out_dir, f"walk_{li:03d}.csv", "m", lam, 1 << cfg.n_sites, record.populations
+            )
         )
         support_rows.append(
             (lam, WALK_SUPPORT_THRESHOLD, walk_support(record, WALK_SUPPORT_THRESHOLD))
@@ -344,6 +353,27 @@ def run_walk(cfg: RunConfig, out_dir: Path):
     return files, fields
 
 
+def _heff_table(out_dir: Path, li: int, params, disorder):
+    """Write |H_eff| at one lambda; return (file, sparsity fraction, fallback, closed form).
+
+    The D x D states and H_eff live in this frame only, and the states are
+    freed before the table is written, so no lambda holds more than two
+    D x D buffers and none outlives its lambda.
+    """
+    factors = floquet_factors(params, disorder)
+    result = endpoint_spectrum(factors, params.period)
+    closed_form = result is not None
+    if result is None:
+        result = diagonalize_floquet(fast_floquet_operator(factors), params.period)
+    fallback = result.fallback
+    h_eff = effective_hamiltonian(result)
+    del result
+    emitted = _write_config_table(
+        out_dir, f"heff_{li:03d}.csv", "row_config", params.lam, params.dim, map(np.abs, h_eff)
+    )
+    return emitted, sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD), fallback, closed_form
+
+
 def run_heff(cfg: RunConfig, out_dir: Path):
     disorder, fields = _shared_disorder(cfg)
     files = []
@@ -351,19 +381,11 @@ def run_heff(cfg: RunConfig, out_dir: Path):
     fallbacks = closed_form = 0
     for li, lam in enumerate(cfg.lambdas):
         params = cfg.params_for(lam)
-        result = endpoint_spectrum(params, disorder)
-        closed_form += result is not None
-        if result is None:
-            result = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
-        fallbacks += result.fallback
-        h_eff = effective_hamiltonian(result)
-        files.append(
-            _write_config_table(out_dir, f"heff_{li:03d}.csv", "row_config", lam, np.abs(h_eff))
-        )
-        sparsity_rows.append(
-            (lam, disorder.seed, HEFF_SPARSITY_THRESHOLD,
-             sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD))
-        )
+        emitted, sparsity, fallback, closed = _heff_table(out_dir, li, params, disorder)
+        files.append(emitted)
+        sparsity_rows.append((lam, disorder.seed, HEFF_SPARSITY_THRESHOLD, sparsity))
+        fallbacks += fallback
+        closed_form += closed
     files.append(
         write_csv(
             out_dir,

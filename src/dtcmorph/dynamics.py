@@ -70,19 +70,28 @@ def evolve_stroboscopic(f, psi0: np.ndarray, n_periods: int) -> np.ndarray:
     return out
 
 
-def _evolve_config(
+def _config_populations(
     params: ModelParams, disorder: DisorderRealization, initial_config: int, n_periods: int
 ) -> np.ndarray:
-    """F^m |initial_config> for m = 0..n from the factors of F.
+    """|<l|F^m|initial_config>|^2 for m = 0..n as rows, from the factors of F.
 
-    No dense F exists on this path, so the final norm is the numerical health
-    check: a ValidationError if it drifted.
+    One state is evolved in place and only its real populations are kept, so
+    memory is the (n+1, D) result plus O(D). No dense F exists on this path,
+    so the final norm is the numerical health check: a ValidationError if it
+    drifted.
     """
-    states = evolve_stroboscopic(
-        floquet_factors(params, disorder), basis_state(params.n_sites, initial_config), n_periods
-    )
-    check_normalized(states[-1])
-    return states
+    if n_periods < 0:
+        raise ValueError("n_periods must be nonnegative")
+    factors = floquet_factors(params, disorder)
+    psi = basis_state(params.n_sites, initial_config)
+    populations = np.empty((n_periods + 1, params.dim))
+    for m, row in enumerate(populations):
+        if m:
+            apply_floquet(factors, psi)
+        np.abs(psi, out=row)
+        row *= row
+    check_normalized(psi)
+    return populations
 
 
 def magnetization_series(
@@ -94,9 +103,8 @@ def magnetization_series(
     """Total magnetization after each of n periods from one basis configuration."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    states = _evolve_config(params, disorder, initial_config, n_periods)
-    weights = magnetization_weights(params.n_sites)
-    magnetizations = (np.abs(states) ** 2) @ weights
+    populations = _config_populations(params, disorder, initial_config, n_periods)
+    magnetizations = populations @ magnetization_weights(params.n_sites)
     return TimeSeries(
         values=magnetizations[1:],
         period=params.period,
@@ -251,8 +259,7 @@ def walk_populations(
     n_periods: int,
 ) -> WalkRecord:
     """Quantum walk over configurations: populations after each period."""
-    states = _evolve_config(params, disorder, initial_config, n_periods)
-    return WalkRecord(populations=np.abs(states) ** 2)
+    return WalkRecord(populations=_config_populations(params, disorder, initial_config, n_periods))
 
 
 def walk_support(record: WalkRecord, threshold: float = 1e-3) -> int:

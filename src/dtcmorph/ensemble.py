@@ -30,7 +30,12 @@ from .diagnostics import (
     state_fractal_dimensions,
 )
 from .errors import ConfigError
-from .floquet import diagonalize_floquet, endpoint_spectrum, fast_floquet_operator
+from .floquet import (
+    diagonalize_floquet,
+    endpoint_spectrum,
+    fast_floquet_operator,
+    floquet_factors,
+)
 from .hamiltonians import ModelParams, sample_disorder
 
 _SEED_MASK = (1 << 64) - 1
@@ -119,14 +124,12 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
     )
     try:
         params = plan.params(lam)
-        disorder = sample_disorder(params, seed)
-        result = endpoint_spectrum(params, disorder, vectors=plan.states)
+        factors = floquet_factors(params, sample_disorder(params, seed))
+        result = endpoint_spectrum(factors, params.period, vectors=plan.states)
         record.closed_form = result is not None
         if result is None:
             result = diagonalize_floquet(
-                fast_floquet_operator(params, disorder),
-                params.period,
-                vectors=plan.states,
+                fast_floquet_operator(factors), params.period, vectors=plan.states
             )
         record.eigensolver_fallback = result.fallback
         record.quasienergies = result.quasienergies

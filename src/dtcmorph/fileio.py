@@ -1,19 +1,24 @@
 """Run configuration, CSV emission and the run manifest.
 
 Data files are comma-separated text with a header row; floats are written
-with repr(), the shortest digit string that round-trips. Every numeric value
-is checked finite before anything touches disk. Each run emits one JSON
-manifest listing the resolved configuration, seed provenance, the unit
-convention and a sha256 digest per data file; timestamps live only there, so
-data files are byte-identical across reruns. A run writes into a staging
-directory beside its output directory and moves its files in only once all
-of them, manifest included, are written (`staged_output`).
+with repr(), the shortest digit string that round-trips. Tables stream to
+disk: each row is formatted, hashed and written before the next is read, so
+no table is ever held in memory whole. Every numeric value is checked
+finite as its row is formatted; a table that fails part-way is deleted
+before the error propagates. Each run emits one JSON manifest listing the
+resolved configuration, seed provenance, the unit convention and a sha256
+digest per data file; timestamps live only there, so data files are
+byte-identical across reruns. A run writes into a staging directory beside
+its output directory and moves its files in only once all of them, manifest
+included, are written (`staged_output`), so a failed run leaves its output
+directory unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -166,18 +171,33 @@ def _format_cells(row, context: str) -> list:
 
 
 def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
-    """Write one CSV table and return its digest record.
+    """Stream one CSV table to disk and return its digest record.
 
-    A 1-D numpy array in a row stands for its elements (`_format_cells`).
+    `rows` may be any iterable, a generator included; each row is formatted,
+    hashed and written before the next is read, so memory stays at one row.
+    A 1-D numpy array in a row stands for its elements (`_format_cells`). A
+    table that fails part-way, e.g. on a non-finite value (ValidationError
+    naming the file), is deleted before the error propagates; the run's
+    staging directory (`staged_output`) keeps the output directory unchanged.
     """
-    lines = [",".join(header)]
-    count = 0
-    for row in rows:
-        lines.append(",".join(_format_cells(row, name)))
-        count += 1
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    _write(Path(out_dir) / name, payload)
-    return EmittedFile(name=name, sha256=hashlib.sha256(payload).hexdigest(), rows=count)
+    path = Path(out_dir) / name
+    lines = itertools.chain(
+        [",".join(header)], (",".join(_format_cells(row, name)) for row in rows)
+    )
+    digest = hashlib.sha256()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as handle:
+            for count, line in enumerate(lines):  # the header is line 0
+                data = (line + "\n").encode("utf-8")
+                digest.update(data)
+                handle.write(data)
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc}") from exc
+        raise
+    return EmittedFile(name=name, sha256=digest.hexdigest(), rows=count)
 
 
 @contextlib.contextmanager

@@ -11,10 +11,11 @@ rightmost). Two construction routes are provided:
   the dense route to 1e-10.
 
 Where only states are evolved, F is never formed: `floquet_factors` holds it
-as N/2 segment-1 dimer factors, the segment-2 phases and N/2 segment-3 dimer
-factors, and `apply_floquet` applies them in place in O(N*D) per state.
-`stripped_floquet_powers` evolves all 2^N configurations at once through one
-merged dimer layer per period, again without F.
+as the N site rotations of segment 1 (also merged into N/2 dimer factors),
+the segment-2 phases and N/2 segment-3 dimer factors, and `apply_floquet`
+applies them in place in O(N*D) per state. `stripped_floquet_powers`
+evolves all 2^N configurations at once through one merged dimer layer per
+period, again without F.
 
 Spectra come by one of two routes. Where every dimer gate is monomial, F is
 a permutation times phases (at lam = 0 and 1 with the default couplings),
@@ -23,8 +24,9 @@ permutation cycles in closed form, with no dense F and no eigensolve.
 Everywhere else `diagonalize_floquet` diagonalizes the Hermitian Cayley
 transform of dense F, for quasienergies alone (`eigvalsh`) and for Floquet
 states (`eigh` plus Rayleigh quotients) alike; a complex Schur decomposition
-is the one fallback where the transform or its gates refuse. Callers try
-the closed form first.
+is the one fallback where the transform or its gates refuse. Callers build
+`floquet_factors` once per cell, try the closed form on it first and build
+dense F from the same factors only where that refuses.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ ORTHONORMALITY_TOL = 1e-10
 # entries and modulus defects are at most this; at the default endpoints
 # they are cos(pi/2) = 6e-17 and propagator round-off up to 2.2e-16
 MONOMIAL_TOL = 1e-14
+# rows per block of the effective Hamiltonian's product and symmetrization
+HEFF_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -125,24 +129,26 @@ def _site_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def _site_rotations(params: ModelParams) -> list:
+def _site_rotations(params: ModelParams) -> tuple:
     """Segment-1 rotation of every site, site 1 first."""
-    return [
+    return tuple(
         _site_rotation((params.g if site % 2 == 1 else params.lam * params.g) * params.t1)
         for site in range(1, params.n_sites + 1)
-    ]
+    )
 
 
 @dataclass(frozen=True)
 class FloquetFactors:
     """F = U3 U2 U1 held by its factors, never as a D x D matrix.
 
+    `rotations[l]` is the 2x2 segment-1 rotation of site l+1 (row bit l).
     `u1[k]` and `u3[k]` are 4x4 gates on the row bits (2k, 2k+1) of dimer k+1,
-    low bit fastest: `u1[k]` = kron(rotation of site 2k+2, rotation of site
-    2k+1), `u3[k]` = exp(-i * t3 * dimer block). `phases` is the segment-2
-    diagonal exp(-i * t2 * h2_diagonal).
+    low bit fastest: `u1[k]` = kron(rotations[2k+1], rotations[2k]), `u3[k]` =
+    exp(-i * t3 * dimer block). `phases` is the segment-2 diagonal
+    exp(-i * t2 * h2_diagonal).
     """
 
+    rotations: tuple
     u1: tuple
     phases: np.ndarray
     u3: tuple
@@ -151,13 +157,17 @@ class FloquetFactors:
 def floquet_factors(
     params: ModelParams, disorder: DisorderRealization
 ) -> FloquetFactors:
-    """The one-period propagator in factor form; O(D) memory."""
+    """The one-period propagator in factor form; O(D) memory.
+
+    One cell builds it once and hands it to every route: `apply_floquet`,
+    `endpoint_spectrum` and `fast_floquet_operator`.
+    """
     phases = np.exp(-1j * params.t2 * h2_diagonal(params, disorder))
     rotations = _site_rotations(params)
     dimers = range(params.n_sites // 2)
     u1 = tuple(np.kron(rotations[2 * k + 1], rotations[2 * k]) for k in dimers)
     u3 = tuple(propagator(dimer_block(params, disorder, k + 1), params.t3) for k in dimers)
-    return FloquetFactors(u1=u1, phases=phases, u3=u3)
+    return FloquetFactors(rotations=rotations, u1=u1, phases=phases, u3=u3)
 
 
 def apply_floquet(factors: FloquetFactors, psi: np.ndarray) -> None:
@@ -200,18 +210,15 @@ def stripped_floquet_powers(factors: FloquetFactors, n_periods: int):
         yield states
 
 
-def fast_floquet_operator(
-    params: ModelParams, disorder: DisorderRealization
-) -> np.ndarray:
-    """One-period propagator built from the segment structure.
+def fast_floquet_operator(factors: FloquetFactors) -> np.ndarray:
+    """Dense one-period propagator built from its factors.
 
     Segment 1 is applied as N single-site rotations, segment 2 as elementwise
-    diagonal phases (no dense exponential), segment 3 as 4x4 exponentials of
-    the mutually commuting dimer blocks.
+    diagonal phases (no dense exponential), segment 3 as the N/2 4x4
+    exponentials of the mutually commuting dimer blocks.
     """
-    factors = floquet_factors(params, disorder)
-    mat = np.eye(params.dim, dtype=complex)
-    for bit, gate in enumerate(_site_rotations(params)):
+    mat = np.eye(len(factors.phases), dtype=complex)
+    for bit, gate in enumerate(factors.rotations):
         backend.apply_site_gate(mat, bit, gate)
     mat *= factors.phases[:, None]
     for k, gate in enumerate(factors.u3):
@@ -378,9 +385,10 @@ def _cycles(sigma: np.ndarray):
 
 
 def endpoint_spectrum(
-    params: ModelParams, disorder: DisorderRealization, vectors: bool = True
+    factors: FloquetFactors, period: float, vectors: bool = True
 ) -> FloquetResult | None:
-    """Quasienergies and Floquet states of a monomial F from its permutation cycles.
+    """Quasienergies and Floquet states of a monomial F, given by its factors,
+    from its permutation cycles.
 
     Where every dimer gate is monomial (the exact endpoints lam = 0 and 1 at
     the default couplings), F e_c = phi_c e_sigma(c). A cycle c_0 .. c_{L-1}
@@ -393,11 +401,12 @@ def endpoint_spectrum(
     and phi) and orthonormality within CAYLEY_RESIDUAL_TOL and
     ORTHONORMALITY_TOL. None where F is not monomial or a gate refuses.
     """
-    action = _permutation_action(floquet_factors(params, disorder))
+    action = _permutation_action(factors)
     if action is None:
         return None
     sigma, phi = action
-    states = np.zeros((params.dim, params.dim), dtype=complex) if vectors else None
+    dim = len(sigma)
+    states = np.zeros((dim, dim), dtype=complex) if vectors else None
     angles = []
     for cycles in _cycles(sigma):
         n, size = cycles.shape
@@ -417,14 +426,33 @@ def endpoint_spectrum(
             cols = sum(map(len, angles)) + np.arange(n * size).reshape(n, 1, size)
             states[cycles[:, :, None], cols] = mode
         angles.append(np.angle(mu).ravel())
-    return _ordered_result(np.concatenate(angles), states, params.period)
+    return _ordered_result(np.concatenate(angles), states, period)
 
 
 def effective_hamiltonian(result: FloquetResult) -> np.ndarray:
-    """Hermitian generator with F = exp(-i*H_eff*T), from the principal branch."""
+    """Hermitian generator with F = exp(-i*H_eff*T), from the principal branch.
+
+    H = V diag(eps) V^H, then (H + H^H)/2, both over blocks of
+    HEFF_BLOCK_ROWS rows, so beside the states V and H itself only
+    O(HEFF_BLOCK_ROWS * D) temporaries exist: V^H is never copied (a row
+    block of H is conj(conj(V_rows eps) V^T), with V^T a view), and each pair
+    of mirrored blocks is averaged in place.
+    """
     states = result.require_states()
-    h = (states * result.quasienergies) @ states.conj().T
-    return 0.5 * (h + h.conj().T)
+    dim = len(states)
+    blocks = [slice(lo, lo + HEFF_BLOCK_ROWS) for lo in range(0, dim, HEFF_BLOCK_ROWS)]
+    h = np.empty((dim, dim), dtype=complex)
+    for rows in blocks:
+        scaled = states[rows] * result.quasienergies
+        np.matmul(np.conj(scaled, out=scaled), states.T, out=h[rows])
+        np.conj(h[rows], out=h[rows])
+    for i, a in enumerate(blocks):
+        for b in blocks[i:]:
+            mean = h[a, b] + h[b, a].conj().T
+            mean *= 0.5
+            h[a, b] = mean
+            h[b, a] = mean.conj().T
+    return h
 
 
 def sparsity_fraction(mat: np.ndarray, rel_threshold: float = 1e-3) -> float:

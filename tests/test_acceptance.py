@@ -22,6 +22,7 @@ from dtcmorph.ensemble import SweepPlan, aggregate_fractal, pooled_mean_ratios, 
 from dtcmorph.floquet import (
     diagonalize_floquet,
     fast_floquet_operator,
+    floquet_factors,
     floquet_operator,
 )
 from dtcmorph.hamiltonians import default_params, sample_disorder
@@ -36,7 +37,7 @@ CYCLE = [0, 0b10101010, 0b11111111, 0b01010101]
 def warm_kernels():
     # the first call pays for lazy LAPACK/einsum set-up; keep it out of every budget
     params = default_params(2, 0.5)
-    fast_floquet_operator(params, sample_disorder(params, 0))
+    fast_floquet_operator(floquet_factors(params, sample_disorder(params, 0)))
 
 
 def report(criterion: int, checks: list[tuple[str, bool]], elapsed: float, budget: float):
@@ -53,7 +54,7 @@ def test_criterion_1_crystal_cycle_periodicity():
     start = time.perf_counter()
     params = default_params(N_SITES, 0.0)
     disorder = sample_disorder(params, 2026)
-    f = fast_floquet_operator(params, disorder)
+    f = fast_floquet_operator(floquet_factors(params, disorder))
     states = evolve_stroboscopic(f, basis_state(N_SITES, 0), 4)
     checks = []
     for m, state in enumerate(states):
@@ -128,7 +129,7 @@ def test_criterion_4_quasienergy_clustering():
         for seed in range(20):
             disorder = sample_disorder(params, seed)
             result = diagonalize_floquet(
-                fast_floquet_operator(params, disorder), params.period
+                fast_floquet_operator(floquet_factors(params, disorder)), params.period
             )
             per_seed.append(_cluster_fraction(result.quasienergies, centers, params.period))
         fractions[lam] = float(np.mean(per_seed))
@@ -216,7 +217,7 @@ def test_criterion_8_numerical_core():
         lam = float(rng.uniform(0, 1))
         seed = int(rng.integers(0, 2**32))
         params = default_params(N_SITES, lam)
-        f = fast_floquet_operator(params, sample_disorder(params, seed))
+        f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, seed)))
         worst_unitarity = max(worst_unitarity, max_unitarity_defect(f))
     checks.append(
         (f"unitarity below 1e-10 over 50 random cells (worst {worst_unitarity:.2e})",
@@ -229,9 +230,8 @@ def test_criterion_8_numerical_core():
         seed = int(rng.integers(0, 2**32))
         params = default_params(N_SITES, lam)
         disorder = sample_disorder(params, seed)
-        dev = float(
-            np.max(np.abs(floquet_operator(params, disorder) - fast_floquet_operator(params, disorder)))
-        )
+        fast = fast_floquet_operator(floquet_factors(params, disorder))
+        dev = float(np.max(np.abs(floquet_operator(params, disorder) - fast)))
         worst_fast = max(worst_fast, dev)
     checks.append(
         (f"fast path matches dense oracle within 1e-10 (worst {worst_fast:.2e})",

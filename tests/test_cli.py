@@ -15,7 +15,7 @@ from dtcmorph import ensemble, floquet
 from dtcmorph.dynamics import magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
 from dtcmorph.fileio import RunConfig
-from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator
+from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import sample_disorder
 
 SWEEP_COMMANDS = ("spectrum", "levels", "fractal", "sweep")
@@ -242,7 +242,7 @@ def test_spectrum_with_coupling_overrides_matches_direct_solve(tmp_path):
     for cell in manifest["cell_seeds"]:
         lam = (0.3, 0.7)[cell["lambda_index"]]
         params = cfg.params_for(lam)
-        f = fast_floquet_operator(params, sample_disorder(params, cell["seed"]))
+        f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, cell["seed"])))
         direct = diagonalize_floquet(f, params.period, vectors=False).quasienergies
         got = [float(r[3]) for r in rows if float(r[0]) == lam and int(r[1]) == cell["seed"]]
         assert got == direct.tolist()
@@ -329,14 +329,14 @@ def test_dynamics_series_match_the_single_state_route(tmp_path, n_sites):
 
 
 def fail_cells(monkeypatch, should_fail, error=None):
-    real = ensemble.fast_floquet_operator
+    real = ensemble.floquet_factors
 
     def flaky(params, disorder):
         if should_fail(params, disorder):
             raise error or RuntimeError("injected failure")
         return real(params, disorder)
 
-    monkeypatch.setattr(ensemble, "fast_floquet_operator", flaky)
+    monkeypatch.setattr(ensemble, "floquet_factors", flaky)
 
 
 def sweep_args(command, out):
@@ -444,7 +444,7 @@ def test_manifest_counts_closed_form_cells(tmp_path):
 def test_heff_with_corrupt_endpoint_phases_exits_three(tmp_path, monkeypatch, capsys, corrupt):
     # corrupt segment-2 phases at lambda = 0 must not pass through the closed
     # form: it refuses them, and the built F fails its unitarity gate
-    real = floquet.floquet_factors
+    real = cli.floquet_factors
 
     def corrupted(params, disorder):
         factors = real(params, disorder)
@@ -452,7 +452,7 @@ def test_heff_with_corrupt_endpoint_phases_exits_three(tmp_path, monkeypatch, ca
             return factors
         return dataclasses.replace(factors, phases=corrupt(factors.phases))
 
-    monkeypatch.setattr(floquet, "floquet_factors", corrupted)
+    monkeypatch.setattr(cli, "floquet_factors", corrupted)
     out = tmp_path / "h"
     assert run_cli(["heff", "--n-sites", "4", "--lambdas", "0", "--out", str(out)]) == 3
     assert "deviates from unitary" in capsys.readouterr().err
@@ -468,13 +468,15 @@ def test_walk_failing_at_a_later_lambda_leaves_no_output(tmp_path, corrupt_facto
 
 
 def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, capsys):
-    real = cli.fast_floquet_operator
+    real = cli.floquet_factors
 
     def broken_at_half(params, disorder):
-        f = real(params, disorder)
-        return 1.01 * f if params.lam == 0.5 else f
+        factors = real(params, disorder)
+        if params.lam != 0.5:
+            return factors
+        return dataclasses.replace(factors, phases=1.01 * factors.phases)  # F -> 1.01 F
 
-    monkeypatch.setattr(cli, "fast_floquet_operator", broken_at_half)
+    monkeypatch.setattr(cli, "floquet_factors", broken_at_half)
     out = tmp_path / "h"
     assert run_cli(["heff", *common_args(out)]) == 3
     assert "deviates from unitary" in capsys.readouterr().err
@@ -484,8 +486,8 @@ def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, 
 def test_heff_with_a_nan_propagator_exits_three(tmp_path, monkeypatch, capsys):
     real = cli.fast_floquet_operator
 
-    def nan_entry(params, disorder):
-        f = real(params, disorder)
+    def nan_entry(factors):
+        f = real(factors)
         f[1, 2] = np.nan
         return f
 

@@ -11,7 +11,12 @@ from dtcmorph.diagnostics import (
     reference_density,
     state_fractal_dimensions,
 )
-from dtcmorph.floquet import FloquetResult, diagonalize_floquet, fast_floquet_operator
+from dtcmorph.floquet import (
+    FloquetResult,
+    diagonalize_floquet,
+    fast_floquet_operator,
+    floquet_factors,
+)
 from dtcmorph.hamiltonians import default_params, sample_disorder
 
 
@@ -188,7 +193,7 @@ def test_melted_states_more_fractal_than_crystal():
     for lam in (0.001, 0.5):
         p = default_params(8, lam)
         res = diagonalize_floquet(
-            fast_floquet_operator(p, sample_disorder(p, seed)), p.period
+            fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed))), p.period
         )
         means[lam] = float(np.mean(state_fractal_dimensions(res)))
     assert means[0.5] > means[0.001]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from dtcmorph.dynamics import (
 )
 import dtcmorph.dynamics as dynamics_module
 from dtcmorph.errors import UndefinedFidelityError, ValidationError
-from dtcmorph.floquet import fast_floquet_operator
+from dtcmorph.floquet import fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
 from dtcmorph.spins import basis_state, magnetization_weights
 
@@ -58,7 +60,7 @@ def test_evolve_rejects_negative():
 
 def test_evolve_norm_drift_over_thousand_periods():
     p = default_params(4, 0.7)
-    f = fast_floquet_operator(p, sample_disorder(p, 2))
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 2)))
     states = evolve_stroboscopic(f, basis_state(4, 3), 1000)
     norms = np.linalg.norm(states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-8
@@ -66,7 +68,7 @@ def test_evolve_norm_drift_over_thousand_periods():
 
 def test_crystal_cycle_dominant_configurations():
     p = default_params(8, 0.0)
-    f = fast_floquet_operator(p, sample_disorder(p, 11))
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 11)))
     states = evolve_stroboscopic(f, basis_state(8, 0), 8)
     for m in range(9):
         probs = np.abs(states[m]) ** 2
@@ -248,6 +250,38 @@ def test_walk_crystal_supports():
     assert record1.populations.max(axis=0)[0b11111111] > 0.999
 
 
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_walk_populations_are_the_squared_stroboscopic_states(n_sites, lam):
+    p = default_params(n_sites, lam)
+    disorder = sample_disorder(p, 4)
+    states = evolve_stroboscopic(floquet_factors(p, disorder), basis_state(n_sites, 1), 30)
+    populations = walk_populations(p, disorder, 1, 30).populations
+    assert np.array_equal(populations, np.abs(states) ** 2)
+    series = magnetization_series(p, disorder, 1, 30)
+    assert np.array_equal(series.values, (populations @ magnetization_weights(n_sites))[1:])
+
+
+# traced allocations of a walk beyond its (n+1, D) populations, in complex
+# D-vectors: the state, the factors and gate temporaries, not a complex
+# (n+1, D) stack of states (401 vectors here)
+WALK_EXTRA_VECTORS = 64
+
+
+def test_walk_keeps_populations_only():
+    p = default_params(8, 0.5)
+    disorder = sample_disorder(p, 6)
+    walk_populations(p, disorder, 0, 2)  # caches and first-call set-up
+    tracemalloc.start()
+    try:
+        populations = walk_populations(p, disorder, 0, 400).populations
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert populations.shape == (401, p.dim)
+    assert peak < populations.nbytes + WALK_EXTRA_VECTORS * p.dim * 16
+
+
 def test_corrupted_factor_trips_the_norm_check(corrupt_factors):
     p = default_params(6, 0.5)
     disorder = sample_disorder(p, 3)
@@ -261,7 +295,8 @@ def test_corrupted_factor_trips_the_norm_check(corrupt_factors):
 def test_factor_evolution_matches_dense_propagator():
     p = default_params(8, 0.5)
     disorder = sample_disorder(p, 21)
-    dense = evolve_stroboscopic(fast_floquet_operator(p, disorder), basis_state(8, 5), 40)
+    f = fast_floquet_operator(floquet_factors(p, disorder))
+    dense = evolve_stroboscopic(f, basis_state(8, 5), 40)
     assert np.allclose(walk_populations(p, disorder, 5, 40).populations, np.abs(dense) ** 2,
                        rtol=0, atol=1e-12)
 
@@ -276,7 +311,7 @@ def test_dft_values_columns_match_single_series():
 
 def dense_power_spectra(params, disorder, n_periods):
     """The all-configuration spectra from powers of dense F, the oracle of the factor route."""
-    f = fast_floquet_operator(params, disorder)
+    f = fast_floquet_operator(floquet_factors(params, disorder))
     weights = magnetization_weights(params.n_sites)
     states = np.eye(params.dim, dtype=complex)
     magnetizations = np.empty((n_periods, params.dim))

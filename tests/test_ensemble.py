@@ -16,7 +16,7 @@ from dtcmorph.ensemble import (
     run_sweep,
 )
 from dtcmorph.errors import ConfigError
-from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator
+from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
 
 
@@ -80,7 +80,8 @@ def test_degenerate_sweep_matches_direct_pipeline():
     params = default_params(4, 0.4)
     seed = derive_seed(101, 0, 0)
     disorder = sample_disorder(params, seed)
-    direct = diagonalize_floquet(fast_floquet_operator(params, disorder), params.period)
+    f = fast_floquet_operator(floquet_factors(params, disorder))
+    direct = diagonalize_floquet(f, params.period)
     assert record.seed == seed
     assert np.array_equal(record.quasienergies, direct.quasienergies)
     assert np.array_equal(
@@ -162,7 +163,7 @@ def test_worker_count_sources():
 
 def test_cell_failure_recorded_not_raised(monkeypatch):
     calls = {"n": 0}
-    real = ensemble.fast_floquet_operator
+    real = ensemble.floquet_factors
 
     def flaky(params, disorder):
         calls["n"] += 1
@@ -170,7 +171,7 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
             raise RuntimeError("injected failure")
         return real(params, disorder)
 
-    monkeypatch.setattr(ensemble, "fast_floquet_operator", flaky)
+    monkeypatch.setattr(ensemble, "floquet_factors", flaky)
     result = run_sweep(small_plan(lambdas=(0.2,), realizations=3), workers=1)
     errors = [r.error for r in result.records]
     assert errors.count(None) == 2
@@ -183,7 +184,7 @@ def test_cells_without_fractal_solve_for_values_only():
     plan = small_plan(states=False)
     for record in run_sweep(plan, workers=2).records:
         params = plan.params(record.lam)
-        f = fast_floquet_operator(params, sample_disorder(params, record.seed))
+        f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, record.seed)))
         values = diagonalize_floquet(f, params.period, vectors=False)
         assert not record.eigensolver_fallback
         assert np.array_equal(record.quasienergies, values.quasienergies)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,46 @@ def test_write_csv_array_cells_match_format_value(tmp_path):
     assert "-0.0,1e-300,5e-324" in expected[1]
 
 
+# traced allocations while a 200 x 2048 table (8 MB of text) streams out:
+# one row is ~0.4 MB of Python objects, the whole payload 8 MB
+STREAM_PEAK_BOUND = 2_000_000
+
+
+def test_write_csv_streams_a_generator_one_row_at_a_time(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = ((i, rng.standard_normal(2048)) for i in range(200))
+    tracemalloc.start()
+    try:
+        emitted = write_csv(tmp_path, "big.csv", ("i", *(f"x{j}" for j in range(2048))), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = (tmp_path / "big.csv").read_bytes()
+    assert len(payload) > 3 * STREAM_PEAK_BOUND
+    assert peak < STREAM_PEAK_BOUND
+    assert emitted.rows == 200
+    assert emitted.sha256 == hashlib.sha256(payload).hexdigest()
+
+
+def _late_failure(bad_row):
+    for i in range(200):
+        yield bad_row if i == 150 else (0.5, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "bad_row,error,message",
+    [
+        ((float("nan"), np.ones(3)), ValidationError, r"non-finite value in output \(late.csv\)"),
+        ((0.5, np.array([1.0, np.inf, 0.0])), ValidationError, r"\(late.csv\)"),
+        ((0.5, "x", object()), TypeError, None),
+    ],
+)
+def test_write_csv_deletes_a_table_that_fails_part_way(tmp_path, bad_row, error, message):
+    with pytest.raises(error, match=message):
+        write_csv(tmp_path, "late.csv", ("a", "b", "c", "d"), _late_failure(bad_row))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_rejects_nan_in_an_array_cell(tmp_path):
     with pytest.raises(ValidationError, match=r"non-finite value in output \(bad.csv\)"):
         write_csv(tmp_path, "bad.csv", ("a", "b"), [(0.5, np.array([1.0, np.nan]))])
@@ -143,7 +184,7 @@ def test_write_csv_rejects_nan_in_an_array_cell(tmp_path):
 
 def test_manifest_contents(tmp_path):
     cfg = RunConfig(n_sites=4, lambdas=(0.5,), realizations=1, periods=8)
-    emitted = write_csv(tmp_path, "data.csv", ("x",), [(1.0,)])
+    emitted = write_csv(tmp_path, "data.csv", ("x",), ((0.1 * i,) for i in range(1000)))
     path = write_manifest(
         tmp_path,
         "spectrum",
@@ -160,6 +201,8 @@ def test_manifest_contents(tmp_path):
     assert manifest["units"] == {"hbar": 1.0, "default_period": 1.0}
     assert manifest["config"]["n_sites"] == 4
     assert manifest["files"][0]["sha256"] == emitted.sha256
+    # the digest hashed while streaming is the digest of the bytes on disk
+    assert emitted.sha256 == hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()
     assert manifest["cell_seeds"][0]["seed"] == 42
     assert manifest["workers"] == 2
     assert manifest["note"] == "test"

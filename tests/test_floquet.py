@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_floquet_operator_unitary():
 def test_four_period_return_at_lambda_zero():
     p = default_params(8, lam=0.0)
     disorder = sample_disorder(p, 77)
-    f = fast_floquet_operator(p, disorder)
+    f = fast_floquet_operator(floquet_factors(p, disorder))
     psi = basis_state(8, 0)
     for _ in range(4):
         psi = f @ psi
@@ -122,7 +123,7 @@ def test_fast_path_matches_dense_oracle(n_sites):
         for seed in range(5):
             disorder = sample_disorder(p, seed)
             dense = floquet_operator(p, disorder)
-            fast = fast_floquet_operator(p, disorder)
+            fast = fast_floquet_operator(floquet_factors(p, disorder))
             assert np.max(np.abs(dense - fast)) < 1e-10
 
 
@@ -140,7 +141,7 @@ def test_fast_path_never_exponentiates_dense_segments(monkeypatch):
 
     monkeypatch.setattr(floquet_module, "propagator", recording)
     p = default_params(6, 0.0)
-    fast_floquet_operator(p, sample_disorder(p, 0))
+    fast_floquet_operator(floquet_factors(p, sample_disorder(p, 0)))
     assert shapes and max(shapes) == 4
 
 
@@ -207,7 +208,7 @@ def test_diagonalize_rejects_non_unitary():
 def test_spectral_round_trip(lam, seed):
     p = default_params(6, lam)
     disorder = sample_disorder(p, seed)
-    f = fast_floquet_operator(p, disorder)
+    f = fast_floquet_operator(floquet_factors(p, disorder))
     res = diagonalize_floquet(f, p.period)
     dim = p.dim
     assert len(res.quasienergies) == dim
@@ -242,7 +243,7 @@ def folded(eigvals, period):
 def test_values_only_matches_schur_and_eig(n_sites, lam):
     p = default_params(n_sites, lam)
     for seed in range(10):
-        f = fast_floquet_operator(p, sample_disorder(p, seed))
+        f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
         values = diagonalize_floquet(f, p.period, vectors=False)
         assert values.states is None and not values.fallback
         schur = diagonalize_floquet(f, p.period)
@@ -280,7 +281,7 @@ def coupling_params(draw):
 def test_coupling_space_matches_dense_oracle(p, seed):
     disorder = sample_disorder(p, seed)
     dense = floquet_operator(p, disorder)
-    assert np.max(np.abs(fast_floquet_operator(p, disorder) - dense)) < 1e-10
+    assert np.max(np.abs(fast_floquet_operator(floquet_factors(p, disorder)) - dense)) < 1e-10
     factors = floquet_factors(p, disorder)
     mat = np.eye(p.dim, dtype=complex)
     apply_floquet(factors, mat)
@@ -295,7 +296,7 @@ def test_coupling_space_matches_dense_oracle(p, seed):
     eps = diagonalize_floquet(dense, p.period).quasienergies
     assert np.max(np.abs(eps - eig)) < VALUES_ONLY_TOL
     # wherever F is monomial, the closed form must match the dense oracle too
-    closed = endpoint_spectrum(p, disorder)
+    closed = endpoint_spectrum(floquet_factors(p, disorder), p.period)
     if closed is not None:
         assert np.max(np.abs(closed.quasienergies - eig)) < VALUES_ONLY_TOL
         assert np.max(np.abs(dense @ closed.states - closed.states * closed.eigenvalues)) < 1e-12
@@ -306,7 +307,7 @@ def test_coupling_space_matches_dense_oracle(p, seed):
 def test_values_only_keeps_degenerate_gap_counts(lam):
     # at the endpoints F is monomial and its clusters are exactly degenerate
     p = default_params(8, lam)
-    f = fast_floquet_operator(p, sample_disorder(p, 5))
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5)))
     schur = gap_ratios(diagonalize_floquet(f, p.period).quasienergies)
     values = gap_ratios(diagonalize_floquet(f, p.period, vectors=False).quasienergies)
     assert schur.single_degenerate > 0
@@ -394,7 +395,7 @@ def assert_same_cluster_projectors(eps, states, ref_eps, ref_states, period):
 def test_vectors_route_matches_schur_and_eig(n_sites, lam):
     p = default_params(n_sites, lam)
     for seed in range(10):
-        f = fast_floquet_operator(p, sample_disorder(p, seed))
+        f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
         res = diagonalize_floquet(f, p.period)
         assert not res.fallback
         eps, vecs = schur_reference(f, p.period)
@@ -423,7 +424,7 @@ def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
     p = default_params(n_sites, lam)
     for seed in range(1 if n_sites == 10 else 5):
         disorder = sample_disorder(p, seed)
-        res = endpoint_spectrum(p, disorder)
+        res = endpoint_spectrum(floquet_factors(p, disorder), p.period)
         assert res is not None and not res.fallback
         dense = floquet_operator(p, disorder)
         eps, vecs = schur_reference(dense, p.period)
@@ -440,13 +441,13 @@ def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
         eig_eps = unsorted_folded(eig_values, p.period)
         h_eig = np.linalg.solve(eig_vecs.T, (eig_vecs * eig_eps).T).T  # V diag(eps) V^-1
         assert np.max(np.abs(h_eff - h_eig)) <= HEFF_RTOL * scale
-        cayley = diagonalize_floquet(fast_floquet_operator(p, disorder), p.period)
+        cayley = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, disorder)), p.period)
         ours, theirs = gap_ratios(res.quasienergies), gap_ratios(cayley.quasienergies)
         assert (ours.double_degenerate, ours.single_degenerate) == (
             theirs.double_degenerate,
             theirs.single_degenerate,
         )
-        values = endpoint_spectrum(p, disorder, vectors=False)
+        values = endpoint_spectrum(floquet_factors(p, disorder), p.period, vectors=False)
         assert values.states is None
         assert np.array_equal(values.quasienergies, res.quasienergies)
 
@@ -470,8 +471,9 @@ def detuned(p, **products):
     ],
 )
 def test_endpoint_spectrum_refuses_a_non_monomial_propagator(p):
-    assert endpoint_spectrum(p, sample_disorder(p, 1)) is None
-    assert endpoint_spectrum(p, sample_disorder(p, 1), vectors=False) is None
+    factors = floquet_factors(p, sample_disorder(p, 1))
+    assert endpoint_spectrum(factors, p.period) is None
+    assert endpoint_spectrum(factors, p.period, vectors=False) is None
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6])
@@ -480,7 +482,7 @@ def test_endpoint_spectrum_with_cycles_of_several_lengths(n_sites):
     # configurations with every dimer uu or dd are fixed, the rest pair up
     p = detuned(default_params(n_sites, 0.0), g_t1=np.pi)
     disorder = sample_disorder(p, 3)
-    res = endpoint_spectrum(p, disorder)
+    res = endpoint_spectrum(floquet_factors(p, disorder), p.period)
     fixed = 2 ** (n_sites // 2)
     cycle_lengths = np.repeat([1.0, 2.0], [fixed, p.dim - fixed])
     dims = np.sort(state_fractal_dimensions(res))
@@ -501,17 +503,12 @@ def test_endpoint_spectrum_with_cycles_of_several_lengths(n_sites):
         ("u3", lambda gates: (np.full((4, 4), np.nan),) + gates[1:]),
     ],
 )
-def test_endpoint_spectrum_refuses_corrupt_factors(monkeypatch, part, corrupt):
-    real = floquet_module.floquet_factors
-
-    def corrupted(params, disorder):
-        factors = real(params, disorder)
-        return dataclasses.replace(factors, **{part: corrupt(getattr(factors, part))})
-
-    monkeypatch.setattr(floquet_module, "floquet_factors", corrupted)
+def test_endpoint_spectrum_refuses_corrupt_factors(part, corrupt):
     for lam in (0.0, 1.0):
         p = default_params(4, lam)
-        assert endpoint_spectrum(p, sample_disorder(p, 2)) is None
+        factors = floquet_factors(p, sample_disorder(p, 2))
+        factors = dataclasses.replace(factors, **{part: corrupt(getattr(factors, part))})
+        assert endpoint_spectrum(factors, p.period) is None
 
 
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
@@ -537,7 +534,7 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
         return values, basis
 
     p = default_params(4, 0.5)
-    f = fast_floquet_operator(p, sample_disorder(p, 3))
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
     clean = diagonalize_floquet(f, p.period)
     monkeypatch.setattr(floquet_module.scipy.linalg, "eigh", corrupted_eigh)
     res = diagonalize_floquet(f, p.period)
@@ -550,7 +547,7 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])
 def test_state_consumers_reject_values_only_results(consumer):
     p = default_params(4, 0.5)
-    f = fast_floquet_operator(p, sample_disorder(p, 0))
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 0)))
     with pytest.raises(ValueError, match="quasienergies only; diagonalize with vectors=True"):
         consumer(diagonalize_floquet(f, p.period, vectors=False))
 
@@ -563,10 +560,49 @@ def test_effective_hamiltonian_identity():
 def test_effective_hamiltonian_reconstructs_floquet():
     p = default_params(6, lam=0.43)
     disorder = sample_disorder(p, 21)
-    f = fast_floquet_operator(p, disorder)
+    f = fast_floquet_operator(floquet_factors(p, disorder))
     res = diagonalize_floquet(f, p.period)
     h_eff = effective_hamiltonian(res)
     assert np.max(np.abs(propagator(h_eff, p.period) - f)) < 1e-8
+
+
+# blockwise H_eff against the one-shot formula, relative to its largest entry
+HEFF_BLOCK_TOL = 1e-12
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3, 16])
+def test_effective_hamiltonian_blocks_match_the_one_shot_formula(monkeypatch, block_rows):
+    # 3 rows of 64 leave a short last block
+    p = default_params(6, lam=0.43)
+    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 8))),
+                              p.period)
+    h = (res.states * res.quasienergies) @ res.states.conj().T
+    expected = 0.5 * (h + h.conj().T)
+    if block_rows is not None:
+        monkeypatch.setattr(floquet_module, "HEFF_BLOCK_ROWS", block_rows)
+    h_eff = effective_hamiltonian(res)
+    assert np.array_equal(h_eff, h_eff.conj().T)
+    assert np.max(np.abs(h_eff - expected)) <= HEFF_BLOCK_TOL * np.max(np.abs(expected))
+
+
+# traced allocations of effective_hamiltonian beyond its D x D result, in
+# units of one block of rows: a copy of V^H or of V diag(eps) would be D x D
+# (16 blocks at D = 256 with 16-row blocks)
+HEFF_EXTRA_BLOCKS = 8
+
+
+def test_effective_hamiltonian_allocates_blocks_beside_its_result(monkeypatch):
+    p = default_params(8, lam=0.5)
+    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
+                              p.period)
+    monkeypatch.setattr(floquet_module, "HEFF_BLOCK_ROWS", 16)
+    tracemalloc.start()
+    try:
+        h_eff = effective_hamiltonian(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h_eff.nbytes + HEFF_EXTRA_BLOCKS * 16 * p.dim * 16
 
 
 def test_effective_hamiltonian_sparsity_contrast():
@@ -577,7 +613,7 @@ def test_effective_hamiltonian_sparsity_contrast():
     for lam in (0.0, 0.5):
         p = default_params(8, lam)
         disorder = sample_disorder(p, disorder_seed)
-        res = diagonalize_floquet(fast_floquet_operator(p, disorder), p.period)
+        res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, disorder)), p.period)
         fractions[lam] = sparsity_fraction(effective_hamiltonian(res))
     assert fractions[0.0] < fractions[0.5]
     assert fractions[0.0] < 0.05
@@ -604,13 +640,13 @@ def test_quasienergy_clustering_regression():
     tol = 0.1 * np.pi
     for seed in (0, 1):
         d0 = sample_disorder(p0, seed)
-        r0 = diagonalize_floquet(fast_floquet_operator(p0, d0), p0.period)
+        r0 = diagonalize_floquet(fast_floquet_operator(floquet_factors(p0, d0)), p0.period)
         frac0 = cluster_fraction(
             r0.quasienergies, [0, np.pi / 2, -np.pi / 2, np.pi], p0.period, tol
         )
         assert frac0 == pytest.approx(0.8750, abs=1e-9)
         d1 = sample_disorder(p1, seed)
-        r1 = diagonalize_floquet(fast_floquet_operator(p1, d1), p1.period)
+        r1 = diagonalize_floquet(fast_floquet_operator(floquet_factors(p1, d1)), p1.period)
         frac1 = cluster_fraction(r1.quasienergies, [0, np.pi], p1.period, tol)
         assert frac1 == pytest.approx(0.578125, abs=1e-9)
 
@@ -627,14 +663,15 @@ def test_closed_form_explains_criterion_4():
     fractions = {}
     for lam, centers in ((0.0, [0, np.pi / 2, -np.pi / 2, np.pi]), (1.0, [0, np.pi])):
         p = dataclasses.replace(default_params(8, lam), j0=0.0)
-        closed = endpoint_spectrum(p, sample_disorder(p, 0), vectors=False).quasienergies
+        factors = floquet_factors(p, sample_disorder(p, 0))
+        closed = endpoint_spectrum(factors, p.period, vectors=False).quasienergies
         assert cluster_fraction(closed, centers, p.period, 1e-12) == 1.0
         p = default_params(8, lam)
         per_seed = []
         for seed in range(20):
-            disorder = sample_disorder(p, seed)
-            closed = endpoint_spectrum(p, disorder, vectors=False).quasienergies
-            cayley = diagonalize_floquet(fast_floquet_operator(p, disorder), p.period).quasienergies
+            factors = floquet_factors(p, sample_disorder(p, seed))
+            closed = endpoint_spectrum(factors, p.period, vectors=False).quasienergies
+            cayley = diagonalize_floquet(fast_floquet_operator(factors), p.period).quasienergies
             frac = cluster_fraction(closed, centers, p.period, tol)
             assert frac == cluster_fraction(cayley, centers, p.period, tol)
             per_seed.append(frac)
