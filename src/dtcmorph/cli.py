@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lapack
 from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, reference_density
 from .dynamics import fidelity_map, power_spectrum, walk_populations, walk_support
 from .ensemble import (
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
         # digits of its CSVs do not depend on the BLAS thread count
         with staged_output(out_dir) as staging, one_blas_thread() as blas_threads:
             files, fields = _HANDLERS[args.command](cfg, staging)
-            fields = {**fields, "blas_threads_per_cell": blas_threads}
+            fields = {**fields, "blas_threads_per_cell": blas_threads, "lapack": lapack.library()}
             write_manifest(staging, args.command, cfg, files, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

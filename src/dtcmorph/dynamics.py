@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
 from .errors import UndefinedFidelityError
 from .floquet import FloquetFactors, apply_floquet, floquet_factors, stripped_floquet_powers
@@ -118,7 +119,7 @@ def _dft_values(values: np.ndarray) -> np.ndarray:
     # transforms along axis 0, so the columns of a 2-D array are separate series
     n = len(values)
     twist = np.exp(-2j * np.pi * np.arange(n) / n)
-    return twist.reshape((n,) + (1,) * (values.ndim - 1)) * np.fft.fft(values, axis=0) / n
+    return twist.reshape((n,) + (1,) * (values.ndim - 1)) * fft(values, axis=0) / n
 
 
 def dft(series: TimeSeries) -> np.ndarray:

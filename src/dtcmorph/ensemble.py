@@ -153,7 +153,8 @@ def worker_count(requested: int | None = None) -> int:
 def _openblas_thread_setters() -> list:
     """`openblas_set_num_threads_local` of each OpenBLAS this process has loaded.
 
-    numpy and scipy each bundle their own copy. The loaded ones are read from
+    The package loads only the copy numpy links, whose LAPACK `lapack` calls;
+    a scipy imported beside it brings its own. The loaded ones are read from
     /proc/self/maps; where that does not exist, the list is empty.
     """
     try:
@@ -178,9 +179,10 @@ def one_blas_thread():
     """Limit every loaded OpenBLAS to one thread, restoring the old counts on exit.
 
     Yields 1, or None when no OpenBLAS was found (then nothing changes). The
-    numpy and scipy builds keep one process-wide count, which even the
-    "_local" setter changes, so the limit is set once around a whole command
-    or sweep by the calling thread, never per cell by pool workers. Nested
+    limit covers numpy's own OpenBLAS, and with it every `lapack` call. These
+    builds keep one process-wide count, which even the "_local" setter
+    changes, so the limit is set once around a whole command or sweep by
+    the calling thread, never per cell by pool workers. Nested
     scopes are harmless: the inner one restores the outer one's count.
     """
     setters = _openblas_thread_setters()

@@ -22,9 +22,10 @@ a permutation times phases (at lam = 0 and 1 with the default couplings),
 and `endpoint_spectrum` reads quasienergies and Floquet states off F's
 permutation cycles in closed form, with no dense F and no eigensolve.
 Everywhere else `diagonalize_floquet` diagonalizes the Hermitian Cayley
-transform of dense F, for quasienergies alone (`eigvalsh`) and for Floquet
-states (`eigh` plus Rayleigh quotients) alike; a complex Schur decomposition
-is the one fallback where the transform or its gates refuse. Callers build
+transform of dense F, for quasienergies alone and for Floquet states (plus
+Rayleigh quotients) alike; a complex Schur decomposition is the one fallback
+where the transform or its gates refuse. The inverse, the eigensolve and
+Schur call LAPACK in the OpenBLAS that numpy links (`lapack`). Callers build
 `floquet_factors` once per cell, try the closed form on it first and build
 dense F from the same factors only where that refuses.
 """
@@ -35,10 +36,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
-from . import backend
+from . import backend, lapack
 from .errors import ValidationError
 from .hamiltonians import (
     DisorderRealization,
@@ -67,6 +66,8 @@ ORTHONORMALITY_TOL = 1e-10
 MONOMIAL_TOL = 1e-14
 # rows per block of the effective Hamiltonian's product and symmetrization
 HEFF_BLOCK_ROWS = 256
+# columns per block when the dominant configuration of each state is found
+STATE_BLOCK_COLS = 256
 
 
 @dataclass
@@ -231,18 +232,14 @@ def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
 
     H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, shares F's
     eigenvectors, and each eigenvalue e^{i*theta} of F becomes
-    h = -cot(theta/2). H is symmetrized before `eigh`/`eigvalsh`, which read
+    h = -cot(theta/2). H is symmetrized before `lapack.eigh`, which reads
     one triangle only. Refused (None): 1-F singular, or H non-finite or
     further from Hermitian than CAYLEY_HERMITICITY_TOL.
     """
     d = f.shape[0]
     h = np.negative(np.asarray(f, dtype=complex), order="F")
     h.flat[:: d + 1] += 1.0  # 1 - F, in place from here on
-    lu, piv, info = lapack.zgetrf(h, overwrite_a=True)
-    if info != 0:
-        return None
-    h, info = lapack.zgetri(lu, piv, lwork=64 * d, overwrite_lu=True)
-    if info != 0:
+    if not lapack.invert(h):
         return None
     h *= 2j
     h.flat[:: d + 1] -= 1j
@@ -262,13 +259,13 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     Quasienergies are -arg(eigenvalue)/period folded onto the principal
     branch (-pi/period, pi/period]. F is diagonalized through its Hermitian
     Cayley transform H (`_cayley_hermitian`). With `vectors=False` only the
-    sorted quasienergies are computed, from `eigvalsh(H)`. With states,
-    `eigh(H)` gives an orthonormal basis V, also inside exactly degenerate
-    clusters, and each eigenphase is the argument of the Rayleigh quotient
-    v^H F v; the call is gated on the eigen-residual max|FV - V Lambda| and
-    the orthonormality max|V^H V - 1|. Where the transform or a gate refuses,
-    a complex Schur decomposition computes the result instead and marks it
-    `fallback`.
+    sorted quasienergies are computed, from the eigenvalues of H. With
+    states, its eigenvectors give an orthonormal basis V, also inside exactly
+    degenerate clusters, and each eigenphase is the argument of the Rayleigh
+    quotient v^H F v; the call is gated on the eigen-residual
+    max|FV - V Lambda| and the orthonormality max|V^H V - 1|. Where the
+    transform or a gate refuses, a complex Schur decomposition computes the
+    result instead and marks it `fallback`.
     """
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
@@ -278,11 +275,12 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     herm = _cayley_hermitian(f)
     angles = states = None
     if herm is not None and not vectors:
-        values = scipy.linalg.eigvalsh(herm, overwrite_a=True, check_finite=False)
+        values = lapack.eigh(herm, vectors=False)
         angles = 2.0 * np.arctan2(1.0, -0.5 * values)
     elif herm is not None:
         # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
-        _, basis = scipy.linalg.eigh(herm, overwrite_a=True, check_finite=False, driver="evd")
+        lapack.eigh(herm, vectors=True)
+        basis = herm  # overwritten by the eigenvectors
         fv = f @ basis
         quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
         fv -= basis * quotients
@@ -292,7 +290,7 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
             angles, states = np.angle(quotients), basis
     fallback = angles is None
     if fallback:
-        upper, states = scipy.linalg.schur(np.asarray(f, dtype=complex), output="complex")
+        upper, states = lapack.schur(f)
         angles = np.angle(np.diag(upper))
     return _ordered_result(angles, states if vectors else None, period, fallback)
 
@@ -301,21 +299,44 @@ def _ordered_result(angles, states, period: float, fallback: bool = False) -> Fl
     """Quasienergies -angles/period on the principal branch, ascending.
 
     With `states` (eigenvectors as columns, matching `angles`), ties are
-    broken by the index of each state's dominant configuration.
+    broken by the index of each state's dominant configuration, and the
+    columns are reordered in place: beside `states` only blocks of
+    STATE_BLOCK_COLS columns and one column of scratch are allocated.
     """
     eps = -angles / period
     edge = np.pi / period
     eps = np.where(eps <= -edge, eps + 2.0 * edge, eps)
     if states is None:
         return FloquetResult(np.sort(eps), None, period, fallback=fallback)
-    dominant = np.argmax(np.abs(states), axis=0)
+    dominant = np.concatenate([
+        np.argmax(np.abs(states[:, lo:lo + STATE_BLOCK_COLS]), axis=0)
+        for lo in range(0, states.shape[1], STATE_BLOCK_COLS)
+    ])
     order = np.lexsort((dominant, eps))
+    _permute_columns(states, order.tolist())
     return FloquetResult(
         quasienergies=eps[order],
-        states=states[:, order],
+        states=states,
         period=period,
         fallback=fallback,
     )
+
+
+def _permute_columns(mat: np.ndarray, order: list) -> None:
+    """Replace mat by mat[:, order] in place, one permutation cycle at a time."""
+    scratch = np.empty(len(mat), dtype=mat.dtype)
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        scratch[:] = mat[:, start]
+        col = start
+        while order[col] != start:
+            mat[:, col] = mat[:, order[col]]
+            done[col] = True
+            col = order[col]
+        mat[:, col] = scratch
+        done[col] = True
 
 
 def _monomial(gate: np.ndarray):
@@ -377,7 +398,7 @@ def _cycles(sigma: np.ndarray):
         image = sigma[image]
         step += 1
     leaders = np.flatnonzero(leader == configs)
-    for size in np.unique(length[leaders]):
+    for size in sorted(set(length[leaders].tolist())):  # np.unique would import numpy.ma
         walk = [leaders[length[leaders] == size]]
         for _ in range(size - 1):
             walk.append(sigma[walk[-1]])
@@ -406,7 +427,9 @@ def endpoint_spectrum(
         return None
     sigma, phi = action
     dim = len(sigma)
-    states = np.zeros((dim, dim), dtype=complex) if vectors else None
+    # Fortran order, like the states of the LAPACK routes, so that H_eff's
+    # products see one layout whichever route computed the states
+    states = np.zeros((dim, dim), dtype=complex, order="F") if vectors else None
     angles = []
     for cycles in _cycles(sigma):
         n, size = cycles.shape

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded with the package, not on the first draw
 
 from .spins import dimension, sign_table
 
@@ -102,7 +103,7 @@ def sample_disorder(params: ModelParams, seed: int) -> DisorderRealization:
 
     Deterministic function of (seed, n_sites, w).
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     return DisorderRealization(w=rng.uniform(0.0, params.w, params.n_sites), seed=seed)
 
 

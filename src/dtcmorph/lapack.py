@@ -1,0 +1,160 @@
+"""The five LAPACK and BLAS routines the package needs, from numpy's own OpenBLAS.
+
+Every numpy wheel links numpy.linalg against an ILP64 OpenBLAS that carries
+LAPACK, with symbols `scipy_<name>_64_` (numpy >= 2) or `<name>_64_` (numpy
+1.x). `ctypes.CDLL` on numpy's `_umath_linalg` extension resolves them
+through the extension's own dependencies, so no library file is searched for
+and no second BLAS is loaded. Integers are 64-bit; every matrix is a
+Fortran-ordered complex128 array that the routine overwrites in place.
+Where a symbol is missing, importing this module raises ImportError.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+import numpy as np
+
+_INT = ctypes.c_int64
+# pointer arguments of each routine (INFO included), then the hidden lengths
+# of its CHARACTER arguments, which gfortran passes by value at the end
+_SIGNATURES = {
+    "zgetrf": (6, 0),
+    "zgetri": (7, 0),
+    "zheevd": (13, 2),
+    "zgees": (15, 2),
+    "zherk": (10, 2),
+}
+# zgetri's workspace in columns: the block size of LAPACK's ILAENV
+GETRI_BLOCK = 64
+
+
+def _bind() -> dict:
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    routines, missing = {}, []
+    for name, (pointers, lengths) in _SIGNATURES.items():
+        symbols = (f"scipy_{name}_64_", f"{name}_64_")
+        routine = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+        if routine is None:
+            missing.append(" or ".join(symbols))
+            continue
+        routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+        routine.restype = None
+        routines[name] = routine
+    if missing:
+        raise ImportError(
+            "numpy.linalg links no ILP64 OpenBLAS LAPACK; missing " + ", ".join(missing)
+        )
+    return routines
+
+
+_ROUTINES = _bind()
+
+
+def library() -> str:
+    """Name and version of the LAPACK numpy.linalg links, e.g. 'scipy-openblas 0.3.31.188.0'."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        return f"{lapack['name']} {lapack['version']}"
+    except (AttributeError, KeyError, TypeError):  # numpy < 1.26 has no dict mode
+        return "unknown"
+
+
+def _ref(value: int):
+    return ctypes.byref(_INT(value))
+
+
+def _call(name: str, *args) -> int:
+    """Call a routine with INFO appended; return INFO, ValueError for an illegal argument."""
+    info = _INT()
+    _ROUTINES[name](*args, ctypes.byref(info), *[1] * _SIGNATURES[name][1])
+    if info.value < 0:
+        raise ValueError(f"{name}: argument {-info.value} has an illegal value")
+    return info.value
+
+
+def _with_workspaces(name: str, head: tuple, dtypes: tuple, tail: tuple = ()) -> int:
+    """Call a driver whose arguments are head, (work, lwork) per dtype, tail.
+
+    A workspace query (every lwork -1) sizes the workspaces first, as scipy
+    does, so LAPACK blocks the work the same way.
+    """
+    sizes = [np.empty(1, dtype=dtype) for dtype in dtypes]
+    _call(name, *head, *[x for s in sizes for x in (s.ctypes.data, _ref(-1))], *tail)
+    work = [np.empty(max(1, int(s[0].real)), dtype=s.dtype) for s in sizes]
+    return _call(name, *head, *[x for w in work for x in (w.ctypes.data, _ref(len(w)))], *tail)
+
+
+def _order(a: np.ndarray) -> int:
+    """Order of `a`, checked to be a writeable square Fortran-ordered complex128 array."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.complex128 and a.ndim == 2
+            and a.shape[0] == a.shape[1] >= 1 and a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("expected a writeable square Fortran-ordered complex128 array")
+    return a.shape[0]
+
+
+def invert(a: np.ndarray) -> bool:
+    """Replace `a` by its inverse, from its LU factors (zgetrf, zgetri).
+
+    False where `a` is exactly singular; its content is then undefined.
+    """
+    n = _order(a)
+    pivots = np.empty(n, dtype=np.int64)
+    if _call("zgetrf", _ref(n), _ref(n), a.ctypes.data, _ref(n), pivots.ctypes.data):
+        return False
+    work = np.empty(GETRI_BLOCK * n, dtype=np.complex128)
+    info = _call("zgetri", _ref(n), a.ctypes.data, _ref(n), pivots.ctypes.data,
+                 work.ctypes.data, _ref(len(work)))
+    return info == 0
+
+
+def eigh(a: np.ndarray, vectors: bool) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian `a`, read from its lower triangle (zheevd).
+
+    With `vectors`, `a` is overwritten by orthonormal eigenvectors as columns
+    in the order of the eigenvalues; otherwise its content is destroyed.
+    LinAlgError where the solver does not converge.
+    """
+    n = _order(a)
+    values = np.empty(n)
+    head = (b"V" if vectors else b"N", b"L", _ref(n), a.ctypes.data, _ref(n), values.ctypes.data)
+    if _with_workspaces("zheevd", head, (np.complex128, np.float64, np.int64)):
+        raise np.linalg.LinAlgError("zheevd did not converge")
+    return values
+
+
+def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z) of a square `a` = Z T Z^H, unsorted (zgees).
+
+    T is upper-triangular and Z unitary; `a` itself is left as it is.
+    LinAlgError where the QR iteration fails.
+    """
+    t = np.array(a, dtype=np.complex128, order="F")
+    n = _order(t)
+    z = np.empty_like(t)
+    values, rwork = np.empty(n, dtype=np.complex128), np.empty(n)
+    head = (b"V", b"N", None, _ref(n), t.ctypes.data, _ref(n), _ref(0), values.ctypes.data,
+            z.ctypes.data, _ref(n))
+    if _with_workspaces("zgees", head, (np.complex128,), (rwork.ctypes.data, None)):
+        raise np.linalg.LinAlgError("zgees found no Schur form")
+    return t, z
+
+
+def gram_upper(m: np.ndarray) -> np.ndarray:
+    """The Gram matrix M^H M of the columns of `m` in its upper triangle, zeros below (zherk).
+
+    A C-ordered `m` goes in uncopied as M^T, and then the result is the
+    entrywise conjugate of M^H M, with equal moduli.
+    """
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
+    rows, cols = m.shape
+    if m.flags.c_contiguous:  # A A^H with A = M^T is conj(M^H M)
+        a, trans = np.asarray(m.T, dtype=np.complex128, order="F"), b"N"
+    else:
+        a, trans = np.asarray(m, dtype=np.complex128, order="F"), b"C"
+    gram = np.zeros((cols, cols), dtype=np.complex128, order="F")
+    one, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
+    _ROUTINES["zherk"](b"U", trans, _ref(cols), _ref(rows), one, a.ctypes.data,
+                       _ref(a.shape[0]), zero, gram.ctypes.data, _ref(cols), 1, 1)
+    return gram

@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import blas
 
+from . import lapack
 from .errors import ValidationError
 
 
@@ -87,9 +87,6 @@ def max_hermiticity_defect(mat: np.ndarray) -> float:
 
 def max_unitarity_defect(mat: np.ndarray) -> float:
     """Max-entry norm of (M^dagger M - I) for a square M; NaN if M holds one."""
-    # herk forms the upper triangle of the Gram matrix only. It reads Fortran
-    # order, so a C-ordered M goes in uncopied as M^T, Gram matrix conj(M^H M).
-    c_order = mat.flags.c_contiguous
-    gram = blas.zherk(1.0, mat.T if c_order else mat, trans=0 if c_order else 2)
+    gram = lapack.gram_upper(mat)  # an upper triangle, or its conjugate: same moduli
     gram.flat[:: gram.shape[0] + 1] -= 1.0
     return float(np.abs(gram).max())

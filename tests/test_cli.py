@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
-from dtcmorph import ensemble, floquet
+from dtcmorph import ensemble, floquet, lapack
 from dtcmorph.dynamics import magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
 from dtcmorph.fileio import RunConfig
@@ -404,6 +404,7 @@ def test_manifest_lists_every_file(tmp_path, command):
         assert "closed_form_cells" not in manifest
     blas = 1 if ensemble._openblas_thread_setters() else None
     assert manifest["blas_threads_per_cell"] == blas
+    assert manifest["lapack"] == lapack.library() != "unknown"
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
     for entry in manifest["files"]:
@@ -555,3 +556,32 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     for name, runs in outputs.items():
         assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4, "walk": 4}[name]
         assert all(run == runs[0] for run in runs), name
+
+
+# Run in a fresh interpreter the way perfbench/child.py times a command: the
+# import and the parse are set-up, cli.main is the command's wall time.
+_IMPORT_PROBE = """
+import json, sys
+from dtcmorph import cli
+argv = sys.argv[1:]
+cli.resolve_config(cli.build_parser().parse_args(argv))
+scipy_at_setup = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = set(sys.modules)
+code = cli.main(argv)
+print(json.dumps({
+    "code": code,
+    "scipy": scipy_at_setup + sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy_added": sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"),
+}))
+"""
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS + SERIAL_COMMANDS)
+def test_commands_load_no_scipy_and_no_numpy_module_after_setup(tmp_path, command):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    args = [command, "--n-sites", "4", "--lambdas", "0,0.5", "--realizations", "2",
+            "--periods", "8", "--seed", "5", "--out", str(tmp_path / command)]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "scipy": [], "numpy_added": []}

@@ -511,6 +511,34 @@ def test_endpoint_spectrum_refuses_corrupt_factors(part, corrupt):
         assert endpoint_spectrum(factors, p.period) is None
 
 
+# traced peak of endpoint_spectrum with states, in D x D complex buffers: the
+# result is one, and ordering its columns may add blocks and one column only
+ENDPOINT_PEAK_BUFFERS = 1.25
+
+
+def test_endpoint_spectrum_orders_its_states_in_place():
+    p = default_params(10, 0.0)
+    factors = floquet_factors(p, sample_disorder(p, 4))
+    tracemalloc.start()
+    try:
+        res = endpoint_spectrum(factors, p.period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ENDPOINT_PEAK_BUFFERS * res.states.nbytes
+
+
+@pytest.mark.parametrize(
+    "order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 2, 0, 4, 3], [3, 0, 4, 1, 2]]
+)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_permute_columns_matches_fancy_indexing(order, layout):
+    mat = np.asarray(np.arange(25).reshape(5, 5) * (1 + 1j), order=layout)
+    expected = mat[:, order]
+    floquet_module._permute_columns(mat, order)
+    assert np.array_equal(mat, expected)
+
+
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
 def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
     res = diagonalize_floquet(f, 1.0)
@@ -521,22 +549,22 @@ def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
 
 @pytest.mark.parametrize("gate", ["residual", "orthonormality"])
 def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
-    real_eigh = scipy.linalg.eigh
+    real_eigh = floquet_module.lapack.eigh
 
-    def corrupted_eigh(a, **kwargs):
-        values, basis = real_eigh(a, **kwargs)
+    def corrupted_eigh(a, vectors):
+        values = real_eigh(a, vectors)  # a now holds the eigenvectors
         if gate == "residual":
             # still orthonormal, but mixes eigenvectors of different eigenvalues
             c = np.sqrt(0.5)
-            basis[:, [0, -1]] = basis[:, [0, -1]] @ np.array([[c, -c], [c, c]])
+            a[:, [0, -1]] = a[:, [0, -1]] @ np.array([[c, -c], [c, c]])
         else:
-            basis[:, 1] = basis[:, 0]  # still eigenvectors, no longer orthonormal
-        return values, basis
+            a[:, 1] = a[:, 0]  # still eigenvectors, no longer orthonormal
+        return values
 
     p = default_params(4, 0.5)
     f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
     clean = diagonalize_floquet(f, p.period)
-    monkeypatch.setattr(floquet_module.scipy.linalg, "eigh", corrupted_eigh)
+    monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
     res = diagonalize_floquet(f, p.period)
     assert res.fallback and not clean.fallback
     assert np.max(np.abs(res.quasienergies - clean.quasienergies)) < VALUES_ONLY_TOL
