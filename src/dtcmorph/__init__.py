@@ -55,6 +55,7 @@ from .floquet import (
     fast_floquet_operator,
     floquet_factors,
     floquet_operator,
+    floquet_spectrum,
     propagator,
     sparsity_fraction,
 )

@@ -29,14 +29,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, ValidationError
 from .fileio import RunConfig, staged_output, write_csv, write_manifest
-from .floquet import (
-    diagonalize_floquet,
-    effective_hamiltonian,
-    endpoint_spectrum,
-    fast_floquet_operator,
-    floquet_factors,
-    sparsity_fraction,
-)
+from .floquet import effective_hamiltonian, floquet_factors, floquet_spectrum, sparsity_fraction
 from .hamiltonians import sample_disorder
 
 WALK_SUPPORT_THRESHOLD = 1e-3
@@ -132,11 +125,19 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _route_counts(routes: list) -> dict:
+    """Manifest counts of the spectral routes taken: Schur fallbacks and closed-form cells."""
+    return {
+        "eigensolver_fallbacks": routes.count("schur"),
+        "closed_form_cells": routes.count("closed_form"),
+    }
+
+
 def _sweep(cfg: RunConfig, states: bool) -> tuple[EnsembleResult, dict]:
     """Run the ensemble sweep; a lambda column with no surviving cell fails the run.
 
     Returns the result and its manifest fields: seed provenance, worker count,
-    eigensolver fallbacks and closed-form (endpoint) cells.
+    and the spectral routes of the surviving cells (`_route_counts`).
     """
     plan = SweepPlan(
         lambdas=cfg.lambdas,
@@ -165,8 +166,7 @@ def _sweep(cfg: RunConfig, states: bool) -> tuple[EnsembleResult, dict]:
     return result, {
         "cell_seeds": seeds,
         "workers": result.workers,
-        "eigensolver_fallbacks": sum(r.eigensolver_fallback for r in result.records),
-        "closed_form_cells": sum(r.closed_form for r in result.records),
+        **_route_counts([r.route for r in result.records]),
     }
 
 
@@ -355,38 +355,32 @@ def run_walk(cfg: RunConfig, out_dir: Path):
 
 
 def _heff_table(out_dir: Path, li: int, params, disorder):
-    """Write |H_eff| at one lambda; return (file, sparsity fraction, fallback, closed form).
+    """Write |H_eff| at one lambda; return (file, sparsity fraction, spectral route).
 
     The D x D states and H_eff live in this frame only, and the states are
     freed before the table is written, so no lambda holds more than two
     D x D buffers and none outlives its lambda.
     """
-    factors = floquet_factors(params, disorder)
-    result = endpoint_spectrum(factors, params.period)
-    closed_form = result is not None
-    if result is None:
-        result = diagonalize_floquet(fast_floquet_operator(factors), params.period)
-    fallback = result.fallback
+    result = floquet_spectrum(floquet_factors(params, disorder), params.period)
+    route = result.route
     h_eff = effective_hamiltonian(result)
     del result
     emitted = _write_config_table(
         out_dir, f"heff_{li:03d}.csv", "row_config", params.lam, params.dim, map(np.abs, h_eff)
     )
-    return emitted, sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD), fallback, closed_form
+    return emitted, sparsity_fraction(h_eff, HEFF_SPARSITY_THRESHOLD), route
 
 
 def run_heff(cfg: RunConfig, out_dir: Path):
     disorder, fields = _shared_disorder(cfg)
     files = []
     sparsity_rows = []
-    fallbacks = closed_form = 0
+    routes = []
     for li, lam in enumerate(cfg.lambdas):
-        params = cfg.params_for(lam)
-        emitted, sparsity, fallback, closed = _heff_table(out_dir, li, params, disorder)
+        emitted, sparsity, route = _heff_table(out_dir, li, cfg.params_for(lam), disorder)
         files.append(emitted)
         sparsity_rows.append((lam, disorder.seed, HEFF_SPARSITY_THRESHOLD, sparsity))
-        fallbacks += fallback
-        closed_form += closed
+        routes.append(route)
     files.append(
         write_csv(
             out_dir,
@@ -395,7 +389,7 @@ def run_heff(cfg: RunConfig, out_dir: Path):
             sparsity_rows,
         )
     )
-    return files, {**fields, "eigensolver_fallbacks": fallbacks, "closed_form_cells": closed_form}
+    return files, {**fields, **_route_counts(routes)}
 
 
 def run_full_sweep(cfg: RunConfig, out_dir: Path):

@@ -145,12 +145,18 @@ def spectrum_fidelity(v_ref, v) -> float | np.ndarray:
     b = _spectrum_values(v)
     if a.shape != b.shape:
         raise ValueError(f"spectrum lengths differ: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a, axis=0)
-    norm_b = np.linalg.norm(b, axis=0)
-    if np.any(norm_a == 0.0) or np.any(norm_b == 0.0):
+    fid, norms = _fidelities(a, b)
+    if np.any(norms == 0.0):
         raise UndefinedFidelityError("fidelity of a zero power spectrum is undefined")
-    fid = np.sqrt(np.clip(np.sum(a * b, axis=0) / (norm_a * norm_b), 0.0, 1.0))
     return float(fid) if fid.ndim == 0 else fid
+
+
+def _fidelities(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(fidelities, norm products) column by column; 0.0 where a norm is exactly 0."""
+    norms = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fid = np.sqrt(np.clip(np.sum(a * b, axis=0) / norms, 0.0, 1.0))
+    return np.where(norms == 0.0, 0.0, fid), norms
 
 
 @dataclass
@@ -161,8 +167,9 @@ class FidelityMaps:
     lam grid. One shared disorder realization is used across the whole grid.
     `undefined_4t`/`undefined_2t` flag the entries whose fidelity compares
     rounding noise (see UNDEFINED_FIDELITY_RTOL); their values are kept as
-    computed. `series` holds the magnetization series of one initial
-    configuration per column, taken from the same evolution.
+    computed, or 0.0 where a spectrum is exactly zero. `series` holds the
+    magnetization series of one initial configuration per column, taken from
+    the same evolution.
     """
 
     lambdas: np.ndarray
@@ -194,11 +201,6 @@ def _all_config_power_spectra(
     check_normalized(states)  # a ValidationError if any column drifted
     # a copy, so the (n, D) block is freed on return
     return np.abs(_dft_values(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
-
-
-def _undefined(ref: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(ref, axis=0) * np.linalg.norm(spectra, axis=0)
-    return norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
 
 
 def fidelity_map(
@@ -239,10 +241,9 @@ def fidelity_map(
             evolved = _all_config_power_spectra(lam_params, disorder, n_periods, initial_config)
         spectra, values = evolved
         series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
-        fid_4t[:, col] = spectrum_fidelity(ref_4t, spectra)
-        fid_2t[:, col] = spectrum_fidelity(ref_2t, spectra)
-        undefined_4t[:, col] = _undefined(ref_4t, spectra)
-        undefined_2t[:, col] = _undefined(ref_2t, spectra)
+        for ref, fid, undefined in ((ref_4t, fid_4t, undefined_4t), (ref_2t, fid_2t, undefined_2t)):
+            fid[:, col], norms = _fidelities(ref, spectra)
+            undefined[:, col] = norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
     return FidelityMaps(
         lambdas=lambdas,
         fid_4t=fid_4t,

@@ -30,12 +30,7 @@ from .diagnostics import (
     state_fractal_dimensions,
 )
 from .errors import ConfigError
-from .floquet import (
-    diagonalize_floquet,
-    endpoint_spectrum,
-    fast_floquet_operator,
-    floquet_factors,
-)
+from .floquet import floquet_factors, floquet_spectrum
 from .hamiltonians import ModelParams, sample_disorder
 
 _SEED_MASK = (1 << 64) - 1
@@ -83,7 +78,10 @@ class SweepPlan:
 
 @dataclass
 class CellRecord:
-    """Everything computed for one (lambda, realization) cell."""
+    """Everything computed for one (lambda, realization) cell.
+
+    `route` is the `FloquetResult.route` of its spectrum, None for a failed cell.
+    """
 
     lambda_index: int
     realization_index: int
@@ -92,8 +90,7 @@ class CellRecord:
     quasienergies: np.ndarray | None = None
     ratios: GapRatioSample | None = None
     fractal_dimensions: np.ndarray | None = None
-    eigensolver_fallback: bool = False
-    closed_form: bool = False
+    route: str | None = None
     error: str | None = None
 
 
@@ -125,17 +122,12 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
     try:
         params = plan.params(lam)
         factors = floquet_factors(params, sample_disorder(params, seed))
-        result = endpoint_spectrum(factors, params.period, vectors=plan.states)
-        record.closed_form = result is not None
-        if result is None:
-            result = diagonalize_floquet(
-                fast_floquet_operator(factors), params.period, vectors=plan.states
-            )
-        record.eigensolver_fallback = result.fallback
+        result = floquet_spectrum(factors, params.period, vectors=plan.states)
         record.quasienergies = result.quasienergies
         record.ratios = gap_ratios(result.quasienergies)
         if plan.states:
             record.fractal_dimensions = state_fractal_dimensions(result)
+        record.route = result.route
     except Exception as exc:  # cell failures never abort the sweep
         record.error = f"{type(exc).__name__}: {exc}"
     return record

@@ -17,17 +17,17 @@ applies them in place in O(N*D) per state. `stripped_floquet_powers`
 evolves all 2^N configurations at once through one merged dimer layer per
 period, again without F.
 
-Spectra come by one of two routes. Where every dimer gate is monomial, F is
-a permutation times phases (at lam = 0 and 1 with the default couplings),
-and `endpoint_spectrum` reads quasienergies and Floquet states off F's
-permutation cycles in closed form, with no dense F and no eigensolve.
-Everywhere else `diagonalize_floquet` diagonalizes the Hermitian Cayley
-transform of dense F, for quasienergies alone and for Floquet states (plus
-Rayleigh quotients) alike; a complex Schur decomposition is the one fallback
-where the transform or its gates refuse. The inverse, the eigensolve and
-Schur call LAPACK in the OpenBLAS that numpy links (`lapack`). Callers build
-`floquet_factors` once per cell, try the closed form on it first and build
-dense F from the same factors only where that refuses.
+`floquet_spectrum` gives the spectrum of one cell from its factors and
+picks one of three routes, which the result names in `route`. Where every
+dimer gate is monomial, F is a permutation times phases (at lam = 0 and 1
+with the default couplings), and `endpoint_spectrum` reads quasienergies and
+Floquet states off F's permutation cycles in closed form ("closed_form"),
+with no dense F and no eigensolve. Everywhere else dense F is built from the
+same factors and `diagonalize_floquet` diagonalizes its Hermitian Cayley
+transform ("cayley"), for quasienergies alone and for Floquet states (plus
+Rayleigh quotients) alike; a complex Schur decomposition ("schur") is the
+one fallback where the transform or its gates refuse. The inverse, the
+eigensolve and Schur call LAPACK in the OpenBLAS that numpy links (`lapack`).
 """
 
 from __future__ import annotations
@@ -77,14 +77,15 @@ class FloquetResult:
     `states` holds the orthonormal eigenvectors as columns, ordered like the
     ascending `quasienergies`; ties are broken by the index of the dominant
     configuration so degenerate clusters have a reproducible order. An
-    eigenvalues-only result has `states` None; `fallback` marks one whose
-    Cayley solve was refused by its gates, so Schur computed it.
+    eigenvalues-only result has `states` None. `route` names what computed
+    it: "closed_form" (`endpoint_spectrum`), "cayley", or "schur" where the
+    Cayley solve was refused by its gates.
     """
 
     quasienergies: np.ndarray
     states: np.ndarray | None
     period: float
-    fallback: bool = False
+    route: str
 
     def require_states(self) -> np.ndarray:
         """The Floquet states; ValueError for an eigenvalues-only result."""
@@ -160,8 +161,8 @@ def floquet_factors(
 ) -> FloquetFactors:
     """The one-period propagator in factor form; O(D) memory.
 
-    One cell builds it once and hands it to every route: `apply_floquet`,
-    `endpoint_spectrum` and `fast_floquet_operator`.
+    One cell builds it once and hands it to `apply_floquet` or to
+    `floquet_spectrum`, which passes it on to every route.
     """
     phases = np.exp(-1j * params.t2 * h2_diagonal(params, disorder))
     rotations = _site_rotations(params)
@@ -265,7 +266,7 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     quotient v^H F v; the call is gated on the eigen-residual
     max|FV - V Lambda| and the orthonormality max|V^H V - 1|. Where the
     transform or a gate refuses, a complex Schur decomposition computes the
-    result instead and marks it `fallback`.
+    result instead, with route "schur".
     """
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
@@ -288,14 +289,15 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
         orthonormality = max_unitarity_defect(basis)
         if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
             angles, states = np.angle(quotients), basis
-    fallback = angles is None
-    if fallback:
+    route = "cayley"
+    if angles is None:
+        route = "schur"
         upper, states = lapack.schur(f)
         angles = np.angle(np.diag(upper))
-    return _ordered_result(angles, states if vectors else None, period, fallback)
+    return _ordered_result(angles, states if vectors else None, period, route)
 
 
-def _ordered_result(angles, states, period: float, fallback: bool = False) -> FloquetResult:
+def _ordered_result(angles, states, period: float, route: str) -> FloquetResult:
     """Quasienergies -angles/period on the principal branch, ascending.
 
     With `states` (eigenvectors as columns, matching `angles`), ties are
@@ -307,19 +309,14 @@ def _ordered_result(angles, states, period: float, fallback: bool = False) -> Fl
     edge = np.pi / period
     eps = np.where(eps <= -edge, eps + 2.0 * edge, eps)
     if states is None:
-        return FloquetResult(np.sort(eps), None, period, fallback=fallback)
+        return FloquetResult(np.sort(eps), None, period, route)
     dominant = np.concatenate([
         np.argmax(np.abs(states[:, lo:lo + STATE_BLOCK_COLS]), axis=0)
         for lo in range(0, states.shape[1], STATE_BLOCK_COLS)
     ])
     order = np.lexsort((dominant, eps))
     _permute_columns(states, order.tolist())
-    return FloquetResult(
-        quasienergies=eps[order],
-        states=states,
-        period=period,
-        fallback=fallback,
-    )
+    return FloquetResult(eps[order], states, period, route)
 
 
 def _permute_columns(mat: np.ndarray, order: list) -> None:
@@ -449,7 +446,21 @@ def endpoint_spectrum(
             cols = sum(map(len, angles)) + np.arange(n * size).reshape(n, 1, size)
             states[cycles[:, :, None], cols] = mode
         angles.append(np.angle(mu).ravel())
-    return _ordered_result(np.concatenate(angles), states, period)
+    return _ordered_result(np.concatenate(angles), states, period, "closed_form")
+
+
+def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = True) -> FloquetResult:
+    """Quasienergies, and with `vectors` Floquet states, of F given by its factors.
+
+    The closed form (`endpoint_spectrum`) answers where it can; elsewhere
+    dense F is built (`fast_floquet_operator`) and diagonalized
+    (`diagonalize_floquet`), by Cayley or by its Schur fallback. The
+    result's `route` says which.
+    """
+    result = endpoint_spectrum(factors, period, vectors)
+    if result is None:
+        result = diagonalize_floquet(fast_floquet_operator(factors), period, vectors)
+    return result
 
 
 def effective_hamiltonian(result: FloquetResult) -> np.ndarray:

@@ -275,6 +275,20 @@ def test_dynamics_manifest_counts_undefined_fidelities(tmp_path):
     }
 
 
+def test_dynamics_writes_an_exactly_zero_spectrum_as_undefined(tmp_path):
+    # over two periods the magnetization series of configuration 3 at lam = 0
+    # is exactly zero; its power spectrum has norm 0 in the lam = 0 reference
+    # (every column of fidelity_4t) and in the lam = 0 column of fidelity_2t
+    out = tmp_path / "dyn"
+    assert run_cli(["dynamics", "--n-sites", "4", "--periods", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for name, zero_lambdas in (("fidelity_4t.csv", 21), ("fidelity_2t.csv", 1)):
+        _, rows = read_csv(out / name)
+        zeros = [row for row in rows if row[0] == "3" and float(row[2]) == 0.0]
+        assert len(zeros) == zero_lambdas
+        assert manifest["undefined_fidelities"][name] >= zero_lambdas
+
+
 def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
     corrupt_factors("phases")
     assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3
@@ -439,6 +453,23 @@ def test_manifest_counts_closed_form_cells(tmp_path):
     assert (manifest["closed_form_cells"], manifest["eigensolver_fallbacks"]) == (4, 0)
 
 
+def test_endpoints_never_build_dense_f(tmp_path, monkeypatch):
+    def no_dense_f(factors):
+        raise AssertionError("dense F built at an exact endpoint")
+
+    monkeypatch.setattr(floquet, "fast_floquet_operator", no_dense_f)
+    out = tmp_path / "heff"
+    assert run_cli(["heff", "--n-sites", "4", "--lambdas", "0,1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["closed_form_cells"] == 2
+    out = tmp_path / "sweep"
+    args = ["sweep", "--n-sites", "4", "--lambdas", "0,1", "--realizations", "2",
+            "--out", str(out)]
+    assert run_cli(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["closed_form_cells"] == 4
+
+
 @pytest.mark.parametrize("corrupt", [lambda phases: 1.01 * phases,
                                      lambda phases: np.where(np.arange(len(phases)) == 1,
                                                              np.nan, phases)])
@@ -485,14 +516,14 @@ def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, 
 
 
 def test_heff_with_a_nan_propagator_exits_three(tmp_path, monkeypatch, capsys):
-    real = cli.fast_floquet_operator
+    real = floquet.fast_floquet_operator
 
     def nan_entry(factors):
         f = real(factors)
         f[1, 2] = np.nan
         return f
 
-    monkeypatch.setattr(cli, "fast_floquet_operator", nan_entry)
+    monkeypatch.setattr(floquet, "fast_floquet_operator", nan_entry)
     out = tmp_path / "h"
     assert run_cli(["heff", *common_args(out)]) == 3
     assert "deviates from unitary by nan" in capsys.readouterr().err

@@ -133,7 +133,7 @@ def test_mean_gap_ratio_references():
 
 def result_with_states(states):
     return FloquetResult(
-        quasienergies=np.zeros(states.shape[1]), states=states, period=1.0
+        quasienergies=np.zeros(states.shape[1]), states=states, period=1.0, route="cayley"
     )
 
 

@@ -176,6 +176,7 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
     errors = [r.error for r in result.records]
     assert errors.count(None) == 2
     assert any(e and "injected failure" in e for e in errors)
+    assert [r.route for r in result.records if r.error] == [None]
     # aggregates skip the failed cell
     assert len(pooled_mean_ratios(result)) == 1
 
@@ -186,7 +187,7 @@ def test_cells_without_fractal_solve_for_values_only():
         params = plan.params(record.lam)
         f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, record.seed)))
         values = diagonalize_floquet(f, params.period, vectors=False)
-        assert not record.eigensolver_fallback
+        assert record.route == "cayley"
         assert np.array_equal(record.quasienergies, values.quasienergies)
         assert np.array_equal(record.ratios.ratios, gap_ratios(values.quasienergies).ratios)
         assert record.fractal_dimensions is None
@@ -196,13 +197,13 @@ def test_cell_records_an_eigensolver_fallback(monkeypatch):
     # with the Cayley route refused, Schur solves and the cell says so, with
     # and without states
     fractal_plan = small_plan(lambdas=(0.4,), realizations=1)
-    assert not run_sweep(fractal_plan, workers=1).records[0].eigensolver_fallback
+    assert run_sweep(fractal_plan, workers=1).records[0].route == "cayley"
     monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
     plan = small_plan(lambdas=(0.4,), realizations=2, states=False)
     records = run_sweep(plan, workers=1).records
-    assert [r.eigensolver_fallback for r in records] == [True, True]
+    assert [r.route for r in records] == ["schur", "schur"]
     fractal = run_sweep(fractal_plan, workers=1).records
-    assert fractal[0].eigensolver_fallback and fractal[0].error is None
+    assert fractal[0].route == "schur" and fractal[0].error is None
 
 
 def test_endpoint_cells_take_the_closed_form():
@@ -210,7 +211,8 @@ def test_endpoint_cells_take_the_closed_form():
     # or 2-cycle (lam = 1) of configurations: fractal dimension ln L / ln D
     plan = small_plan(lambdas=(0.0, 0.5, 1.0), realizations=2)
     records = run_sweep(plan, workers=2).records
-    assert [r.closed_form for r in records] == [True, True, False, False, True, True]
+    routes = ["closed_form"] * 2 + ["cayley"] * 2 + ["closed_form"] * 2
+    assert [r.route for r in records] == routes
     for record, cycle in zip(records[::2], (4, None, 2)):
         if cycle is not None:
             expected = np.log(cycle) / np.log(plan.base.dim)

@@ -18,6 +18,7 @@ from dtcmorph.floquet import (
     fast_floquet_operator,
     floquet_factors,
     floquet_operator,
+    floquet_spectrum,
     propagator,
     sparsity_fraction,
     stripped_floquet_powers,
@@ -245,7 +246,7 @@ def test_values_only_matches_schur_and_eig(n_sites, lam):
     for seed in range(10):
         f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
         values = diagonalize_floquet(f, p.period, vectors=False)
-        assert values.states is None and not values.fallback
+        assert values.states is None and values.route == "cayley"
         schur = diagonalize_floquet(f, p.period)
         assert np.max(np.abs(values.quasienergies - schur.quasienergies)) < VALUES_ONLY_TOL
         eig = folded(np.linalg.eigvals(f), p.period)
@@ -320,7 +321,7 @@ def test_values_only_keeps_degenerate_gap_counts(lam):
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
 def test_values_only_falls_back_when_one_minus_f_is_singular(f):
     values = diagonalize_floquet(f, 1.0, vectors=False)
-    assert values.fallback and values.states is None
+    assert values.route == "schur" and values.states is None
     assert np.array_equal(values.quasienergies, diagonalize_floquet(f, 1.0).quasienergies)
 
 
@@ -333,7 +334,7 @@ def test_values_only_falls_back_on_the_hermiticity_gate():
     theta[:2] = (1e-9, -3e-10)
     f = (q * np.exp(1j * theta)) @ q.conj().T
     values = diagonalize_floquet(f, 1.0, vectors=False)
-    assert values.fallback
+    assert values.route == "schur"
     assert np.max(np.abs(values.quasienergies - folded(np.exp(1j * theta), 1.0))) < 1e-12
 
 
@@ -397,7 +398,7 @@ def test_vectors_route_matches_schur_and_eig(n_sites, lam):
     for seed in range(10):
         f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
         res = diagonalize_floquet(f, p.period)
-        assert not res.fallback
+        assert res.route == "cayley"
         eps, vecs = schur_reference(f, p.period)
         assert np.max(np.abs(res.quasienergies - eps)) < VALUES_ONLY_TOL
         eig_values, eig_vecs = np.linalg.eig(f)
@@ -425,7 +426,7 @@ def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
     for seed in range(1 if n_sites == 10 else 5):
         disorder = sample_disorder(p, seed)
         res = endpoint_spectrum(floquet_factors(p, disorder), p.period)
-        assert res is not None and not res.fallback
+        assert res is not None and res.route == "closed_form"
         dense = floquet_operator(p, disorder)
         eps, vecs = schur_reference(dense, p.period)
         assert np.max(np.abs(res.quasienergies - eps)) < VALUES_ONLY_TOL
@@ -528,6 +529,34 @@ def test_endpoint_spectrum_orders_its_states_in_place():
     assert peak <= ENDPOINT_PEAK_BUFFERS * res.states.nbytes
 
 
+# floquet_spectrum answers every cell by one route and names it: the closed
+# form at the exact endpoints, Cayley in between, Schur where Cayley refuses
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("lam, route", [(0.0, "closed_form"), (0.5, "cayley"), (1.0, "closed_form")])
+def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
+    p = default_params(4, lam)
+    factors = floquet_factors(p, sample_disorder(p, 3))
+    res = floquet_spectrum(factors, p.period, vectors)
+    if route == "closed_form":
+        direct = endpoint_spectrum(factors, p.period, vectors)
+    else:
+        direct = diagonalize_floquet(fast_floquet_operator(factors), p.period, vectors)
+    assert res.route == direct.route == route
+    assert np.array_equal(res.quasienergies, direct.quasienergies)
+    if vectors:
+        assert np.array_equal(res.states, direct.states)
+    else:
+        assert res.states is None and direct.states is None
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_floquet_spectrum_falls_back_to_schur(monkeypatch, vectors):
+    p = default_params(4, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 3))
+    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
+    assert floquet_spectrum(factors, p.period, vectors).route == "schur"
+
+
 @pytest.mark.parametrize(
     "order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 2, 0, 4, 3], [3, 0, 4, 1, 2]]
 )
@@ -542,7 +571,7 @@ def test_permute_columns_matches_fancy_indexing(order, layout):
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
 def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
     res = diagonalize_floquet(f, 1.0)
-    assert res.fallback
+    assert res.route == "schur"
     assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(len(f)))) < 1e-12
     assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
 
@@ -566,7 +595,7 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
     clean = diagonalize_floquet(f, p.period)
     monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
     res = diagonalize_floquet(f, p.period)
-    assert res.fallback and not clean.fallback
+    assert (res.route, clean.route) == ("schur", "cayley")
     assert np.max(np.abs(res.quasienergies - clean.quasienergies)) < VALUES_ONLY_TOL
     assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(p.dim))) < 1e-12
     assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
