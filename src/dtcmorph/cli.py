@@ -65,11 +65,14 @@ _FLAGS = {
     "--seed": ("master_seed", int, "master seed override"),
     "--n-sites": ("n_sites", int, "chain length (even)"),
     "--lambdas": ("lambdas", _parse_lambdas, "comma-separated deformation grid"),
-    "--realizations": ("realizations", int, None),
-    "--periods": ("periods", int, None),
-    "--workers": ("workers", int, None),
-    "--bins": ("bins", int, None),
-    "--initial-config": ("initial_config", int, None),
+    "--realizations": ("realizations", int, "disorder realizations per lambda (spectrum, "
+                       "levels, fractal, sweep)"),
+    "--periods": ("periods", int, "drive periods evolved (dynamics, walk)"),
+    "--workers": ("workers", int, "threads for the ensemble pool and the dynamics column blocks "
+                  "(default: usable CPUs); walk and heff ignore it"),
+    "--bins": ("bins", int, "gap-ratio histogram bins (levels)"),
+    "--initial-config": ("initial_config", int, "basis configuration the dynamics series and the "
+                         "walk start from"),
 }
 
 
@@ -276,7 +279,8 @@ def run_fractal(cfg: RunConfig, out_dir: Path):
 def _shared_disorder(cfg: RunConfig):
     """One disorder realization shared across the whole lambda grid, and its manifest fields.
 
-    The commands that use it run serially and record one worker.
+    `walk` and `heff` run serially and keep the one worker recorded here;
+    `dynamics` records the column blocks of its fidelity maps instead.
     """
     seed = derive_seed(cfg.master_seed, 0, 0)
     disorder = sample_disorder(cfg.params_for(0.0), seed)
@@ -292,7 +296,9 @@ def _write_config_table(out_dir: Path, name: str, index: str, lam: float, dim: i
 
 def run_dynamics(cfg: RunConfig, out_dir: Path):
     disorder, fields = _shared_disorder(cfg)
-    maps = fidelity_map(cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods, cfg.initial_config)
+    maps = fidelity_map(
+        cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods, cfg.initial_config, cfg.workers
+    )
     spectra = [power_spectrum(series) for series in maps.series]
 
     def series_rows():
@@ -324,7 +330,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
         "fidelity_4t.csv": int(maps.undefined_4t.sum()),
         "fidelity_2t.csv": int(maps.undefined_2t.sum()),
     }
-    return files, {**fields, "undefined_fidelities": undefined}
+    return files, {**fields, "workers": maps.workers, "undefined_fidelities": undefined}
 
 
 def run_walk(cfg: RunConfig, out_dir: Path):

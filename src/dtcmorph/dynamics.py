@@ -11,15 +11,30 @@ one at bin n/2 when n is a multiple of 4.
 
 from __future__ import annotations
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
+from .ensemble import one_blas_thread, worker_count
 from .errors import UndefinedFidelityError
-from .floquet import FloquetFactors, apply_floquet, floquet_factors, stripped_floquet_powers
+from .floquet import (
+    FloquetFactors,
+    apply_floquet,
+    floquet_factors,
+    kron_dims,
+    stripped_floquet_powers,
+)
 from .hamiltonians import DisorderRealization, ModelParams
-from .spins import basis_state, check_normalized, magnetization_weights
+from .spins import (
+    basis_state,
+    check_norm_deviation,
+    check_normalized,
+    magnetization_weights,
+    norm_deviation,
+)
 
 # a fidelity is undefined where the product of the two spectrum norms is below
 # this fraction of the largest product in its lambda column: the series is
@@ -169,7 +184,8 @@ class FidelityMaps:
     rounding noise (see UNDEFINED_FIDELITY_RTOL); their values are kept as
     computed, or 0.0 where a spectrum is exactly zero. `series` holds the
     magnetization series of one initial configuration per column, taken from
-    the same evolution.
+    the same evolution. `workers` is the number of column blocks each lam's
+    evolution ran in parallel.
     """
 
     lambdas: np.ndarray
@@ -178,27 +194,67 @@ class FidelityMaps:
     undefined_4t: np.ndarray
     undefined_2t: np.ndarray
     series: list
+    workers: int = 1
+
+
+def column_blocks(n_sites: int, count: int) -> list[range]:
+    """At most `count` contiguous blocks of the high Kronecker index of
+    `stripped_floquet_powers`, as even as they come.
+
+    A chain of one dimer (N = 2) stays one block: its lower half is the 1 x 1
+    identity, and there splitting moves the series in the last bits through
+    numpy's small-shape matmul dispatch.
+    """
+    d_hi, d_lo = kron_dims(n_sites)
+    count = 1 if d_lo == 1 else min(count, d_hi)
+    bounds = [d_hi * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _all_config_power_spectra(
-    params: ModelParams, disorder: DisorderRealization, n_periods: int, initial_config: int
+    params: ModelParams,
+    disorder: DisorderRealization,
+    n_periods: int,
+    initial_config: int,
+    blocks: list | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(n, D) power spectra of the magnetization series of every basis state,
     and the (n,) series of `initial_config` itself.
 
     Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
-    U3 conserves both, so dense F is never built.
+    U3 conserves both, so dense F is never built. The columns evolve in
+    `blocks` of the high Kronecker index (`column_blocks`; default one
+    block), each filling its own columns of the magnetizations with its own
+    population buffer: the calling thread evolves the first block and
+    `pool` the others. Every column is computed the same way whatever the
+    blocks, so the result is bitwise the same. Once every block has
+    finished, a norm drift in any column raises one ValidationError naming
+    the largest.
     """
     d = params.dim
+    d_lo = kron_dims(params.n_sites)[1]
+    factors = floquet_factors(params, disorder)
     weights = magnetization_weights(params.n_sites)
-    populations = np.empty((d, d))
     magnetizations = np.empty((n_periods, d))
-    powers = stripped_floquet_powers(floquet_factors(params, disorder), n_periods)
-    for m, states in enumerate(powers):
-        np.abs(states, out=populations)
-        populations *= populations
-        np.matmul(weights, populations, out=magnetizations[m])
-    check_normalized(states)  # a ValidationError if any column drifted
+
+    def evolve(block: range) -> float:
+        columns = magnetizations[:, block.start * d_lo:block.stop * d_lo]
+        populations = np.empty((d, columns.shape[1]))
+        for m, states in enumerate(stripped_floquet_powers(factors, n_periods, block)):
+            np.abs(states, out=populations)
+            populations *= populations
+            np.matmul(weights, populations, out=columns[m])
+        return norm_deviation(states)
+
+    blocks = blocks or column_blocks(params.n_sites, 1)
+    later = [pool.submit(evolve, block) for block in blocks[1:]]
+    try:
+        deviations = [evolve(blocks[0])]
+    finally:
+        wait(later)  # no block still writes once this call returns or raises
+    deviations += [future.result() for future in later]
+    check_norm_deviation(float(np.max(deviations)))  # NaN-safe, whatever the block order
     # a copy, so the (n, D) block is freed on return
     return np.abs(_dft_values(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
 
@@ -209,12 +265,19 @@ def fidelity_map(
     lambdas,
     n_periods: int,
     initial_config: int = 0,
+    workers: int | None = None,
 ) -> FidelityMaps:
     """Both fidelity maps over every initial configuration and the lam grid,
     plus the magnetization series of `initial_config` at each grid lam.
 
     The lam = 0 and lam = 1 references are reused as grid columns when the
-    grid holds those values.
+    grid holds those values. Each lam's columns evolve in
+    `column_blocks(N, worker_count(workers))` blocks, which split that lam's
+    buffers and add none: the calling thread evolves one, and a pool of
+    (blocks - 1) threads, open for the whole grid, the others; with one
+    block no thread starts. All run with one BLAS thread
+    (`one_blas_thread`), and the maps are bitwise the same for any worker
+    count.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
@@ -223,27 +286,29 @@ def fidelity_map(
         raise ValueError(f"configuration {initial_config} outside [0, {d})")
     lambdas = np.asarray(lambdas, dtype=float)
     grid = [replace(params, lam=lam) for lam in lambdas]  # ModelParams checks each lam
-    refs = {
-        lam: _all_config_power_spectra(
-            replace(params, lam=lam), disorder, n_periods, initial_config
+    blocks = column_blocks(params.n_sites, worker_count(workers))
+    pool = ThreadPoolExecutor(max_workers=len(blocks) - 1) if len(blocks) > 1 else None
+
+    def evolved(lam_params: ModelParams) -> tuple:
+        return _all_config_power_spectra(
+            lam_params, disorder, n_periods, initial_config, blocks, pool
         )
-        for lam in (0.0, 1.0)
-    }
-    ref_4t, ref_2t = refs[0.0][0], refs[1.0][0]
-    initial_value = float(magnetization_weights(params.n_sites)[initial_config])
-    shape = (d, len(lambdas))
-    fid_4t, fid_2t = np.empty(shape), np.empty(shape)
-    undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    series = []
-    for col, lam_params in enumerate(grid):
-        evolved = refs.get(lam_params.lam)
-        if evolved is None:
-            evolved = _all_config_power_spectra(lam_params, disorder, n_periods, initial_config)
-        spectra, values = evolved
-        series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
-        for ref, fid, undefined in ((ref_4t, fid_4t, undefined_4t), (ref_2t, fid_2t, undefined_2t)):
-            fid[:, col], norms = _fidelities(ref, spectra)
-            undefined[:, col] = norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
+
+    with one_blas_thread(), pool or contextlib.nullcontext():
+        refs = {lam: evolved(replace(params, lam=lam)) for lam in (0.0, 1.0)}
+        ref_4t, ref_2t = refs[0.0][0], refs[1.0][0]
+        initial_value = float(magnetization_weights(params.n_sites)[initial_config])
+        shape = (d, len(lambdas))
+        fid_4t, fid_2t = np.empty(shape), np.empty(shape)
+        undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        series = []
+        references = ((ref_4t, fid_4t, undefined_4t), (ref_2t, fid_2t, undefined_2t))
+        for col, lam_params in enumerate(grid):
+            spectra, values = refs.get(lam_params.lam) or evolved(lam_params)
+            series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
+            for ref, fid, undefined in references:
+                fid[:, col], norms = _fidelities(ref, spectra)
+                undefined[:, col] = norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
     return FidelityMaps(
         lambdas=lambdas,
         fid_4t=fid_4t,
@@ -251,6 +316,7 @@ def fidelity_map(
         undefined_4t=undefined_4t,
         undefined_2t=undefined_2t,
         series=series,
+        workers=len(blocks),
     )
 
 

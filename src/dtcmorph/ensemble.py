@@ -134,8 +134,15 @@ def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> Cell
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker-pool size: the requested count, else the cpu count; below 1 is a ConfigError."""
+    """Worker-pool size: the requested count, else the usable CPUs; below 1 is a ConfigError.
+
+    The usable CPUs are the ones this process may run on (its affinity mask,
+    which `taskset` narrows), where the platform reports them, else the cpu
+    count.
+    """
     if requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if requested < 1:
         raise ConfigError(f"worker count must be >= 1, got {requested}")

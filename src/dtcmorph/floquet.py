@@ -14,8 +14,8 @@ Where only states are evolved, F is never formed: `floquet_factors` holds it
 as the N site rotations of segment 1 (also merged into N/2 dimer factors),
 the segment-2 phases and N/2 segment-3 dimer factors, and `apply_floquet`
 applies them in place in O(N*D) per state. `stripped_floquet_powers`
-evolves all 2^N configurations at once through one merged dimer layer per
-period, again without F.
+evolves all 2^N configurations at once, or a block of them, through one
+merged dimer layer per period, again without F.
 
 `floquet_spectrum` gives the spectrum of one cell from its factors and
 picks one of three routes, which the result names in `route`. Where every
@@ -188,8 +188,14 @@ def _kron_halves(gates) -> tuple:
     return tuple(reduce(np.kron, part[::-1], one) for part in (gates[split:], gates[:split]))
 
 
-def stripped_floquet_powers(factors: FloquetFactors, n_periods: int):
-    """Yield U3^H F^m for m = 1..n, all 2^N columns at once, never forming F.
+def kron_dims(n_sites: int) -> tuple[int, int]:
+    """(d_hi, d_lo): the dimensions of `_kron_halves` over the N/2 dimers of a chain."""
+    lower = n_sites // 4  # the lower half holds (N/2) // 2 dimers
+    return 4 ** (n_sites // 2 - lower), 4 ** lower
+
+
+def stripped_floquet_powers(factors: FloquetFactors, n_periods: int, block: range | None = None):
+    """Yield U3^H F^m for m = 1..n, for a block of the 2^N columns, never forming F.
 
     F^m = U3 [U2 (U1 U3)]^(m-1) U2 U1, so after U2 U1 every period applies
     the merged dimer gates u1[k] @ u3[k] and then the phases. The gates form
@@ -197,12 +203,22 @@ def stripped_floquet_powers(factors: FloquetFactors, n_periods: int):
     the phases folded into the batched K_lo: O((d_hi + d_lo) D^2) per period
     against O(D^3) for F @ states. The missing left U3 keeps column norms and
     every observable that commutes with it, such as the total magnetization.
-    The same D x D buffer is yielded each period and overwritten by the next.
+
+    `block` is a range of the high Kronecker index (default: all of
+    `range(d_hi)`, see `kron_dims`). The yielded D x (len(block) * d_lo)
+    array holds the columns [block.start * d_lo, block.stop * d_lo) and
+    starts from kron(U1_hi[:, block], U1_lo), so a block never builds a
+    D x D temporary. Columns evolve independently, so a block's columns are
+    those of the whole. The same buffer is yielded each period and
+    overwritten by the next.
     """
     k_hi, k_lo = _kron_halves([a @ b for a, b in zip(factors.u1, factors.u3)])
     d_hi, d_lo = len(k_hi), len(k_lo)
     phased_lo = factors.phases.reshape(d_hi, d_lo, 1) * k_lo  # diag(phases) (I (x) K_lo)
-    states = np.kron(*_kron_halves(factors.u1))
+    u1_hi, u1_lo = _kron_halves(factors.u1)
+    if block is not None:
+        u1_hi = u1_hi[:, block.start:block.stop]
+    states = np.kron(u1_hi, u1_lo)
     states *= factors.phases[:, None]
     scratch = np.empty_like(states)
     for m in range(n_periods):

@@ -71,13 +71,22 @@ def local_magnetization(psi: np.ndarray, site: int) -> float:
     return float(sign_table(n)[:, site - 1] @ np.abs(psi) ** 2)
 
 
-def check_normalized(psi: np.ndarray, tol: float = 1e-9) -> None:
-    """ValidationError unless the state, or every column of a 2-D block, has norm 1."""
+def norm_deviation(psi: np.ndarray) -> float:
+    """max |norm - 1| of the state, or over every column of a 2-D block; NaN if a norm is."""
     # vecdot conjugates its first argument and needs no block-sized temporary
     norms = np.sqrt(np.vecdot(psi, psi, axis=0).real)
-    deviation = float(np.max(np.abs(norms - 1.0)))
-    if not deviation <= tol:  # a NaN norm fails too
+    return float(np.max(np.abs(norms - 1.0)))
+
+
+def check_norm_deviation(deviation: float, tol: float = 1e-9) -> None:
+    """ValidationError unless a `norm_deviation` is within tol; a NaN fails too."""
+    if not deviation <= tol:
         raise ValidationError(f"state norm deviates from 1 by {deviation:.3e} (tol {tol})")
+
+
+def check_normalized(psi: np.ndarray, tol: float = 1e-9) -> None:
+    """ValidationError unless the state, or every column of a 2-D block, has norm 1."""
+    check_norm_deviation(norm_deviation(psi), tol)
 
 
 def max_hermiticity_defect(mat: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import pytest
 
 import dtcmorph.cli as cli
 from dtcmorph import ensemble, floquet, lapack
-from dtcmorph.dynamics import magnetization_series, power_spectrum
+from dtcmorph.dynamics import column_blocks, magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
 from dtcmorph.fileio import RunConfig
 from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator, floquet_factors
@@ -289,6 +289,47 @@ def test_dynamics_writes_an_exactly_zero_spectrum_as_undefined(tmp_path):
         assert manifest["undefined_fidelities"][name] >= zero_lambdas
 
 
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+def test_dynamics_csvs_do_not_depend_on_workers(tmp_path, n_sites):
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        args = ["dynamics", "--n-sites", str(n_sites), "--periods", "32", "--seed", "3",
+                "--workers", str(workers), "--out", str(out)]
+        assert run_cli(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        # the pool is capped by the high Kronecker index, and N = 2 is one block
+        assert manifest["workers"] == len(column_blocks(n_sites, workers))
+        assert manifest["workers"] == (1 if n_sites == 2 else workers)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert len(outputs[0]) == 4
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_dynamics_norm_drift_message_does_not_depend_on_workers(
+    tmp_path, corrupt_factors, capsys
+):
+    corrupt_factors("phases")
+    errors = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"d{workers}"
+        args = ["dynamics", "--n-sites", "6", "--periods", "8", "--workers", str(workers),
+                "--out", str(out)]
+        assert run_cli(args) == 3
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert "state norm deviates from 1 by 8.028e-03" in errors[0]
+    assert errors == [errors[0]] * 3
+
+
+def test_every_flag_has_a_help_line(capsys):
+    assert all(flag_help for _, _, flag_help in cli._FLAGS.values())
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["dynamics", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "dynamics column blocks" in text and "walk and heff ignore it" in text
+
+
 def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
     corrupt_factors("phases")
     assert run_cli(["walk", "--periods", "12", *common_args(tmp_path / "w")]) == 3
@@ -405,8 +446,9 @@ def test_manifest_lists_every_file(tmp_path, command):
             "--periods", "8", "--workers", "2", "--seed", "5", "--out", str(out)]
     assert run_cli(args) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    # the serial commands never start a pool
-    assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
+    # walk and heff are serial and never start a pool; dynamics evolves its
+    # columns in 2 blocks here (N = 4 has 4 high Kronecker indices)
+    assert manifest["workers"] == (2 if command in SWEEP_COMMANDS + ("dynamics",) else 1)
     # every command that diagonalizes F reports its fallbacks and its
     # closed-form endpoint cells (none on this grid); every command runs
     # under the one-BLAS-thread limit and reports its BLAS threads
@@ -557,7 +599,8 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
     # last digits then depend on the thread count; every command must run
     # with one BLAS thread whatever the environment and the worker count
-    # (heff, dynamics and walk are serial and ignore --workers).
+    # (heff and walk are serial and ignore --workers; dynamics evolves its
+    # columns in one or two blocks).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],

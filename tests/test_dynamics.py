@@ -1,4 +1,8 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from dtcmorph.dynamics import (
     TimeSeries,
+    column_blocks,
     dft,
     evolve_stroboscopic,
     fidelity_map,
@@ -340,9 +345,9 @@ def test_fidelity_map_reuses_endpoint_spectra(monkeypatch):
     calls = []
     real = dynamics_module._all_config_power_spectra
 
-    def counting(params, disorder, n_periods, initial_config):
+    def counting(params, *args):
         calls.append(params.lam)
-        return real(params, disorder, n_periods, initial_config)
+        return real(params, *args)
 
     monkeypatch.setattr(dynamics_module, "_all_config_power_spectra", counting)
     maps = fidelity_map(p, disorder, lambdas, 16)
@@ -401,3 +406,121 @@ def test_fidelity_map_checks_the_all_configuration_norm(corrupt_factors):
     corrupt_factors("phases")
     with pytest.raises(ValidationError, match="state norm deviates from 1 by 8.028e-03"):
         fidelity_map(p, sample_disorder(p, 2), [0.0, 0.5, 1.0], 8)
+
+
+def test_column_blocks_split_the_high_kronecker_index():
+    # N = 8: d_hi = d_lo = 16; N = 6: d_hi = 16, d_lo = 4; N = 4: d_hi = d_lo = 4
+    assert column_blocks(8, 1) == [range(16)]
+    assert column_blocks(8, 3) == [range(0, 5), range(5, 10), range(10, 16)]
+    assert column_blocks(6, 2) == [range(0, 8), range(8, 16)]
+    assert column_blocks(4, 9) == [range(i, i + 1) for i in range(4)]  # never more than d_hi
+    assert column_blocks(2, 4) == [range(4)]  # d_lo = 1: one block
+
+
+def blocked_power_spectra(params, disorder, n_periods, count):
+    """`_all_config_power_spectra` in `count` column blocks, on a pool as `fidelity_map` runs it."""
+    blocks = column_blocks(params.n_sites, count)
+    assert len(blocks) == count
+    if count == 1:
+        return dynamics_module._all_config_power_spectra(params, disorder, n_periods, 3)
+    with ThreadPoolExecutor(max_workers=count - 1) as pool:
+        return dynamics_module._all_config_power_spectra(
+            params, disorder, n_periods, 3, blocks, pool
+        )
+
+
+@pytest.mark.parametrize("n_sites, n_periods", [(4, 32), (6, 32), (8, 32), (10, 8)])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_column_blocks_are_bitwise_the_whole_evolution(n_sites, n_periods, lam):
+    p = default_params(n_sites, lam)
+    disorder = sample_disorder(p, 8)
+    spectra, series = blocked_power_spectra(p, disorder, n_periods, 1)
+    # up to 4 threads on the shared magnetization array, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (2, 3, 4):
+            blocked_spectra, blocked_series = blocked_power_spectra(p, disorder, n_periods, count)
+            assert np.array_equal(blocked_spectra, spectra), count
+            assert np.array_equal(blocked_series, series), count
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
+    # at lam = 1, F flips every site, so column c visits c and its complement
+    # only; the phases drift most on high Kronecker indices 4..11, so in 4
+    # blocks the largest deviation lies in blocks 1 and 2, which pool threads
+    # evolve, and not in the calling thread's block 0
+    real = dynamics_module.floquet_factors
+    n_sites, d_lo = 6, 4
+
+    def drifting(params, disorder):
+        factors = real(params, disorder)
+        if params.lam != 1.0:
+            return factors
+        high = np.arange(params.dim) // d_lo
+        scale = np.where((high >= 4) & (high < 12), 1.001, 1.0005)
+        return dataclasses.replace(factors, phases=factors.phases * scale)
+
+    monkeypatch.setattr(dynamics_module, "floquet_factors", drifting)
+    p = default_params(n_sites, 0.3)
+    disorder = sample_disorder(p, 2)
+    messages = set()
+    for workers in (1, 2, 3, 4):
+        with pytest.raises(ValidationError) as info:
+            fidelity_map(p, disorder, [0.3], 8, workers=workers)
+        messages.add(str(info.value))
+    (message,) = messages
+    for states in dynamics_module.stripped_floquet_powers(
+        drifting(dataclasses.replace(p, lam=1.0), disorder), 8
+    ):
+        pass
+    drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
+    first = column_blocks(n_sites, 4)[0]
+    assert drift[: first.stop * d_lo].max() < drift.max()
+    with pytest.raises(ValidationError) as info:
+        dynamics_module.check_normalized(states)
+    assert str(info.value) == message
+    assert "8.028e-03" in message  # 1.001^8 - 1
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(dynamics_module, "ThreadPoolExecutor", refuse)
+    p = default_params(4, 0.0)
+    disorder = sample_disorder(p, 1)
+    assert fidelity_map(p, disorder, [0.0, 0.5], 8, workers=1).workers == 1
+    # at N = 2 every worker count is one block
+    p2 = default_params(2, 0.0)
+    assert fidelity_map(p2, sample_disorder(p2, 1), [0.5], 8, workers=4).workers == 1
+
+
+def test_fidelity_map_pool_is_smaller_than_its_block_count(monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(dynamics_module, "ThreadPoolExecutor", Recording)
+    p = default_params(4, 0.0)
+    disorder = sample_disorder(p, 1)
+    maps = fidelity_map(p, disorder, [0.0, 0.5, 1.0], 8, workers=9)
+    # N = 4 has 4 high Kronecker indices: 4 blocks, the calling thread and 3 pool threads
+    assert (maps.workers, sizes) == (4, [3])
+    sizes.clear()
+    assert fidelity_map(p, disorder, [0.5], 8, workers=2).workers == 2
+    assert sizes == [1]
+
+
+def test_no_thread_outlives_fidelity_map():
+    p = default_params(6, 0.3)
+    disorder = sample_disorder(p, 4)
+    before = threading.active_count()
+    maps = fidelity_map(p, disorder, [0.0, 0.3, 1.0], 8, workers=3)
+    assert maps.workers == 3
+    assert threading.active_count() == before

@@ -161,6 +161,19 @@ def test_worker_count_sources():
     assert run_sweep(plan).workers == ensemble.worker_count()
 
 
+def test_default_worker_count_is_the_usable_cpus(monkeypatch):
+    # the affinity mask, which taskset narrows, not the machine's cpu count
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert ensemble.worker_count() == 2
+    assert ensemble.worker_count(5) == 5
+    # where the platform has no affinity mask, the cpu count, else 1
+    monkeypatch.delattr(ensemble.os, "sched_getaffinity")
+    assert ensemble.worker_count() == 16
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+    assert ensemble.worker_count() == 1
+
+
 def test_cell_failure_recorded_not_raised(monkeypatch):
     calls = {"n": 0}
     real = ensemble.floquet_factors
