@@ -21,7 +21,6 @@ from .ensemble import (
     SweepPlan,
     aggregate_fractal,
     derive_seed,
-    one_blas_thread,
     pooled_histograms,
     pooled_mean_ratios,
     run_sweep,
@@ -451,9 +450,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         # every command runs with one BLAS thread, as a sweep does, so the
         # digits of its CSVs do not depend on the BLAS thread count
-        with staged_output(out_dir) as staging, one_blas_thread() as blas_threads:
+        with staged_output(out_dir) as staging, lapack.one_blas_thread():
             files, fields = _HANDLERS[args.command](cfg, staging)
-            fields = {**fields, "blas_threads_per_cell": blas_threads, "lapack": lapack.library()}
+            fields = {**fields, "blas_threads_per_cell": 1, "lapack": lapack.library()}
             write_manifest(staging, args.command, cfg, files, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
-from .ensemble import one_blas_thread, worker_count
+from .ensemble import worker_count
 from .errors import UndefinedFidelityError
 from .floquet import (
     FloquetFactors,
@@ -28,6 +28,7 @@ from .floquet import (
     stripped_floquet_powers,
 )
 from .hamiltonians import DisorderRealization, ModelParams
+from .lapack import one_blas_thread
 from .spins import (
     basis_state,
     check_norm_deviation,

@@ -5,15 +5,13 @@ seed by a keyed hash, so any cell can be regenerated in isolation and the
 result of a sweep is independent of scheduling. Cells run on a bounded
 thread pool (the heavy work is LAPACK, which releases the GIL); all
 floating-point reductions happen afterwards in fixed index order. LAPACK
-results depend on the number of BLAS threads, so every cell runs with one
-OpenBLAS thread, whatever the worker count and the environment; results are
-then bitwise identical for any worker count.
+results depend on the number of BLAS threads, so every sweep runs under
+`lapack.one_blas_thread`, whatever the worker count and the environment;
+results are then bitwise identical for any worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import hashlib
 import os
 import struct
@@ -32,6 +30,7 @@ from .diagnostics import (
 from .errors import ConfigError
 from .floquet import floquet_factors, floquet_spectrum
 from .hamiltonians import ModelParams, sample_disorder
+from .lapack import one_blas_thread
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -98,15 +97,12 @@ class CellRecord:
 class EnsembleResult:
     """All cell records of a sweep, ordered by (lambda_index, realization_index).
 
-    `workers` is the size of the cells' thread pool; `blas_threads` is the
-    OpenBLAS thread count every cell ran with, or None when no OpenBLAS could
-    be controlled.
+    `workers` is the size of the cells' thread pool.
     """
 
     plan: SweepPlan
     records: list = field(default_factory=list)
     workers: int = 1
-    blas_threads: int | None = None
 
 
 def run_cell(plan: SweepPlan, lambda_index: int, realization_index: int) -> CellRecord:
@@ -149,50 +145,6 @@ def worker_count(requested: int | None = None) -> int:
     return requested
 
 
-def _openblas_thread_setters() -> list:
-    """`openblas_set_num_threads_local` of each OpenBLAS this process has loaded.
-
-    The package loads only the copy numpy links, whose LAPACK `lapack` calls;
-    a scipy imported beside it brings its own. The loaded ones are read from
-    /proc/self/maps; where that does not exist, the list is empty.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        return []
-    setters = []
-    for path in paths:
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        setters.append(setter)
-    return setters
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Limit every loaded OpenBLAS to one thread, restoring the old counts on exit.
-
-    Yields 1, or None when no OpenBLAS was found (then nothing changes). The
-    limit covers numpy's own OpenBLAS, and with it every `lapack` call. These
-    builds keep one process-wide count, which even the "_local" setter
-    changes, so the limit is set once around a whole command or sweep by
-    the calling thread, never per cell by pool workers. Nested
-    scopes are harmless: the inner one restores the outer one's count.
-    """
-    setters = _openblas_thread_setters()
-    previous = [setter(1) for setter in setters]
-    try:
-        yield 1 if setters else None
-    finally:
-        for setter, count in zip(setters, previous):
-            setter(count)
-
-
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
     """Run every cell of the plan on a pool of `worker_count(workers)` threads.
 
@@ -205,9 +157,9 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
         for ri in range(plan.realizations)
     ]
     n_workers = worker_count(workers)
-    with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=n_workers) as pool:
         records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
-    return EnsembleResult(plan=plan, records=records, workers=n_workers, blas_threads=blas_threads)
+    return EnsembleResult(plan=plan, records=records, workers=n_workers)
 
 
 def surviving_cells(result: EnsembleResult, lambda_index: int) -> list:

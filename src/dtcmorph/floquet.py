@@ -181,17 +181,21 @@ def apply_floquet(factors: FloquetFactors, psi: np.ndarray) -> None:
         backend.apply_pair_gate(psi, 2 * k, gate)
 
 
+def _halves(dimers) -> tuple:
+    """(upper, lower) parts of a per-dimer sequence, [0] lowest; the lower holds len // 2."""
+    split = len(dimers) // 2
+    return dimers[split:], dimers[:split]
+
+
 def _kron_halves(gates) -> tuple:
     """(G_hi, G_lo) with kron(G_hi, G_lo) the product of the dimer gates, gates[0] lowest."""
-    split = len(gates) // 2
     one = np.ones((1, 1), dtype=complex)
-    return tuple(reduce(np.kron, part[::-1], one) for part in (gates[split:], gates[:split]))
+    return tuple(reduce(np.kron, part[::-1], one) for part in _halves(gates))
 
 
 def kron_dims(n_sites: int) -> tuple[int, int]:
     """(d_hi, d_lo): the dimensions of `_kron_halves` over the N/2 dimers of a chain."""
-    lower = n_sites // 4  # the lower half holds (N/2) // 2 dimers
-    return 4 ** (n_sites // 2 - lower), 4 ** lower
+    return tuple(4 ** len(part) for part in _halves(range(n_sites // 2)))
 
 
 def stripped_floquet_powers(factors: FloquetFactors, n_periods: int, block: range | None = None):

@@ -1,16 +1,20 @@
-"""The five LAPACK and BLAS routines the package needs, from numpy's own OpenBLAS.
+"""The five LAPACK and BLAS routines the package needs, and the BLAS thread
+limit, all from numpy's own OpenBLAS.
 
 Every numpy wheel links numpy.linalg against an ILP64 OpenBLAS that carries
-LAPACK, with symbols `scipy_<name>_64_` (numpy >= 2) or `<name>_64_` (numpy
-1.x). `ctypes.CDLL` on numpy's `_umath_linalg` extension resolves them
-through the extension's own dependencies, so no library file is searched for
-and no second BLAS is loaded. Integers are 64-bit; every matrix is a
-Fortran-ordered complex128 array that the routine overwrites in place.
-Where a symbol is missing, importing this module raises ImportError.
+LAPACK, with symbols `scipy_<name>_64_` (the scipy-openblas wheels) or
+`<name>_64_` (a plain ILP64 build). `ctypes.CDLL` on numpy's
+`_umath_linalg` extension resolves them through the extension's own
+dependencies, so no library file is searched for and no second BLAS is
+loaded. Integers are 64-bit; every matrix is a Fortran-ordered complex128
+array that the routine overwrites in place. The same handle gives OpenBLAS's
+thread setter, which `one_blas_thread` holds at one thread. Where a symbol
+is missing, importing this module raises ImportError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -25,30 +29,51 @@ _SIGNATURES = {
     "zgees": (15, 2),
     "zherk": (10, 2),
 }
+# OpenBLAS's thread-count setter, which returns the previous count; even the
+# scipy-openblas wheels export it without prefix or suffix
+_THREAD_SETTER = "openblas_set_num_threads_local"
 # zgetri's workspace in columns: the block size of LAPACK's ILAENV
 GETRI_BLOCK = 64
 
 
 def _bind() -> dict:
+    """The routines by name, and OpenBLAS's thread setter as "set_threads"."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    routines, missing = {}, []
-    for name, (pointers, lengths) in _SIGNATURES.items():
-        symbols = (f"scipy_{name}_64_", f"{name}_64_")
-        routine = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
-        if routine is None:
-            missing.append(" or ".join(symbols))
-            continue
-        routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
-        routine.restype = None
-        routines[name] = routine
+    symbols = {name: (f"scipy_{name}_64_", f"{name}_64_") for name in _SIGNATURES}
+    symbols["set_threads"] = (_THREAD_SETTER,)
+    found = {name: next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
+             for name, spellings in symbols.items()}
+    missing = [" or ".join(symbols[name]) for name, f in found.items() if f is None]
     if missing:
         raise ImportError(
             "numpy.linalg links no ILP64 OpenBLAS LAPACK; missing " + ", ".join(missing)
         )
-    return routines
+    for name, (pointers, lengths) in _SIGNATURES.items():
+        found[name].argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+        found[name].restype = None
+    found["set_threads"].argtypes = [ctypes.c_int]
+    found["set_threads"].restype = ctypes.c_int
+    return found
 
 
 _ROUTINES = _bind()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS to one thread, restoring the old count on exit.
+
+    LAPACK results depend on the number of BLAS threads. This OpenBLAS keeps
+    one process-wide count, which even the "_local" setter changes, so the
+    limit is set once around a whole command or sweep by the calling thread,
+    never per cell by pool workers. Nested scopes are harmless: the inner
+    one restores the outer one's count.
+    """
+    previous = _ROUTINES["set_threads"](1)
+    try:
+        yield
+    finally:
+        _ROUTINES["set_threads"](previous)
 
 
 def library() -> str:
@@ -56,7 +81,7 @@ def library() -> str:
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         return f"{lapack['name']} {lapack['version']}"
-    except (AttributeError, KeyError, TypeError):  # numpy < 1.26 has no dict mode
+    except KeyError:  # a numpy build that records no LAPACK
         return "unknown"
 
 

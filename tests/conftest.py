@@ -3,6 +3,26 @@ import dataclasses
 import pytest
 
 import dtcmorph.dynamics as dynamics_module
+from dtcmorph import lapack
+
+
+@pytest.fixture
+def blas_threads():
+    """Read OpenBLAS's thread count through the one setter `lapack` binds.
+
+    The test starts at 2 threads, so a limit of 1 and its restoring both
+    show; the count found before is restored afterwards.
+    """
+    setter = lapack._ROUTINES["set_threads"]
+
+    def read() -> int:
+        count = setter(1)
+        setter(count)
+        return count
+
+    previous = setter(2)
+    yield read
+    setter(previous)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import dataclasses
 import hashlib
@@ -458,8 +459,7 @@ def test_manifest_lists_every_file(tmp_path, command):
     else:
         assert "eigensolver_fallbacks" not in manifest
         assert "closed_form_cells" not in manifest
-    blas = 1 if ensemble._openblas_thread_setters() else None
-    assert manifest["blas_threads_per_cell"] == blas
+    assert manifest["blas_threads_per_cell"] == 1
     assert manifest["lapack"] == lapack.library() != "unknown"
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
@@ -593,6 +593,26 @@ def test_rerun_into_an_existing_directory_replaces_its_files(tmp_path):
     digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
     assert manifest["files"][0]["sha256"] == digest
     assert [path.name for path in tmp_path.iterdir()] == ["s"]
+
+
+def test_blas_limit_needs_no_proc_maps(tmp_path, monkeypatch, blas_threads):
+    # the thread setter comes from numpy's library handle, not from a list of
+    # the loaded libraries, so a process without /proc is limited all the same
+    real_open = builtins.open
+
+    def no_proc_maps(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            raise OSError("no /proc here")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_proc_maps)
+    out = tmp_path / "spec"
+    assert run_cli(["spectrum", "--lambdas", "0.5", *common_args(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas_threads_per_cell"] == 1
+    with lapack.one_blas_thread():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
 
 
 def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):

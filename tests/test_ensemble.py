@@ -18,6 +18,7 @@ from dtcmorph.ensemble import (
 from dtcmorph.errors import ConfigError
 from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
+from dtcmorph.lapack import one_blas_thread
 
 
 def small_plan(**overrides):
@@ -232,37 +233,25 @@ def test_endpoint_cells_take_the_closed_form():
             assert np.max(np.abs(record.fractal_dimensions - expected)) < 1e-12
 
 
-def blas_thread_counts(setters):
-    counts = []
-    for setter in setters:
-        count = setter(1)
-        setter(count)
-        counts.append(count)
-    return counts
-
-
-def test_one_blas_thread_per_sweep_then_restored():
-    setters = ensemble._openblas_thread_setters()
-    if not setters:
-        pytest.skip("no OpenBLAS loaded in this process")
-    before = blas_thread_counts(setters)
+def test_one_blas_thread_per_sweep_then_restored(monkeypatch, blas_threads):
+    assert blas_threads() == 2
     with pytest.raises(RuntimeError):
-        with ensemble.one_blas_thread() as threads:
-            assert threads == 1
-            assert blas_thread_counts(setters) == [1] * len(setters)
+        with one_blas_thread():
+            assert blas_threads() == 1
             raise RuntimeError("cell body failed")
-    assert blas_thread_counts(setters) == before
-    assert run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=2).blas_threads == 1
-    assert blas_thread_counts(setters) == before
-    with ensemble.one_blas_thread():
+    assert blas_threads() == 2
+    seen, real = [], ensemble.run_cell
+
+    def counted(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(ensemble, "run_cell", counted)
+    run_sweep(small_plan(lambdas=(0.4,), realizations=2), workers=2)
+    assert seen == [1, 1]  # every cell, on the pool threads, ran with one thread
+    assert blas_threads() == 2
+    with one_blas_thread():
         # a sweep nested in a command's scope leaves the outer limit in place
         run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=2)
-        assert blas_thread_counts(setters) == [1] * len(setters)
-    assert blas_thread_counts(setters) == before
-
-
-def test_blas_budget_is_a_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(ensemble, "_openblas_thread_setters", lambda: [])
-    result = run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=1)
-    assert result.blas_threads is None
-    assert result.records[0].error is None
+        assert blas_threads() == 1
+    assert blas_threads() == 2

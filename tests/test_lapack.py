@@ -119,6 +119,10 @@ def test_missing_symbols_are_named(monkeypatch):
     monkeypatch.setitem(lapack._SIGNATURES, "zbogus", (1, 0))
     with pytest.raises(ImportError, match="scipy_zbogus_64_ or zbogus_64_"):
         lapack._bind()
+    monkeypatch.delitem(lapack._SIGNATURES, "zbogus")
+    monkeypatch.setattr(lapack, "_THREAD_SETTER", "openblas_bogus_threads")
+    with pytest.raises(ImportError, match="missing openblas_bogus_threads$"):
+        lapack._bind()
 
 
 def test_library_names_numpy_lapack():
