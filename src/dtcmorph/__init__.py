@@ -28,7 +28,6 @@ from .dynamics import (
     fidelity_map,
     magnetization_series,
     power_spectrum,
-    spectrum_fidelity,
     walk_populations,
     walk_support,
 )
@@ -43,7 +42,7 @@ from .ensemble import (
     run_sweep,
     surviving_cells,
 )
-from .errors import ConfigError, UndefinedFidelityError, ValidationError
+from .errors import ConfigError, ValidationError
 from .fileio import RunConfig, TOOL_VERSION
 from .floquet import (
     FloquetFactors,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lapack
 from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, reference_density
-from .dynamics import fidelity_map, power_spectrum, walk_populations, walk_support
+from .dynamics import fidelity_map, walk_populations, walk_support
 from .ensemble import (
     EnsembleResult,
     SweepPlan,
@@ -298,7 +298,6 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
     maps = fidelity_map(
         cfg.params_for(0.0), disorder, cfg.lambdas, cfg.periods, cfg.initial_config, cfg.workers
     )
-    spectra = [power_spectrum(series) for series in maps.series]
 
     def series_rows():
         for lam, series in zip(cfg.lambdas, maps.series):
@@ -307,7 +306,7 @@ def run_dynamics(cfg: RunConfig, out_dir: Path):
                 yield lam, m, value
 
     def power_rows():
-        for lam, spectrum in zip(cfg.lambdas, spectra):
+        for lam, spectrum in zip(cfg.lambdas, maps.spectra):
             for k in range(cfg.periods):
                 yield lam, k, spectrum.frequencies[k], spectrum.values[k]
 

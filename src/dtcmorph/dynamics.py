@@ -19,14 +19,7 @@ import numpy as np
 from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
 from .ensemble import worker_count
-from .errors import UndefinedFidelityError
-from .floquet import (
-    FloquetFactors,
-    apply_floquet,
-    floquet_factors,
-    kron_dims,
-    stripped_floquet_powers,
-)
+from .floquet import apply_floquet, floquet_factors, kron_dims, stripped_floquet_powers
 from .hamiltonians import DisorderRealization, ModelParams
 from .lapack import one_blas_thread
 from .spins import (
@@ -68,10 +61,10 @@ class WalkRecord:
     populations: np.ndarray
 
 
-def evolve_stroboscopic(f, psi0: np.ndarray, n_periods: int) -> np.ndarray:
-    """States F^m psi0 for m = 0..n, stacked as rows.
+def evolve_stroboscopic(f: np.ndarray, psi0: np.ndarray, n_periods: int) -> np.ndarray:
+    """States F^m psi0 for m = 0..n, stacked as rows, from the dense D x D propagator.
 
-    `f` is either the dense D x D propagator or its `FloquetFactors`.
+    The reference for the factor-form evolution of `_config_populations`.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be nonnegative")
@@ -79,11 +72,7 @@ def evolve_stroboscopic(f, psi0: np.ndarray, n_periods: int) -> np.ndarray:
     out = np.empty((n_periods + 1, len(psi0)), dtype=complex)
     out[0] = psi0
     for m in range(1, n_periods + 1):
-        if isinstance(f, FloquetFactors):
-            out[m] = out[m - 1]
-            apply_floquet(f, out[m])
-        else:
-            out[m] = f @ out[m - 1]
+        out[m] = f @ out[m - 1]
     return out
 
 
@@ -143,32 +132,22 @@ def dft(series: TimeSeries) -> np.ndarray:
     return _dft_values(np.asarray(series.values, dtype=float))
 
 
+def _frequencies(n: int, period: float) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n) / (n * period)
+
+
 def power_spectrum(series: TimeSeries) -> PowerSpectrum:
     """Elementwise squared modulus of the DFT."""
     spectrum = dft(series)
-    n = len(series.values)
-    freqs = 2.0 * np.pi * np.arange(n) / (n * series.period)
-    return PowerSpectrum(values=np.abs(spectrum) ** 2, frequencies=freqs)
-
-
-def _spectrum_values(v) -> np.ndarray:
-    return np.asarray(v.values if isinstance(v, PowerSpectrum) else v, dtype=float)
-
-
-def spectrum_fidelity(v_ref, v) -> float | np.ndarray:
-    """Square root of the cosine similarity of two power spectra, column by column if 2-D."""
-    a = _spectrum_values(v_ref)
-    b = _spectrum_values(v)
-    if a.shape != b.shape:
-        raise ValueError(f"spectrum lengths differ: {a.shape} vs {b.shape}")
-    fid, norms = _fidelities(a, b)
-    if np.any(norms == 0.0):
-        raise UndefinedFidelityError("fidelity of a zero power spectrum is undefined")
-    return float(fid) if fid.ndim == 0 else fid
+    return PowerSpectrum(np.abs(spectrum) ** 2, _frequencies(len(series.values), series.period))
 
 
 def _fidelities(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(fidelities, norm products) column by column; 0.0 where a norm is exactly 0."""
+    """(fidelities, norm products) of two power spectra, column by column.
+
+    A fidelity is the square root of the cosine similarity; it is 0.0 where
+    a norm product is exactly 0, and the caller flags those entries.
+    """
     norms = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         fid = np.sqrt(np.clip(np.sum(a * b, axis=0) / norms, 0.0, 1.0))
@@ -183,10 +162,12 @@ class FidelityMaps:
     lam grid. One shared disorder realization is used across the whole grid.
     `undefined_4t`/`undefined_2t` flag the entries whose fidelity compares
     rounding noise (see UNDEFINED_FIDELITY_RTOL); their values are kept as
-    computed, or 0.0 where a spectrum is exactly zero. `series` holds the
-    magnetization series of one initial configuration per column, taken from
-    the same evolution. `workers` is the number of column blocks each lam's
-    evolution ran in parallel.
+    computed, or 0.0 where a spectrum is exactly zero. `series` and
+    `spectra` hold the magnetization series of one initial configuration per
+    column and its power spectrum, both taken from the same evolution and
+    transform as the maps; each spectrum is bitwise `power_spectrum` of its
+    series. `workers` is the number of column blocks each lam's evolution
+    ran in parallel.
     """
 
     lambdas: np.ndarray
@@ -195,6 +176,7 @@ class FidelityMaps:
     undefined_4t: np.ndarray
     undefined_2t: np.ndarray
     series: list
+    spectra: list
     workers: int = 1
 
 
@@ -269,7 +251,8 @@ def fidelity_map(
     workers: int | None = None,
 ) -> FidelityMaps:
     """Both fidelity maps over every initial configuration and the lam grid,
-    plus the magnetization series of `initial_config` at each grid lam.
+    plus the magnetization series of `initial_config` and its power spectrum
+    at each grid lam.
 
     The lam = 0 and lam = 1 references are reused as grid columns when the
     grid holds those values. Each lam's columns evolve in
@@ -302,13 +285,15 @@ def fidelity_map(
         shape = (d, len(lambdas))
         fid_4t, fid_2t = np.empty(shape), np.empty(shape)
         undefined_4t, undefined_2t = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        series = []
+        series, spectra = [], []
         references = ((ref_4t, fid_4t, undefined_4t), (ref_2t, fid_2t, undefined_2t))
         for col, lam_params in enumerate(grid):
-            spectra, values = refs.get(lam_params.lam) or evolved(lam_params)
+            powers, values = refs.get(lam_params.lam) or evolved(lam_params)
             series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
+            spectra.append(PowerSpectrum(powers[:, initial_config].copy(),
+                                         _frequencies(n_periods, lam_params.period)))
             for ref, fid, undefined in references:
-                fid[:, col], norms = _fidelities(ref, spectra)
+                fid[:, col], norms = _fidelities(ref, powers)
                 undefined[:, col] = norms <= UNDEFINED_FIDELITY_RTOL * norms.max()
     return FidelityMaps(
         lambdas=lambdas,
@@ -317,6 +302,7 @@ def fidelity_map(
         undefined_4t=undefined_4t,
         undefined_2t=undefined_2t,
         series=series,
+        spectra=spectra,
         workers=len(blocks),
     )
 

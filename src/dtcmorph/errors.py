@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class ValidationError(ValueError):
     """A numerical contract was violated (non-Hermitian, non-unitary, NaN, ...)."""
-
-
-class UndefinedFidelityError(ValidationError):
-    """Spectrum fidelity requested for a zero power-spectrum vector."""

@@ -32,8 +32,6 @@ _SIGNATURES = {
 # OpenBLAS's thread-count setter, which returns the previous count; even the
 # scipy-openblas wheels export it without prefix or suffix
 _THREAD_SETTER = "openblas_set_num_threads_local"
-# zgetri's workspace in columns: the block size of LAPACK's ILAENV
-GETRI_BLOCK = 64
 
 
 def _bind() -> dict:
@@ -127,10 +125,8 @@ def invert(a: np.ndarray) -> bool:
     pivots = np.empty(n, dtype=np.int64)
     if _call("zgetrf", _ref(n), _ref(n), a.ctypes.data, _ref(n), pivots.ctypes.data):
         return False
-    work = np.empty(GETRI_BLOCK * n, dtype=np.complex128)
-    info = _call("zgetri", _ref(n), a.ctypes.data, _ref(n), pivots.ctypes.data,
-                 work.ctypes.data, _ref(len(work)))
-    return info == 0
+    head = (_ref(n), a.ctypes.data, _ref(n), pivots.ctypes.data)
+    return _with_workspaces("zgetri", head, (np.complex128,)) == 0
 
 
 def eigh(a: np.ndarray, vectors: bool) -> np.ndarray:

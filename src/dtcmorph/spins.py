@@ -18,6 +18,9 @@ import numpy as np
 from . import lapack
 from .errors import ValidationError
 
+# largest |norm - 1| a state, or any column of a block, may show
+NORM_TOL = 1e-9
+
 
 def dimension(n_sites: int) -> int:
     return 1 << n_sites
@@ -78,15 +81,15 @@ def norm_deviation(psi: np.ndarray) -> float:
     return float(np.max(np.abs(norms - 1.0)))
 
 
-def check_norm_deviation(deviation: float, tol: float = 1e-9) -> None:
-    """ValidationError unless a `norm_deviation` is within tol; a NaN fails too."""
-    if not deviation <= tol:
-        raise ValidationError(f"state norm deviates from 1 by {deviation:.3e} (tol {tol})")
+def check_norm_deviation(deviation: float) -> None:
+    """ValidationError unless a `norm_deviation` is within NORM_TOL; a NaN fails too."""
+    if not deviation <= NORM_TOL:
+        raise ValidationError(f"state norm deviates from 1 by {deviation:.3e} (tol {NORM_TOL})")
 
 
-def check_normalized(psi: np.ndarray, tol: float = 1e-9) -> None:
+def check_normalized(psi: np.ndarray) -> None:
     """ValidationError unless the state, or every column of a 2-D block, has norm 1."""
-    check_norm_deviation(norm_deviation(psi), tol)
+    check_norm_deviation(norm_deviation(psi))
 
 
 def max_hermiticity_defect(mat: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dtcmorph.cli as cli
-from dtcmorph import ensemble, floquet, lapack
+from dtcmorph import dynamics, ensemble, floquet, lapack
 from dtcmorph.dynamics import column_blocks, magnetization_series, power_spectrum
 from dtcmorph.errors import ValidationError
 from dtcmorph.fileio import RunConfig
@@ -345,6 +345,20 @@ def test_dynamics_fidelity_norm_drift_exits_three(tmp_path, corrupt_factors, cap
     assert run_cli(args) == 3
     assert "state norm deviates from 1 by 8.028e-03" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dynamics_transforms_each_lambda_once(tmp_path, monkeypatch):
+    # the power rows are the batched transform's column for the initial
+    # configuration: one 2-D DFT per grid lambda (0 and 1 are grid points),
+    # and no single-series power spectrum
+    calls = []
+    real = dynamics._dft_values
+    monkeypatch.setattr(dynamics, "_dft_values", lambda v: calls.append(v.ndim) or real(v))
+    monkeypatch.setattr(dynamics, "power_spectrum", lambda s: calls.append("power_spectrum"))
+    out = tmp_path / "d"
+    assert run_cli(["dynamics", "--n-sites", "4", "--periods", "8", "--out", str(out)]) == 0
+    assert calls == [2] * 21
+    assert not hasattr(cli, "power_spectrum")
 
 
 # The series and power rows of `dynamics` come from the all-configuration

@@ -17,12 +17,11 @@ from dtcmorph.dynamics import (
     fidelity_map,
     magnetization_series,
     power_spectrum,
-    spectrum_fidelity,
     walk_populations,
     walk_support,
 )
 import dtcmorph.dynamics as dynamics_module
-from dtcmorph.errors import UndefinedFidelityError, ValidationError
+from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
 from dtcmorph.spins import basis_state, magnetization_weights
@@ -148,14 +147,17 @@ def test_power_spectrum_zero_series():
     assert np.all(spectrum.values == 0.0)
 
 
+def fidelity(a, b):
+    return dynamics_module._fidelities(np.asarray(a), np.asarray(b))[0]
+
+
 def test_fidelity_basic_properties():
     v = np.array([0.2, 0.0, 0.8])
-    assert spectrum_fidelity(v, v) == pytest.approx(1.0)
-    assert spectrum_fidelity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    with pytest.raises(ValueError):
-        spectrum_fidelity(np.ones(3), np.ones(4))
-    with pytest.raises(UndefinedFidelityError):
-        spectrum_fidelity(np.zeros(3), np.ones(3))
+    assert fidelity(v, v) == pytest.approx(1.0)
+    assert fidelity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    for a, b in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
+        fid, norms = dynamics_module._fidelities(a, b)
+        assert (fid, norms) == (0.0, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,27 +166,26 @@ def test_fidelity_symmetric_scale_invariant(seed, scale):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.01, 1, 16)
     b = rng.uniform(0.01, 1, 16)
-    fab = spectrum_fidelity(a, b)
+    fab = fidelity(a, b)
     assert 0.0 <= fab <= 1.0
-    assert spectrum_fidelity(b, a) == pytest.approx(fab)
-    assert spectrum_fidelity(scale * a, b) == pytest.approx(fab, abs=1e-9)
+    assert fidelity(b, a) == pytest.approx(fab)
+    assert fidelity(scale * a, b) == pytest.approx(fab, abs=1e-9)
 
 
 def test_fidelity_columnwise_matches_scalar_calls():
     rng = np.random.default_rng(8)
     ref, spectra = rng.random((2, 16, 7))
-    together = spectrum_fidelity(ref, spectra)
+    together = fidelity(ref, spectra)
     assert together.shape == (7,)
     for j in range(7):
         a, b = ref[:, j], spectra[:, j]
-        single = spectrum_fidelity(a, b)
-        assert isinstance(single, float)
-        assert abs(together[j] - single) <= 1e-15
+        assert abs(together[j] - fidelity(a, b)) <= 1e-15
         oracle = np.sqrt(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert abs(together[j] - oracle) <= 1e-15
     spectra[:, 3] = 0.0
-    with pytest.raises(UndefinedFidelityError):
-        spectrum_fidelity(ref, spectra)
+    fid, norms = dynamics_module._fidelities(ref, spectra)
+    assert (fid[3], norms[3]) == (0.0, 0.0)
+    assert np.array_equal(np.delete(fid, 3), np.delete(together, 3))
 
 
 def test_fidelity_map_reference_columns():
@@ -258,11 +259,12 @@ def test_walk_crystal_supports():
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_walk_populations_are_the_squared_stroboscopic_states(n_sites, lam):
+    # the series is bitwise the magnetization of the walk's rows; the rows
+    # themselves are checked against the dense propagator in
+    # test_factor_evolution_matches_dense_propagator
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 4)
-    states = evolve_stroboscopic(floquet_factors(p, disorder), basis_state(n_sites, 1), 30)
     populations = walk_populations(p, disorder, 1, 30).populations
-    assert np.array_equal(populations, np.abs(states) ** 2)
     series = magnetization_series(p, disorder, 1, 30)
     assert np.array_equal(series.values, (populations @ magnetization_weights(n_sites))[1:])
 
@@ -297,13 +299,16 @@ def test_corrupted_factor_trips_the_norm_check(corrupt_factors):
         magnetization_series(p, disorder, 0, 40)
 
 
-def test_factor_evolution_matches_dense_propagator():
-    p = default_params(8, 0.5)
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_factor_evolution_matches_dense_propagator(n_sites, lam):
+    p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 21)
+    config = 5 % p.dim
     f = fast_floquet_operator(floquet_factors(p, disorder))
-    dense = evolve_stroboscopic(f, basis_state(8, 5), 40)
-    assert np.allclose(walk_populations(p, disorder, 5, 40).populations, np.abs(dense) ** 2,
-                       rtol=0, atol=1e-12)
+    dense = evolve_stroboscopic(f, basis_state(n_sites, config), 40)
+    populations = walk_populations(p, disorder, config, 40).populations
+    assert np.allclose(populations, np.abs(dense) ** 2, rtol=0, atol=1e-12)
 
 
 def test_dft_values_columns_match_single_series():
@@ -312,6 +317,24 @@ def test_dft_values_columns_match_single_series():
     together = dynamics_module._dft_values(block)
     for j in range(5):
         assert np.array_equal(together[:, j], dynamics_module._dft_values(block[:, j]))
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 8])
+def test_map_spectra_are_bitwise_the_power_spectra_of_their_series(n_sites):
+    p = default_params(n_sites, 0.0)
+    disorder = sample_disorder(p, 9)
+    lambdas = np.linspace(0.0, 1.0, 21)
+    half_down = (1 << (n_sites // 2)) - 1  # zero magnetization: series identically 0 at lam = 1
+    for config in (0, half_down):
+        maps = fidelity_map(p, disorder, lambdas, 32, initial_config=config)
+        assert len(maps.spectra) == len(maps.series) == len(lambdas)
+        for series, spectrum in zip(maps.series, maps.spectra):
+            expected = power_spectrum(series)
+            assert np.array_equal(spectrum.values, expected.values)
+            assert np.array_equal(spectrum.frequencies, expected.frequencies)
+        if config == half_down:  # the last grid point is lam = 1
+            assert np.max(np.abs(maps.series[-1].values)) <= 1e-12
+            assert np.max(maps.spectra[-1].values) <= 1e-24
 
 
 def dense_power_spectra(params, disorder, n_periods):
