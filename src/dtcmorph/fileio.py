@@ -135,10 +135,8 @@ def format_value(value, context: str = "") -> str:
         if any(c in value for c in ',"\r\n'):
             return '"' + value.replace('"', '""') + '"'
         return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int,)) or hasattr(value, "__index__"):
-        return str(int(value))
+    if isinstance(value, (int, np.bool_)) or hasattr(value, "__index__"):
+        return str(int(value))  # bools, numpy's included, as 0/1
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"non-finite value in output{context and f' ({context})'}")

@@ -93,6 +93,21 @@ def test_format_value_quotes_strings_like_rfc_4180(tmp_path, text, cell):
         assert list(csv.reader(fh)) == [["error", "n"], [text, "1"]]
 
 
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (True, "1"),
+        (np.True_, "1"),
+        (np.False_, "0"),
+        (np.int64(-3), "-3"),
+        (np.float32(0.5), "0.5"),
+        (-0.0, "-0.0"),
+    ],
+)
+def test_format_value_renders_numpy_scalars_like_python_ones(value, cell):
+    assert format_value(value) == cell
+
+
 def test_format_value_rejects_non_finite():
     with pytest.raises(ValidationError):
         format_value(float("nan"))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dtcmorph import backend
+from dtcmorph import backend, lapack
+from dtcmorph.floquet import apply_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import build_h3, default_params, h2_diagonal, sample_disorder
 
 
@@ -24,19 +25,51 @@ def random_complex(rng, shape):
     "apply,width", [(backend.apply_site_gate, 1), (backend.apply_pair_gate, 2)]
 )
 def test_gate_kernels_match_kron_oracle(n_sites, apply, width):
+    """A state vector, column blocks of 1, 3 and D/2 columns, and a D x D matrix."""
     rng = np.random.default_rng(n_sites)
     d = 1 << n_sites
     gate = random_complex(rng, (1 << width, 1 << width))
-    mat = random_complex(rng, (d, d))
-    psi = random_complex(rng, d)
+    operands = [random_complex(rng, shape) for shape in [d, (d, 1), (d, 3), (d, d // 2), (d, d)]]
     for bit in range(n_sites - width + 1):
         full = dense_gate(n_sites, bit, gate)
-        work = mat.copy()
-        apply(work, bit, gate)
-        assert np.max(np.abs(work - full @ mat)) < 1e-12
-        vec = psi.copy()
-        apply(vec, bit, gate)
-        assert np.max(np.abs(vec - full @ psi)) < 1e-12
+        for operand in operands:
+            work = operand.copy()
+            apply(work, bit, gate)
+            assert np.max(np.abs(work - full @ operand)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
+def test_apply_floquet_on_a_block_matches_dense_f(n_sites):
+    p = default_params(n_sites, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 5))
+    block = random_complex(np.random.default_rng(n_sites), (p.dim, 3))
+    work = block.copy()
+    apply_floquet(factors, work)
+    assert np.max(np.abs(work - fast_floquet_operator(factors) @ block)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [4, 8])
+def test_kernels_bitwise_equal_under_one_and_two_blas_threads(n_sites, blas_threads):
+    """The gates run through BLAS, whose thread count must not reach the last bits."""
+    p = default_params(n_sites, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 3))
+    rng = np.random.default_rng(n_sites)
+    psi = random_complex(rng, p.dim)
+    block = random_complex(rng, (p.dim, 3))
+
+    def outputs():
+        vec, cols = psi.copy(), block.copy()
+        apply_floquet(factors, vec)
+        apply_floquet(factors, cols)
+        return fast_floquet_operator(factors), vec, cols
+
+    assert blas_threads() == 2
+    two = outputs()
+    with lapack.one_blas_thread():
+        assert blas_threads() == 1
+        one = outputs()
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
 
 
 def test_gate_kernel_rejects_non_contiguous():

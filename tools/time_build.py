@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time the dense build of F and one factor-form period at several chain lengths.
+
+Run from anywhere; dtcmorph is imported from the src/ of the checkout this
+script sits in, so a copy of it in another checkout times that checkout.
+
+    python3 tools/time_build.py                       # N = 8 and 10
+    python3 tools/time_build.py --n-sites 8 10 12 --repeats 5
+
+For each N it times `fast_floquet_operator(factors)` (one dense D x D
+build) and `apply_floquet(factors, psi)` (one period on a state vector) on
+one interior cell (lambda = 0.5, default couplings, disorder seed 7), after
+one untimed call of each, with OpenBLAS held to one thread. N = 12 is
+opt-in: one build takes seconds there.
+
+Standard output is one JSON line: the environment fingerprint and, per N,
+the median, min and max of the build and period times in milliseconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from dtcmorph import lapack  # noqa: E402
+from dtcmorph.floquet import apply_floquet, fast_floquet_operator, floquet_factors  # noqa: E402
+from dtcmorph.hamiltonians import default_params, sample_disorder  # noqa: E402
+
+
+def _summary(seconds: list) -> dict:
+    ms = [1e3 * s for s in seconds]
+    return {"median_ms": statistics.median(ms), "min_ms": min(ms), "max_ms": max(ms)}
+
+
+def _timed(call, repeats: int) -> dict:
+    call()
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+    return _summary(seconds)
+
+
+def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
+    params = default_params(n_sites, 0.5)
+    factors = floquet_factors(params, sample_disorder(params, 7))
+    psi = np.zeros(params.dim, dtype=complex)
+    psi[0] = 1.0
+    return {
+        "n_sites": n_sites,
+        "build": _timed(lambda: fast_floquet_operator(factors), repeats),
+        "period": _timed(lambda: apply_floquet(factors, psi), periods),
+    }
+
+
+def fingerprint() -> dict:
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "lapack": lapack.library(),
+        "cpu_count": os.cpu_count(),
+        "affinity": sorted(affinity) if affinity is not None else None,
+        "blas_threads": 1,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--n-sites", type=int, nargs="+", default=[8, 10],
+                        help="even chain lengths to time (default: 8 10)")
+    parser.add_argument("--repeats", type=int, default=20,
+                        help="timed builds per chain length (default: 20)")
+    parser.add_argument("--periods", type=int, default=200,
+                        help="timed apply_floquet periods per chain length (default: 200)")
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or args.periods < 1:
+        parser.error("--repeats and --periods must be at least 1")
+    with lapack.one_blas_thread():
+        chains = [time_chain(n, args.repeats, args.periods) for n in args.n_sites]
+    print(json.dumps({"fingerprint": fingerprint(), "chains": chains}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
