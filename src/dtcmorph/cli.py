@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per figure-level dataset.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical-validation
-failures. All commands accept --config/--seed/--out plus overrides; every
+failures. Every command takes --config, --out, --seed, --n-sites and
+--lambdas, plus a flag for each further field it reads (`COMMANDS`); every
 run writes CSV tables and a manifest.json with seeds and digests.
 """
 
@@ -37,15 +38,23 @@ HEFF_SPARSITY_THRESHOLD = 1e-3
 _CURVE_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _STATS_GRID = (0.001, 0.5, 0.999)
 
-# per-command defaults for fields left unset by config file and flags
-COMMAND_DEFAULTS = {
-    "spectrum": {"lambdas": _CURVE_GRID, "realizations": 1, "periods": 64},
-    "levels": {"lambdas": _STATS_GRID, "realizations": 100, "periods": 64},
-    "fractal": {"lambdas": _CURVE_GRID, "realizations": 20, "periods": 64},
-    "dynamics": {"lambdas": _CURVE_GRID, "realizations": 1, "periods": 64},
-    "walk": {"lambdas": (0.0, 0.5, 1.0), "realizations": 1, "periods": 40},
-    "heff": {"lambdas": (0.0, 0.5, 1.0), "realizations": 1, "periods": 64},
-    "sweep": {"lambdas": _CURVE_GRID, "realizations": 100, "periods": 64},
+# command -> (help line, {field: default} for the lambda grid and each field
+# it reads beyond the common ones: --seed, --n-sites and the model couplings);
+# a workers default of None means the usable CPUs
+COMMANDS = {
+    "spectrum": ("quasienergy tables over the deformation grid",
+                 {"lambdas": _CURVE_GRID, "realizations": 1, "workers": None}),
+    "levels": ("pooled gap-ratio histograms and reference densities",
+               {"lambdas": _STATS_GRID, "realizations": 100, "workers": None, "bins": 20}),
+    "fractal": ("per-state and averaged fractal dimensions",
+                {"lambdas": _CURVE_GRID, "realizations": 20, "workers": None}),
+    "dynamics": ("magnetization series, power spectra and fidelity maps",
+                 {"lambdas": _CURVE_GRID, "periods": 64, "initial_config": 0, "workers": None}),
+    "walk": ("configuration-space walk populations",
+             {"lambdas": (0.0, 0.5, 1.0), "periods": 40, "initial_config": 0}),
+    "heff": ("effective-Hamiltonian magnitudes and sparsity", {"lambdas": (0.0, 0.5, 1.0)}),
+    "sweep": ("full disorder-ensemble sweep with aggregates",
+              {"lambdas": _CURVE_GRID, "realizations": 100, "workers": None}),
 }
 
 
@@ -64,14 +73,11 @@ _FLAGS = {
     "--seed": ("master_seed", int, "master seed override"),
     "--n-sites": ("n_sites", int, "chain length (even)"),
     "--lambdas": ("lambdas", _parse_lambdas, "comma-separated deformation grid"),
-    "--realizations": ("realizations", int, "disorder realizations per lambda (spectrum, "
-                       "levels, fractal, sweep)"),
-    "--periods": ("periods", int, "drive periods evolved (dynamics, walk)"),
-    "--workers": ("workers", int, "threads for the ensemble pool and the dynamics column blocks "
-                  "(default: usable CPUs); walk and heff ignore it"),
-    "--bins": ("bins", int, "gap-ratio histogram bins (levels)"),
-    "--initial-config": ("initial_config", int, "basis configuration the dynamics series and the "
-                         "walk start from"),
+    "--realizations": ("realizations", int, "disorder realizations per lambda"),
+    "--periods": ("periods", int, "drive periods evolved"),
+    "--workers": ("workers", int, "worker threads (default: usable CPUs)"),
+    "--bins": ("bins", int, "gap-ratio histogram bins"),
+    "--initial-config": ("initial_config", int, "basis configuration the evolution starts from"),
 }
 
 
@@ -82,33 +88,27 @@ def build_parser() -> argparse.ArgumentParser:
         "of time-crystalline order across a deformation sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "spectrum": "quasienergy tables over the deformation grid",
-        "levels": "pooled gap-ratio histograms and reference densities",
-        "fractal": "per-state and averaged fractal dimensions",
-        "dynamics": "magnetization series, power spectra and fidelity maps",
-        "walk": "configuration-space walk populations",
-        "heff": "effective-Hamiltonian magnitudes and sparsity",
-        "sweep": "full disorder-ensemble sweep with aggregates",
-    }
-    for name, help_text in descriptions.items():
+    for name, (help_text, fields) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
         cmd.add_argument("--out", type=str, default=None, help="output directory")
         for flag, (field, kind, flag_help) in _FLAGS.items():
-            cmd.add_argument(flag, dest=field, type=kind, default=None, help=flag_help)
+            if field in fields or field in ("master_seed", "n_sites"):
+                cmd.add_argument(flag, dest=field, type=kind, default=None, help=flag_help)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
+    """Flags over the config file over the `COMMANDS` defaults; a field the command does
+    not read is None, even where a config file shared across commands sets it."""
+    fields = COMMANDS[args.command][1]
     data = (RunConfig.from_file(args.config) if args.config else RunConfig()).to_dict()
     for field, _, _ in _FLAGS.values():
-        if getattr(args, field) is not None:
+        if getattr(args, field, None) is not None:
             data[field] = getattr(args, field)
-    defaults = COMMAND_DEFAULTS[args.command]
-    for key, value in defaults.items():
-        if data.get(key) is None:
-            data[key] = value
+    unread = {field for _, other in COMMANDS.values() for field in other} - fields.keys()
+    data.update({field: None for field in unread})
+    data.update({field: default for field, default in fields.items() if data[field] is None})
     cfg = RunConfig.from_dict(data)
     if not cfg.lambdas:
         raise ConfigError("empty lambda grid")
@@ -117,13 +117,13 @@ def resolve_config(args) -> RunConfig:
             cfg.params_for(lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0 <= cfg.initial_config < (1 << cfg.n_sites):
+    if cfg.initial_config is not None and not 0 <= cfg.initial_config < (1 << cfg.n_sites):
         raise ConfigError(
             f"initial configuration {cfg.initial_config} outside [0, {1 << cfg.n_sites})"
         )
-    counts = (cfg.realizations, cfg.periods, cfg.bins, 1 if cfg.workers is None else cfg.workers)
-    if min(counts) < 1:
-        raise ConfigError("realizations, periods, bins and workers must be >= 1")
+    for name in ("realizations", "periods", "bins", "workers"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
     return cfg
 
 

@@ -94,7 +94,7 @@ def reference_density(kind: str, r):
     if kind not in REFERENCE_KINDS:
         raise ValueError(f"kind must be one of {REFERENCE_KINDS}, got {kind!r}")
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
         raise ValueError("r must lie in [0, 1]")
     out = _DENSITIES[kind](arr)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out

@@ -65,8 +65,8 @@ class RunConfig:
     realizations: int | None = None
     periods: int | None = None
     master_seed: int = 12345
-    bins: int = 20
-    initial_config: int = 0
+    bins: int | None = None
+    initial_config: int | None = None
     workers: int | None = None
     t1: float | None = None
     t2: float | None = None

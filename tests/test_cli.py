@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ def read_csv(path):
 
 def common_args(out, extra=()):
     return [*extra, "--n-sites", "2", "--seed", "7", "--out", str(out)]
+
+
+def read_flags(command, **values):
+    """Flag/value pairs for those of `values` (by RunConfig field) that `command` reads."""
+    flags = {field: flag for flag, (field, _, _) in cli._FLAGS.items()}
+    reads = cli.COMMANDS[command][1]
+    return [arg for field, value in values.items() if field in reads
+            for arg in (flags[field], str(value))]
 
 
 def test_spectrum_toy_run(tmp_path):
@@ -165,6 +174,41 @@ def test_config_file_drives_run(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 3
     assert manifest["config"]["lambdas"] == [0.0, 1.0]
+    # one file serves every command: spectrum reads no periods, so it records null
+    assert manifest["config"]["realizations"] == 1 and manifest["config"]["periods"] is None
+
+
+_TOY_RUNS = {
+    "spectrum": ["--realizations", "2"],
+    "levels": ["--realizations", "2", "--bins", "5"],
+    "fractal": ["--realizations", "2"],
+    "sweep": ["--realizations", "2", "--workers", "2"],
+    "dynamics": ["--periods", "8", "--initial-config", "3", "--workers", "2"],
+    "walk": ["--periods", "6", "--initial-config", "1"],
+    "heff": [],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_run_reproduces_from_its_own_manifest(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    args = [command, *_TOY_RUNS[command], "--n-sites", "4", "--lambdas", "0,0.3,1", "--seed", "8"]
+    assert run_cli([*args, "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text(encoding="utf-8"))["config"]
+    RunConfig.from_dict(config)  # as perfbench's oracles read it
+    unread = {field for _, fields in cli.COMMANDS.values() for field in fields}
+    unread -= set(cli.COMMANDS[command][1])
+    assert {field for field, value in config.items() if value is None} >= unread
+    if command == "heff":
+        assert unread == {"realizations", "periods", "bins", "initial_config", "workers"}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(second)]) == 0
+    csvs = sorted(path.name for path in first.glob("*.csv"))
+    assert csvs and csvs == sorted(path.name for path in second.glob("*.csv"))
+    assert all((first / name).read_bytes() == (second / name).read_bytes() for name in csvs)
+    reread = json.loads((second / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert reread == config
 
 
 @pytest.mark.parametrize(
@@ -175,7 +219,7 @@ def test_config_file_drives_run(tmp_path):
         ["spectrum", "--realizations", "0"],
         ["walk", "--initial-config", "99", "--n-sites", "2"],
         ["spectrum", "--workers", "0"],
-        ["walk", "--workers", "0", "--n-sites", "2"],
+        ["heff", "--n-sites", "3"],
     ],
 )
 def test_bad_flags_exit_two(tmp_path, args):
@@ -328,7 +372,50 @@ def test_every_flag_has_a_help_line(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["dynamics", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "dynamics column blocks" in text and "walk and heff ignore it" in text
+    assert all(cli._FLAGS[flag][2] in text for flag in ("--periods", "--initial-config", "--workers"))
+
+
+class RecordingConfig:
+    """A RunConfig that records which of its fields a handler reads."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_command_table_lists_the_fields_each_handler_reads(tmp_path, command):
+    args = cli.build_parser().parse_args([command, "--n-sites", "2", "--lambdas", "0.5"])
+    cfg = RecordingConfig(cli.resolve_config(args))
+    cli._HANDLERS[command](cfg, tmp_path)
+    optional = {field for _, fields in cli.COMMANDS.values() for field in fields}
+    assert cfg.read & optional == set(cli.COMMANDS[command][1])
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_takes_only_the_flags_it_reads(capsys, command):
+    flags = {field: flag for flag, (field, _, _) in cli._FLAGS.items()}
+    own = {flags[field] for field in cli.COMMANDS[command][1]}
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--out", "--seed", "--n-sites"} | own
+    for flag in set(flags.values()) - listed:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_flag_command_pairs_are_the_ones_read():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    fields = {field for field, _, _ in cli._FLAGS.values()}
+    pairs = sum(action.dest in fields for cmd in sub.choices.values() for action in cmd._actions)
+    assert pairs == sum(2 + len(reads) for _, reads in cli.COMMANDS.values()) == 35
 
 
 def test_walk_norm_drift_exits_three(tmp_path, corrupt_factors):
@@ -457,8 +544,9 @@ def test_failed_cell_error_with_commas_stays_one_csv_field(tmp_path, monkeypatch
 @pytest.mark.parametrize("command", SWEEP_COMMANDS + SERIAL_COMMANDS)
 def test_manifest_lists_every_file(tmp_path, command):
     out = tmp_path / command
-    args = [command, "--n-sites", "4", "--lambdas", "0.3,0.7", "--realizations", "2",
-            "--periods", "8", "--workers", "2", "--seed", "5", "--out", str(out)]
+    args = [command, "--n-sites", "4", "--lambdas", "0.3,0.7",
+            *read_flags(command, realizations=2, periods=8, workers=2),
+            "--seed", "5", "--out", str(out)]
     assert run_cli(args) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # walk and heff are serial and never start a pool; dynamics evolves its
@@ -633,8 +721,8 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
     # last digits then depend on the thread count; every command must run
     # with one BLAS thread whatever the environment and the worker count
-    # (heff and walk are serial and ignore --workers; dynamics evolves its
-    # columns in one or two blocks).
+    # (heff and walk are serial and take no --workers, so they run once per
+    # BLAS setting; dynamics evolves its columns in one or two blocks).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
@@ -652,10 +740,12 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
             env["OPENBLAS_NUM_THREADS"] = blas
         for workers in ("1", "2"):
             for name, args in commands.items():
+                if workers == "2" and "workers" not in cli.COMMANDS[name][1]:
+                    continue
                 out = tmp_path / f"{name}-{blas}-{workers}"
                 subprocess.run(
                     [sys.executable, "-m", "dtcmorph.cli", *args, "--n-sites", "8", "--seed", "5",
-                     "--workers", workers, "--out", str(out)],
+                     *read_flags(name, workers=workers), "--out", str(out)],
                     env=env, check=True, capture_output=True, timeout=300,
                 )
                 outputs.setdefault(name, []).append(
@@ -663,6 +753,7 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                 )
     for name, runs in outputs.items():
         assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4, "walk": 4}[name]
+        assert len(runs) == (4 if "workers" in cli.COMMANDS[name][1] else 2)
         assert all(run == runs[0] for run in runs), name
 
 
@@ -687,8 +778,9 @@ print(json.dumps({
 @pytest.mark.parametrize("command", SWEEP_COMMANDS + SERIAL_COMMANDS)
 def test_commands_load_no_scipy_and_no_numpy_module_after_setup(tmp_path, command):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    args = [command, "--n-sites", "4", "--lambdas", "0,0.5", "--realizations", "2",
-            "--periods", "8", "--seed", "5", "--out", str(tmp_path / command)]
+    args = [command, "--n-sites", "4", "--lambdas", "0,0.5",
+            *read_flags(command, realizations=2, periods=8), "--seed", "5",
+            "--out", str(tmp_path / command)]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     report = json.loads(proc.stdout.splitlines()[-1])

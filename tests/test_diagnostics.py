@@ -117,6 +117,10 @@ def test_coe_density_matches_surmise_integral():
 def test_density_rejects_bad_input():
     with pytest.raises(ValueError):
         reference_density("poisson", 1.5)
+    for kind in ("poisson", "goe", "coe"):
+        for r in (float("nan"), np.array([0.5, np.nan]), float("inf")):
+            with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+                reference_density(kind, r)
     with pytest.raises(ValueError):
         reference_density("gue", 0.5)
 

@@ -33,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from dtcmorph import lapack  # noqa: E402
 from dtcmorph.floquet import apply_floquet, fast_floquet_operator, floquet_factors  # noqa: E402
-from dtcmorph.hamiltonians import default_params, sample_disorder  # noqa: E402
+from dtcmorph.hamiltonians import MAX_SITES, default_params, sample_disorder  # noqa: E402
 
 
 def _summary(seconds: list) -> dict:
@@ -86,6 +86,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.periods < 1:
         parser.error("--repeats and --periods must be at least 1")
+    if any(n % 2 or not 2 <= n <= MAX_SITES for n in args.n_sites):
+        parser.error(f"--n-sites takes even chain lengths from 2 to {MAX_SITES}")
     with lapack.one_blas_thread():
         chains = [time_chain(n, args.repeats, args.periods) for n in args.n_sites]
     print(json.dumps({"fingerprint": fingerprint(), "chains": chains}))
