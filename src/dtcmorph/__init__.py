@@ -22,7 +22,6 @@ from .dynamics import (
     FidelityMaps,
     PowerSpectrum,
     TimeSeries,
-    WalkRecord,
     dft,
     evolve_stroboscopic,
     fidelity_map,

@@ -47,8 +47,8 @@ def gap_ratios(quasienergies: np.ndarray) -> GapRatioSample:
     if eps.ndim != 1 or len(eps) < 3:
         raise ValueError("need a 1-d spectrum with at least 3 levels")
     deltas = np.diff(eps)
-    if np.any(deltas < 0):
-        raise ValueError("quasienergies must be sorted ascending")
+    if not np.all(np.isfinite(deltas) & (deltas >= 0)):  # a NaN fails too
+        raise ValueError("quasienergies must be finite and sorted ascending")
     lo = np.minimum(deltas[:-1], deltas[1:])
     hi = np.maximum(deltas[:-1], deltas[1:])
     tiny_lo = lo < DEGENERATE_GAP
@@ -137,10 +137,14 @@ class HistogramData:
 
 
 def ratio_histogram(ratios: np.ndarray, bins: int = 20) -> HistogramData:
-    """Histogram of gap ratios on uniform bins over [0, 1]."""
+    """Histogram of gap ratios on uniform bins over [0, 1]; a ratio outside, or NaN, is
+    a ValueError, so every ratio is counted."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(np.asarray(ratios, dtype=float), bins=bins, range=(0.0, 1.0))
+    ratios = np.asarray(ratios, dtype=float)
+    if not np.all((ratios >= 0.0) & (ratios <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("ratios must lie in [0, 1]")
+    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0))
     total = counts.sum()
     width = edges[1] - edges[0]
     density = counts / (total * width) if total > 0 else counts.astype(float)

@@ -6,7 +6,9 @@ separately so raw output can include it). The discrete Fourier transform uses
     M(k) = (1/n) sum_{m=1..n} exp(-i 2 pi k m / n) M(mT),    k = 0..n-1,
 
 so a 4T-periodic series peaks exactly at bins n/4 and 3n/4 and a 2T-periodic
-one at bin n/2 when n is a multiple of 4.
+one at bin n/2 when n is a multiple of 4. `dft` transforms a series or,
+column by column, a block of them. `walk_populations` evolves one basis
+state; the fidelity maps evolve all 2^N of them at once.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from .ensemble import worker_count
 from .floquet import apply_floquet, floquet_factors, kron_dims, stripped_floquet_powers
 from .hamiltonians import DisorderRealization, ModelParams
 from .lapack import one_blas_thread
-from .spins import (
-    basis_state,
-    check_norm_deviation,
-    check_normalized,
-    magnetization_weights,
-    norm_deviation,
-)
+from .spins import basis_state, check_norm_deviation, magnetization_weights, norm_deviation
 
 # a fidelity is undefined where the product of the two spectrum norms is below
 # this fraction of the largest product in its lambda column: the series is
@@ -42,7 +38,6 @@ class TimeSeries:
 
     values: np.ndarray
     period: float
-    initial_config: int
     initial_value: float
 
 
@@ -54,17 +49,10 @@ class PowerSpectrum:
     frequencies: np.ndarray
 
 
-@dataclass
-class WalkRecord:
-    """Configuration populations |<l|F^m|i>|^2 for m = 0..n (rows)."""
-
-    populations: np.ndarray
-
-
 def evolve_stroboscopic(f: np.ndarray, psi0: np.ndarray, n_periods: int) -> np.ndarray:
     """States F^m psi0 for m = 0..n, stacked as rows, from the dense D x D propagator.
 
-    The reference for the factor-form evolution of `_config_populations`.
+    The reference for the factor-form evolution of `walk_populations`.
     """
     if n_periods < 0:
         raise ValueError("n_periods must be nonnegative")
@@ -76,14 +64,15 @@ def evolve_stroboscopic(f: np.ndarray, psi0: np.ndarray, n_periods: int) -> np.n
     return out
 
 
-def _config_populations(
+def walk_populations(
     params: ModelParams, disorder: DisorderRealization, initial_config: int, n_periods: int
 ) -> np.ndarray:
-    """|<l|F^m|initial_config>|^2 for m = 0..n as rows, from the factors of F.
+    """Quantum walk over configurations: the (n+1, D) populations
+    |<l|F^m|initial_config>|^2 for m = 0..n as rows, from the factors of F.
 
     One state is evolved in place and only its real populations are kept, so
-    memory is the (n+1, D) result plus O(D). No dense F exists on this path,
-    so the final norm is the numerical health check: a ValidationError if it
+    memory is the result plus O(D). No dense F exists on this path, so the
+    final norm is the numerical health check: a ValidationError if it
     drifted.
     """
     if n_periods < 0:
@@ -96,7 +85,7 @@ def _config_populations(
             apply_floquet(factors, psi)
         np.abs(psi, out=row)
         row *= row
-    check_normalized(psi)
+    check_norm_deviation(norm_deviation(psi))
     return populations
 
 
@@ -109,27 +98,25 @@ def magnetization_series(
     """Total magnetization after each of n periods from one basis configuration."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    populations = _config_populations(params, disorder, initial_config, n_periods)
+    populations = walk_populations(params, disorder, initial_config, n_periods)
     magnetizations = populations @ magnetization_weights(params.n_sites)
     return TimeSeries(
         values=magnetizations[1:],
         period=params.period,
-        initial_config=initial_config,
         initial_value=float(magnetizations[0]),
     )
 
 
-def _dft_values(values: np.ndarray) -> np.ndarray:
-    # FFT over m = 0..n-1 matches the m = 1..n sum after a one-step phase twist;
-    # transforms along axis 0, so the columns of a 2-D array are separate series
+def dft(values) -> np.ndarray:
+    """Complex spectrum of a series, bins k = 0..n-1 with 1/n normalization.
+
+    Transforms along axis 0, so each column of a 2-D array is a separate series.
+    """
+    values = np.asarray(values, dtype=float)
+    # FFT over m = 0..n-1 matches the m = 1..n sum after a one-step phase twist
     n = len(values)
     twist = np.exp(-2j * np.pi * np.arange(n) / n)
     return twist.reshape((n,) + (1,) * (values.ndim - 1)) * fft(values, axis=0) / n
-
-
-def dft(series: TimeSeries) -> np.ndarray:
-    """Complex spectrum of the series, bins k = 0..n-1 with 1/n normalization."""
-    return _dft_values(np.asarray(series.values, dtype=float))
 
 
 def _frequencies(n: int, period: float) -> np.ndarray:
@@ -138,7 +125,7 @@ def _frequencies(n: int, period: float) -> np.ndarray:
 
 def power_spectrum(series: TimeSeries) -> PowerSpectrum:
     """Elementwise squared modulus of the DFT."""
-    spectrum = dft(series)
+    spectrum = dft(series.values)
     return PowerSpectrum(np.abs(spectrum) ** 2, _frequencies(len(series.values), series.period))
 
 
@@ -199,18 +186,18 @@ def _all_config_power_spectra(
     disorder: DisorderRealization,
     n_periods: int,
     initial_config: int,
-    blocks: list | None = None,
-    pool: ThreadPoolExecutor | None = None,
+    blocks: list,
+    pool: ThreadPoolExecutor | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(n, D) power spectra of the magnetization series of every basis state,
     and the (n,) series of `initial_config` itself.
 
     Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
     U3 conserves both, so dense F is never built. The columns evolve in
-    `blocks` of the high Kronecker index (`column_blocks`; default one
-    block), each filling its own columns of the magnetizations with its own
-    population buffer: the calling thread evolves the first block and
-    `pool` the others. Every column is computed the same way whatever the
+    `blocks` of the high Kronecker index (`column_blocks`), each filling its
+    own columns of the magnetizations with its own population buffer: the
+    calling thread evolves the first block and `pool` the others (None with
+    one block). Every column is computed the same way whatever the
     blocks, so the result is bitwise the same. Once every block has
     finished, a norm drift in any column raises one ValidationError naming
     the largest.
@@ -230,7 +217,6 @@ def _all_config_power_spectra(
             np.matmul(weights, populations, out=columns[m])
         return norm_deviation(states)
 
-    blocks = blocks or column_blocks(params.n_sites, 1)
     later = [pool.submit(evolve, block) for block in blocks[1:]]
     try:
         deviations = [evolve(blocks[0])]
@@ -239,7 +225,7 @@ def _all_config_power_spectra(
     deviations += [future.result() for future in later]
     check_norm_deviation(float(np.max(deviations)))  # NaN-safe, whatever the block order
     # a copy, so the (n, D) block is freed on return
-    return np.abs(_dft_values(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
+    return np.abs(dft(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
 
 
 def fidelity_map(
@@ -289,7 +275,7 @@ def fidelity_map(
         references = ((ref_4t, fid_4t, undefined_4t), (ref_2t, fid_2t, undefined_2t))
         for col, lam_params in enumerate(grid):
             powers, values = refs.get(lam_params.lam) or evolved(lam_params)
-            series.append(TimeSeries(values, lam_params.period, initial_config, initial_value))
+            series.append(TimeSeries(values, lam_params.period, initial_value))
             spectra.append(PowerSpectrum(powers[:, initial_config].copy(),
                                          _frequencies(n_periods, lam_params.period)))
             for ref, fid, undefined in references:
@@ -307,16 +293,7 @@ def fidelity_map(
     )
 
 
-def walk_populations(
-    params: ModelParams,
-    disorder: DisorderRealization,
-    initial_config: int,
-    n_periods: int,
-) -> WalkRecord:
-    """Quantum walk over configurations: populations after each period."""
-    return WalkRecord(populations=_config_populations(params, disorder, initial_config, n_periods))
-
-
-def walk_support(record: WalkRecord, threshold: float = 1e-3) -> int:
-    """Number of configurations whose population ever exceeds the threshold."""
-    return int(np.sum(record.populations.max(axis=0) > threshold))
+def walk_support(populations: np.ndarray, threshold: float = 1e-3) -> int:
+    """Number of configurations (columns of `walk_populations`) whose population ever
+    exceeds the threshold."""
+    return int(np.sum(populations.max(axis=0) > threshold))

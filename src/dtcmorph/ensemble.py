@@ -27,7 +27,7 @@ from .diagnostics import (
     ratio_histogram,
     state_fractal_dimensions,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .floquet import floquet_factors, floquet_spectrum
 from .hamiltonians import ModelParams, sample_disorder
 from .lapack import one_blas_thread
@@ -166,11 +166,15 @@ def surviving_cells(result: EnsembleResult, lambda_index: int) -> list:
     """Records of one lambda column that did not fail, in realization order.
 
     The column is a slice of `result.records`, which `run_sweep` orders by
-    (lambda, realization).
+    (lambda, realization). A column with no survivor has nothing to
+    aggregate: a ValidationError naming its lambda.
     """
     n = result.plan.realizations
     column = result.records[lambda_index * n:(lambda_index + 1) * n]
-    return [r for r in column if r.error is None]
+    survivors = [r for r in column if r.error is None]
+    if not survivors:
+        raise ValidationError(f"every cell failed at lambda {result.plan.lambdas[lambda_index]}")
+    return survivors
 
 
 def _pooled_ratios(result: EnsembleResult, lambda_index: int) -> np.ndarray:

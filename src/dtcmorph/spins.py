@@ -87,11 +87,6 @@ def check_norm_deviation(deviation: float) -> None:
         raise ValidationError(f"state norm deviates from 1 by {deviation:.3e} (tol {NORM_TOL})")
 
 
-def check_normalized(psi: np.ndarray) -> None:
-    """ValidationError unless the state, or every column of a 2-D block, has norm 1."""
-    check_norm_deviation(norm_deviation(psi))
-
-
 def max_hermiticity_defect(mat: np.ndarray) -> float:
     """Max-entry norm of (M - M^dagger)."""
     return float(np.max(np.abs(mat - mat.conj().T)))

@@ -439,8 +439,8 @@ def test_dynamics_transforms_each_lambda_once(tmp_path, monkeypatch):
     # configuration: one 2-D DFT per grid lambda (0 and 1 are grid points),
     # and no single-series power spectrum
     calls = []
-    real = dynamics._dft_values
-    monkeypatch.setattr(dynamics, "_dft_values", lambda v: calls.append(v.ndim) or real(v))
+    real = dynamics.dft
+    monkeypatch.setattr(dynamics, "dft", lambda v: calls.append(v.ndim) or real(v))
     monkeypatch.setattr(dynamics, "power_spectrum", lambda s: calls.append("power_spectrum"))
     out = tmp_path / "d"
     assert run_cli(["dynamics", "--n-sites", "4", "--periods", "8", "--out", str(out)]) == 0

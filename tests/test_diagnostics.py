@@ -55,6 +55,14 @@ def test_gap_ratios_rejects_unsorted_or_short():
         gap_ratios(np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("levels", [[0.0, np.nan, 1.0, 2.0], [0.0, 1.0, np.inf], [np.nan] * 4])
+def test_gap_ratios_rejects_non_finite_levels(levels):
+    # a NaN gap fails every comparison, so an ascending check by "delta < 0"
+    # let it through and returned NaN ratios
+    with pytest.raises(ValueError, match="finite and sorted ascending"):
+        gap_ratios(np.array(levels))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -213,6 +221,19 @@ def test_ratio_histogram_density_normalized():
     assert hist.density.sum() * width == pytest.approx(1.0, abs=1e-9)
     assert len(hist.counts) == 20
     assert hist.counts.sum() == 500
+
+
+@pytest.mark.parametrize("ratios", [[0.5, 1.5, np.nan], [0.5, np.nan], [-0.1, 0.5], [0.5, 1.5]])
+def test_ratio_histogram_rejects_ratios_it_cannot_count(ratios):
+    # np.histogram drops values outside its range, NaN included, and the
+    # density would be normalized over the ones it kept
+    with pytest.raises(ValueError, match=r"ratios must lie in \[0, 1\]"):
+        ratio_histogram(np.array(ratios), bins=2)
+
+
+def test_ratio_histogram_counts_both_ends():
+    hist = ratio_histogram(np.array([0.0, 0.5, 1.0]), bins=2)
+    assert hist.counts.tolist() == [1, 2]
 
 
 def test_ratio_histogram_empty():

@@ -24,7 +24,12 @@ import dtcmorph.dynamics as dynamics_module
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
-from dtcmorph.spins import basis_state, magnetization_weights
+from dtcmorph.spins import (
+    basis_state,
+    check_norm_deviation,
+    magnetization_weights,
+    norm_deviation,
+)
 
 # the lam=0 drive walks the fully polarized state around a 4-configuration
 # cycle: all-up -> odd sites down -> all-down -> even sites down -> all-up
@@ -45,7 +50,6 @@ def series_of(values, period=1.0):
     return TimeSeries(
         values=np.asarray(values, dtype=float),
         period=period,
-        initial_config=0,
         initial_value=0.0,
     )
 
@@ -103,7 +107,7 @@ def test_series_length_contract():
 
 
 def test_dft_constant_series():
-    spectrum = dft(series_of(np.full(16, 0.37)))
+    spectrum = dft(np.full(16, 0.37))
     assert spectrum[0] == pytest.approx(0.37, abs=1e-12)
     assert np.max(np.abs(spectrum[1:])) < 1e-12
 
@@ -111,7 +115,7 @@ def test_dft_constant_series():
 def test_dft_alternating_series():
     n = 16
     values = np.array([(-1.0) ** m for m in range(1, n + 1)])
-    spectrum = dft(series_of(values))
+    spectrum = dft(values)
     assert spectrum[n // 2] == pytest.approx(1.0, abs=1e-12)
     others = np.delete(spectrum, n // 2)
     assert np.max(np.abs(others)) < 1e-12
@@ -121,7 +125,7 @@ def test_dft_alternating_series():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
 def test_dft_matches_direct_oracle(seed, n):
     values = np.random.default_rng(seed).normal(size=n)
-    assert np.max(np.abs(dft(series_of(values)) - direct_dft(values))) < 1e-12
+    assert np.max(np.abs(dft(values) - direct_dft(values))) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,31 +233,31 @@ def test_fidelity_map_checks_its_inputs_before_any_evolution(monkeypatch):
 
 def test_walk_initial_row_is_indicator():
     p = default_params(4, 0.3)
-    record = walk_populations(p, sample_disorder(p, 9), 6, 5)
+    populations = walk_populations(p, sample_disorder(p, 9), 6, 5)
     expected = np.zeros(16)
     expected[6] = 1.0
-    assert np.allclose(record.populations[0], expected)
+    assert np.allclose(populations[0], expected)
 
 
 def test_walk_rows_are_probabilities():
     p = default_params(6, 0.5)
-    record = walk_populations(p, sample_disorder(p, 13), 0, 30)
-    assert record.populations.shape == (31, 64)
-    assert np.all(record.populations >= 0)
-    assert np.allclose(record.populations.sum(axis=1), 1.0, atol=1e-9)
+    populations = walk_populations(p, sample_disorder(p, 13), 0, 30)
+    assert populations.shape == (31, 64)
+    assert np.all(populations >= 0)
+    assert np.allclose(populations.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_walk_crystal_supports():
     p0 = default_params(8, 0.0)
-    record = walk_populations(p0, sample_disorder(p0, 19), 0, 40)
-    assert walk_support(record) == 4
-    peak = record.populations.max(axis=0)
+    populations = walk_populations(p0, sample_disorder(p0, 19), 0, 40)
+    assert walk_support(populations) == 4
+    peak = populations.max(axis=0)
     for config in CYCLE_8:
         assert peak[config] > 0.999
     p1 = default_params(8, 1.0)
-    record1 = walk_populations(p1, sample_disorder(p1, 19), 0, 40)
-    assert walk_support(record1) == 2
-    assert record1.populations.max(axis=0)[0b11111111] > 0.999
+    populations1 = walk_populations(p1, sample_disorder(p1, 19), 0, 40)
+    assert walk_support(populations1) == 2
+    assert populations1.max(axis=0)[0b11111111] > 0.999
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
@@ -264,7 +268,7 @@ def test_walk_populations_are_the_squared_stroboscopic_states(n_sites, lam):
     # test_factor_evolution_matches_dense_propagator
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 4)
-    populations = walk_populations(p, disorder, 1, 30).populations
+    populations = walk_populations(p, disorder, 1, 30)
     series = magnetization_series(p, disorder, 1, 30)
     assert np.array_equal(series.values, (populations @ magnetization_weights(n_sites))[1:])
 
@@ -281,7 +285,7 @@ def test_walk_keeps_populations_only():
     walk_populations(p, disorder, 0, 2)  # caches and first-call set-up
     tracemalloc.start()
     try:
-        populations = walk_populations(p, disorder, 0, 400).populations
+        populations = walk_populations(p, disorder, 0, 400)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,16 +311,16 @@ def test_factor_evolution_matches_dense_propagator(n_sites, lam):
     config = 5 % p.dim
     f = fast_floquet_operator(floquet_factors(p, disorder))
     dense = evolve_stroboscopic(f, basis_state(n_sites, config), 40)
-    populations = walk_populations(p, disorder, config, 40).populations
+    populations = walk_populations(p, disorder, config, 40)
     assert np.allclose(populations, np.abs(dense) ** 2, rtol=0, atol=1e-12)
 
 
-def test_dft_values_columns_match_single_series():
+def test_dft_columns_match_single_series():
     rng = np.random.default_rng(4)
     block = rng.normal(size=(24, 5))
-    together = dynamics_module._dft_values(block)
+    together = dft(block)
     for j in range(5):
-        assert np.array_equal(together[:, j], dynamics_module._dft_values(block[:, j]))
+        assert np.array_equal(together[:, j], dft(block[:, j]))
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 8])
@@ -346,7 +350,7 @@ def dense_power_spectra(params, disorder, n_periods):
     for m in range(n_periods):
         states = f @ states
         magnetizations[m] = weights @ (np.abs(states) ** 2)
-    return np.abs(dynamics_module._dft_values(magnetizations)) ** 2
+    return np.abs(dft(magnetizations)) ** 2
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
@@ -355,7 +359,9 @@ def test_all_config_power_spectra_match_dense_powers(n_sites, lam):
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 5)
     expected = dense_power_spectra(p, disorder, 32)
-    got, _ = dynamics_module._all_config_power_spectra(p, disorder, 32, 0)
+    got, _ = dynamics_module._all_config_power_spectra(
+        p, disorder, 32, 0, column_blocks(n_sites, 1), None
+    )
     assert got.shape == expected.shape == (32, p.dim)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -445,7 +451,9 @@ def blocked_power_spectra(params, disorder, n_periods, count):
     blocks = column_blocks(params.n_sites, count)
     assert len(blocks) == count
     if count == 1:
-        return dynamics_module._all_config_power_spectra(params, disorder, n_periods, 3)
+        return dynamics_module._all_config_power_spectra(
+            params, disorder, n_periods, 3, blocks, None
+        )
     with ThreadPoolExecutor(max_workers=count - 1) as pool:
         return dynamics_module._all_config_power_spectra(
             params, disorder, n_periods, 3, blocks, pool
@@ -503,7 +511,7 @@ def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
     first = column_blocks(n_sites, 4)[0]
     assert drift[: first.stop * d_lo].max() < drift.max()
     with pytest.raises(ValidationError) as info:
-        dynamics_module.check_normalized(states)
+        check_norm_deviation(norm_deviation(states))
     assert str(info.value) == message
     assert "8.028e-03" in message  # 1.001^8 - 1
 

@@ -14,8 +14,9 @@ from dtcmorph.ensemble import (
     pooled_mean_ratios,
     run_cell,
     run_sweep,
+    surviving_cells,
 )
-from dtcmorph.errors import ConfigError
+from dtcmorph.errors import ConfigError, ValidationError
 from dtcmorph.floquet import diagonalize_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import default_params, sample_disorder
 from dtcmorph.lapack import one_blas_thread
@@ -193,6 +194,25 @@ def test_cell_failure_recorded_not_raised(monkeypatch):
     assert [r.route for r in result.records if r.error] == [None]
     # aggregates skip the failed cell
     assert len(pooled_mean_ratios(result)) == 1
+
+
+def test_lambda_column_without_survivor_fails_every_aggregate(monkeypatch):
+    # the aggregates used to fail differently on such a column: numpy's
+    # "need at least one array to concatenate", or a NaN mean with warnings
+    real = ensemble.floquet_factors
+
+    def failing_at_02(params, disorder):
+        if params.lam == 0.2:
+            raise RuntimeError("injected failure")
+        return real(params, disorder)
+
+    monkeypatch.setattr(ensemble, "floquet_factors", failing_at_02)
+    result = run_sweep(small_plan(), workers=1)
+    assert len(surviving_cells(result, 1)) == 3
+    for aggregate in (lambda r: surviving_cells(r, 0), pooled_mean_ratios, pooled_histograms,
+                      aggregate_fractal):
+        with pytest.raises(ValidationError, match="every cell failed at lambda 0.2$"):
+            aggregate(result)
 
 
 def test_cells_without_fractal_solve_for_values_only():

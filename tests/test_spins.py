@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from dtcmorph.errors import ValidationError
 from dtcmorph.spins import (
     basis_state,
-    check_normalized,
+    check_norm_deviation,
     local_magnetization,
     magnetization_weights,
+    norm_deviation,
 )
 
 
@@ -66,13 +67,13 @@ def test_magnetization_weights_cached_consistent():
     assert len(w) == 32
 
 
-def test_check_normalized_flags_one_drifted_column():
+def test_norm_check_flags_one_drifted_column():
     block = np.stack([random_state(3, seed) for seed in range(5)], axis=1)
-    check_normalized(block)
-    check_normalized(block[:, 0])
+    check_norm_deviation(norm_deviation(block))
+    check_norm_deviation(norm_deviation(block[:, 0]))
     block[:, 2] *= 1 + 1e-6
     with pytest.raises(ValidationError, match="1.000e-06"):
-        check_normalized(block)
+        check_norm_deviation(norm_deviation(block))
     block[:, 2] = np.nan
     with pytest.raises(ValidationError, match="nan"):
-        check_normalized(block)
+        check_norm_deviation(norm_deviation(block))

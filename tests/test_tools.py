@@ -1,15 +1,16 @@
-"""The command-line checks of the scripts under tools/."""
+"""Checks of the scripts under tools/."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
 
-TIME_BUILD = Path(__file__).resolve().parent.parent / "tools" / "time_build.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_time_build():
-    spec = importlib.util.spec_from_file_location("time_build", TIME_BUILD)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -18,6 +19,41 @@ def load_time_build():
 @pytest.mark.parametrize("n_sites", ["7", "0", "14", "-2"])
 def test_time_build_rejects_a_chain_length_it_cannot_build(capsys, n_sites):
     with pytest.raises(SystemExit) as exc:
-        load_time_build().main(["--n-sites", "4", n_sites])
+        load_tool("time_build").main(["--n-sites", "4", n_sites])
     assert exc.value.code == 2
     assert "--n-sites takes even chain lengths from 2 to 12" in capsys.readouterr().err
+
+
+# N = 2 keeps the four runs per comparison to about a second
+SMALL_ARGVS = [["walk", "--n-sites", "2"], ["dynamics", "--n-sites", "2", "--workers", "2"]]
+
+
+def test_compare_outputs_finds_the_same_tree_identical():
+    report = load_tool("compare_outputs").compare(ROOT / "src", ROOT / "src", SMALL_ARGVS)
+    assert report["identical"]
+    assert report["differences"] == []
+    assert report["csvs"] == 4 + 4  # walk_000..002 and walk_support; dynamics' four tables
+
+
+def test_compare_outputs_names_the_csv_a_change_moves(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "dtcmorph" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert "WALK_SUPPORT_THRESHOLD = 1e-3\n" in text
+    cli.write_text(text.replace("WALK_SUPPORT_THRESHOLD = 1e-3\n", "WALK_SUPPORT_THRESHOLD = 0.5\n"),
+                   encoding="utf-8")
+    tool = load_tool("compare_outputs")
+    report = tool.compare(ROOT / "src", changed, SMALL_ARGVS)
+    assert not report["identical"]
+    moved = {(d["argv"], d.get("file"), d["what"]) for d in report["differences"]}
+    assert moved == {
+        ("walk --n-sites 2", "dtcmorph_walk/walk_support.csv", "sha256"),
+        ("walk --n-sites 2", "dtcmorph_walk/manifest.json", "manifest"),
+    }
+
+
+def test_compare_outputs_counts_a_failed_run_as_a_difference():
+    argvs = [["walk", "--n-sites", "3"]]  # odd chain: exit 2 in both trees
+    report = load_tool("compare_outputs").compare(ROOT / "src", ROOT / "src", argvs)
+    assert report["differences"] == [{"argv": "walk --n-sites 3", "what": "exit code 2 -> 2"}]
