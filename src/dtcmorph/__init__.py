@@ -36,8 +36,8 @@ from .ensemble import (
     SweepPlan,
     aggregate_fractal,
     derive_seed,
-    pooled_histograms,
     pooled_mean_ratios,
+    pooled_ratios,
     run_sweep,
     surviving_cells,
 )

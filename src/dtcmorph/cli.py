@@ -15,15 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import lapack
-from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, reference_density
+from .diagnostics import REFERENCE_KINDS, mean_gap_ratio, ratio_histogram, reference_density
 from .dynamics import fidelity_map, walk_populations, walk_support
 from .ensemble import (
     EnsembleResult,
     SweepPlan,
     aggregate_fractal,
     derive_seed,
-    pooled_histograms,
     pooled_mean_ratios,
+    pooled_ratios,
     run_sweep,
     surviving_cells,
 )
@@ -203,14 +203,13 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
 
 def run_levels(cfg: RunConfig, out_dir: Path):
     result, fields = _sweep(cfg, states=False)
-    hists = pooled_histograms(result, bins=cfg.bins)
-    means = pooled_mean_ratios(result)
     ref_means = tuple(mean_gap_ratio(kind) for kind in REFERENCE_KINDS)
     hist_rows = []
     summary_rows = []
     degenerate = []
     for li, lam in enumerate(result.plan.lambdas):
-        hist = hists[li]
+        ratios = pooled_ratios(result, li)
+        hist = ratio_histogram(ratios, bins=cfg.bins)
         for b, center in enumerate(hist.centers):
             hist_rows.append(
                 (
@@ -224,7 +223,7 @@ def run_levels(cfg: RunConfig, out_dir: Path):
                 )
             )
         samples = [r.ratios for r in surviving_cells(result, li)]
-        summary_rows.append((lam, sum(len(s.ratios) for s in samples), means[li], *ref_means))
+        summary_rows.append((lam, len(ratios), ratios.mean(), *ref_means))
         degenerate.append(
             {
                 "lambda": lam,

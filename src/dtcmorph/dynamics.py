@@ -293,7 +293,7 @@ def fidelity_map(
     )
 
 
-def walk_support(populations: np.ndarray, threshold: float = 1e-3) -> int:
+def walk_support(populations: np.ndarray, threshold: float) -> int:
     """Number of configurations (columns of `walk_populations`) whose population ever
     exceeds the threshold."""
     return int(np.sum(populations.max(axis=0) > threshold))

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import (
-    GapRatioSample,
-    HistogramData,
-    gap_ratios,
-    ratio_histogram,
-    state_fractal_dimensions,
-)
+from .diagnostics import GapRatioSample, gap_ratios, state_fractal_dimensions
 from .errors import ConfigError, ValidationError
 from .floquet import floquet_factors, floquet_spectrum
 from .hamiltonians import ModelParams, sample_disorder
@@ -177,24 +171,17 @@ def surviving_cells(result: EnsembleResult, lambda_index: int) -> list:
     return survivors
 
 
-def _pooled_ratios(result: EnsembleResult, lambda_index: int) -> np.ndarray:
+def pooled_ratios(result: EnsembleResult, lambda_index: int) -> np.ndarray:
+    """Gap ratios of one lambda column's surviving cells, realizations merged in index order."""
     return np.concatenate([r.ratios.ratios for r in surviving_cells(result, lambda_index)])
 
 
 def pooled_mean_ratios(result: EnsembleResult) -> np.ndarray:
-    """Pooled mean gap ratio per lambda, realizations merged in index order."""
+    """Pooled mean gap ratio per lambda."""
     means = np.empty(len(result.plan.lambdas))
     for li in range(len(result.plan.lambdas)):
-        means[li] = _pooled_ratios(result, li).mean()
+        means[li] = pooled_ratios(result, li).mean()
     return means
-
-
-def pooled_histograms(result: EnsembleResult, bins: int = 20) -> list[HistogramData]:
-    """Pooled ratio histogram per lambda."""
-    return [
-        ratio_histogram(_pooled_ratios(result, li), bins=bins)
-        for li in range(len(result.plan.lambdas))
-    ]
 
 
 def aggregate_fractal(result: EnsembleResult) -> np.ndarray:

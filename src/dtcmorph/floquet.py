@@ -48,7 +48,7 @@ from .hamiltonians import (
     dimer_block,
     h2_diagonal,
 )
-from .spins import max_hermiticity_defect, max_unitarity_defect
+from .spins import BLOCK_COLS, max_hermiticity_defect, max_modulus, max_unitarity_defect
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -64,10 +64,8 @@ ORTHONORMALITY_TOL = 1e-10
 # entries and modulus defects are at most this; at the default endpoints
 # they are cos(pi/2) = 6e-17 and propagator round-off up to 2.2e-16
 MONOMIAL_TOL = 1e-14
-# rows per block of the effective Hamiltonian's product and symmetrization
+# rows per block of the effective Hamiltonian's product
 HEFF_BLOCK_ROWS = 256
-# columns per block when the dominant configuration of each state is found
-STATE_BLOCK_COLS = 256
 
 
 @dataclass
@@ -248,14 +246,38 @@ def fast_floquet_operator(factors: FloquetFactors) -> np.ndarray:
     return mat
 
 
+def _hermitian_part(h: np.ndarray) -> tuple[float, float]:
+    """Replace the square `h` by h + h^H in place; return max|2h - (h + h^H)| and max|h + h^H|.
+
+    Walks pairs (a, b), a <= b, of BLOCK_COLS-wide index blocks: S = h[a, b] +
+    h[b, a]^H goes to [a, b] and S^H to [b, a], so the result is Hermitian to
+    the last bit, and beside `h` only temporaries of one block pair exist.
+    The first maximum, the anti-Hermitian part of the input, is taken in both
+    blocks of each pair before they are overwritten. Either maximum is NaN
+    where an entry is.
+    """
+    blocks = [slice(lo, lo + BLOCK_COLS) for lo in range(0, len(h), BLOCK_COLS)]
+    defects, scales = [], []
+    for i, a in enumerate(blocks):
+        for b in blocks[i:]:
+            s = h[a, b] + np.conj(h[b, a]).T
+            defects += [np.abs(2.0 * h[a, b] - s).max(), np.abs(2.0 * h[b, a] - s.conj().T).max()]
+            scales.append(np.abs(s).max())
+            h[a, b] = s
+            h[b, a] = s.conj().T
+    return float(np.max(defects)), float(np.max(scales))
+
+
 def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
     """2H for the Hermitian Cayley transform H of a unitary F, or None when refused.
 
     H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, shares F's
     eigenvectors, and each eigenvalue e^{i*theta} of F becomes
-    h = -cot(theta/2). H is symmetrized before `lapack.eigh`, which reads
-    one triangle only. Refused (None): 1-F singular, or H non-finite or
-    further from Hermitian than CAYLEY_HERMITICITY_TOL.
+    h = -cot(theta/2). H is symmetrized (`_hermitian_part`) before
+    `lapack.eigh`, which reads one triangle only. Refused (None): 1-F
+    singular, or H non-finite or further from Hermitian than
+    CAYLEY_HERMITICITY_TOL. Beside F it allocates the returned D x D buffer,
+    `lapack.invert`'s workspace of 64 D entries and block temporaries.
     """
     d = f.shape[0]
     h = np.negative(np.asarray(f, dtype=complex), order="F")
@@ -264,14 +286,10 @@ def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
         return None
     h *= 2j
     h.flat[:: d + 1] -= 1j
-    herm = np.conj(h.T, order="F")
-    herm += h  # H + H^H, Hermitian to the last bit
-    h *= 2.0
-    h -= herm  # H - H^H
-    scale = np.abs(herm).max()
-    if not (np.isfinite(scale) and np.abs(h).max() <= CAYLEY_HERMITICITY_TOL * scale):
+    defect, scale = _hermitian_part(h)  # h is 2H from here on
+    if not (np.isfinite(scale) and defect <= CAYLEY_HERMITICITY_TOL * scale):
         return None
-    return herm
+    return h
 
 
 def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
@@ -287,6 +305,10 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     max|FV - V Lambda| and the orthonormality max|V^H V - 1|. Where the
     transform or a gate refuses, a complex Schur decomposition computes the
     result instead, with route "schur".
+
+    Beside F, values allocate the transform's buffer (`_cayley_hermitian`);
+    states add zheevd's two workspace buffers, then FV, which is freed
+    before the orthonormality Gram. No max|entry| makes a full-size temporary.
     """
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
@@ -304,8 +326,11 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
         basis = herm  # overwritten by the eigenvectors
         fv = f @ basis
         quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
-        fv -= basis * quotients
-        residual = np.abs(fv).max()
+        for lo in range(0, len(quotients), BLOCK_COLS):
+            cols = slice(lo, lo + BLOCK_COLS)
+            fv[:, cols] -= basis[:, cols] * quotients[cols]
+        residual = max_modulus(fv)
+        del fv
         orthonormality = max_unitarity_defect(basis)
         if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
             angles, states = np.angle(quotients), basis
@@ -323,7 +348,7 @@ def _ordered_result(angles, states, period: float, route: str) -> FloquetResult:
     With `states` (eigenvectors as columns, matching `angles`), ties are
     broken by the index of each state's dominant configuration, and the
     columns are reordered in place: beside `states` only blocks of
-    STATE_BLOCK_COLS columns and one column of scratch are allocated.
+    BLOCK_COLS columns and one column of scratch are allocated.
     """
     eps = -angles / period
     edge = np.pi / period
@@ -331,8 +356,8 @@ def _ordered_result(angles, states, period: float, route: str) -> FloquetResult:
     if states is None:
         return FloquetResult(np.sort(eps), None, period, route)
     dominant = np.concatenate([
-        np.argmax(np.abs(states[:, lo:lo + STATE_BLOCK_COLS]), axis=0)
-        for lo in range(0, states.shape[1], STATE_BLOCK_COLS)
+        np.argmax(np.abs(states[:, lo:lo + BLOCK_COLS]), axis=0)
+        for lo in range(0, states.shape[1], BLOCK_COLS)
     ])
     order = np.lexsort((dominant, eps))
     _permute_columns(states, order.tolist())
@@ -486,26 +511,21 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
 def effective_hamiltonian(result: FloquetResult) -> np.ndarray:
     """Hermitian generator with F = exp(-i*H_eff*T), from the principal branch.
 
-    H = V diag(eps) V^H, then (H + H^H)/2, both over blocks of
-    HEFF_BLOCK_ROWS rows, so beside the states V and H itself only
-    O(HEFF_BLOCK_ROWS * D) temporaries exist: V^H is never copied (a row
-    block of H is conj(conj(V_rows eps) V^T), with V^T a view), and each pair
-    of mirrored blocks is averaged in place.
+    H = V diag(eps) V^H over blocks of HEFF_BLOCK_ROWS rows, then
+    (H + H^H)/2 in place (`_hermitian_part`), so beside the states V and H
+    itself only O(HEFF_BLOCK_ROWS * D) temporaries exist: V^H is never
+    copied (a row block of H is conj(conj(V_rows eps) V^T), with V^T a view).
     """
     states = result.require_states()
     dim = len(states)
-    blocks = [slice(lo, lo + HEFF_BLOCK_ROWS) for lo in range(0, dim, HEFF_BLOCK_ROWS)]
     h = np.empty((dim, dim), dtype=complex)
-    for rows in blocks:
+    for lo in range(0, dim, HEFF_BLOCK_ROWS):
+        rows = slice(lo, lo + HEFF_BLOCK_ROWS)
         scaled = states[rows] * result.quasienergies
         np.matmul(np.conj(scaled, out=scaled), states.T, out=h[rows])
         np.conj(h[rows], out=h[rows])
-    for i, a in enumerate(blocks):
-        for b in blocks[i:]:
-            mean = h[a, b] + h[b, a].conj().T
-            mean *= 0.5
-            h[a, b] = mean
-            h[b, a] = mean.conj().T
+    _hermitian_part(h)
+    h *= 0.5
     return h
 
 

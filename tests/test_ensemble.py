@@ -5,13 +5,13 @@ import pytest
 
 import dtcmorph.ensemble as ensemble
 import dtcmorph.floquet as floquet_module
-from dtcmorph.diagnostics import gap_ratios
+from dtcmorph.diagnostics import gap_ratios, ratio_histogram
 from dtcmorph.ensemble import (
     SweepPlan,
     aggregate_fractal,
     derive_seed,
-    pooled_histograms,
     pooled_mean_ratios,
+    pooled_ratios,
     run_cell,
     run_sweep,
     surviving_cells,
@@ -129,9 +129,8 @@ def test_pooled_ratio_ordering_melted_vs_recrystallized():
 
 def test_pooled_histograms_shapes():
     result = run_sweep(small_plan(), workers=2)
-    hists = pooled_histograms(result, bins=10)
-    assert len(hists) == 2
-    for hist in hists:
+    for li in range(2):
+        hist = ratio_histogram(pooled_ratios(result, li), bins=10)
         assert hist.counts.sum() == 3 * (16 - 2)
 
 
@@ -209,8 +208,8 @@ def test_lambda_column_without_survivor_fails_every_aggregate(monkeypatch):
     monkeypatch.setattr(ensemble, "floquet_factors", failing_at_02)
     result = run_sweep(small_plan(), workers=1)
     assert len(surviving_cells(result, 1)) == 3
-    for aggregate in (lambda r: surviving_cells(r, 0), pooled_mean_ratios, pooled_histograms,
-                      aggregate_fractal):
+    for aggregate in (lambda r: surviving_cells(r, 0), lambda r: pooled_ratios(r, 0),
+                      pooled_mean_ratios, aggregate_fractal):
         with pytest.raises(ValidationError, match="every cell failed at lambda 0.2$"):
             aggregate(result)
 

@@ -529,6 +529,72 @@ def test_endpoint_spectrum_orders_its_states_in_place():
     assert peak <= ENDPOINT_PEAK_BUFFERS * res.states.nbytes
 
 
+# traced peak of one interior cell, dense build included, in D x D complex
+# buffers: F and its Cayley transform, plus zgetri's 64 D workspace (1/4 of a
+# buffer at N = 8); states add zheevd's two workspace buffers
+VALUES_CELL_PEAK_BUFFERS = 2.3
+STATES_CELL_PEAK_BUFFERS = 4.25
+
+
+@pytest.mark.parametrize("n_sites", [8, 10])
+@pytest.mark.parametrize("vectors, bound", [(False, VALUES_CELL_PEAK_BUFFERS),
+                                            (True, STATES_CELL_PEAK_BUFFERS)])
+def test_interior_cell_peak_buffers(n_sites, vectors, bound):
+    p = default_params(n_sites, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    tracemalloc.start()
+    try:
+        res = floquet_spectrum(factors, p.period, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.route == "cayley"
+    assert peak <= bound * p.dim**2 * 16
+
+
+@pytest.mark.parametrize("dim", [1, 64, 150, 256])
+def test_hermitian_part_is_bitwise_the_one_shot_sum(dim):
+    # 150 leaves a short last block of the 64-wide pairs
+    rng = np.random.default_rng(dim)
+    h = np.asfortranarray(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    expected = h + h.conj().T
+    defect = np.abs(2.0 * h - expected).max()
+    assert floquet_module._hermitian_part(h) == (defect, np.abs(expected).max())
+    assert np.array_equal(h, expected)
+
+
+def test_cayley_transform_is_bitwise_the_one_shot_sum():
+    p = default_params(8, 0.5)
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 7)))
+    h = np.asfortranarray(np.eye(p.dim) - f)
+    assert floquet_module.lapack.invert(h)
+    h *= 2j
+    h.flat[:: p.dim + 1] -= 1j
+    assert np.array_equal(floquet_module._cayley_hermitian(f), h + h.conj().T)
+
+
+# (row, column) of the kick: both halves of the off-diagonal block pair of
+# index blocks 0 and 3, which no diagonal block sees
+@pytest.mark.parametrize("entry", [(200, 10), (10, 200)])
+def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypatch, entry):
+    p = default_params(8, 0.5)
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 7)))
+    real_invert = floquet_module.lapack.invert
+
+    def kicked(size):
+        def invert(a):
+            ok = real_invert(a)
+            a[entry] += size * np.abs(a).max()
+            return ok
+        return invert
+
+    monkeypatch.setattr(floquet_module.lapack, "invert", kicked(1e-12))
+    assert floquet_module._cayley_hermitian(f) is not None
+    monkeypatch.setattr(floquet_module.lapack, "invert", kicked(1e-8))
+    assert floquet_module._cayley_hermitian(f) is None
+    assert diagonalize_floquet(f, p.period, vectors=False).route == "schur"
+
+
 # floquet_spectrum answers every cell by one route and names it: the closed
 # form at the exact endpoints, Cayley in between, Schur where Cayley refuses
 @pytest.mark.parametrize("vectors", [True, False])
@@ -599,6 +665,26 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
     assert np.max(np.abs(res.quasienergies - clean.quasienergies)) < VALUES_ONLY_TOL
     assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(p.dim))) < 1e-12
     assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
+
+
+@pytest.mark.parametrize("gate", ["residual", "orthonormality"])
+def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
+    # D = 256: the corrupted columns lie in the last of four column blocks
+    real_eigh = floquet_module.lapack.eigh
+
+    def corrupted_eigh(a, vectors):
+        values = real_eigh(a, vectors)
+        if gate == "residual":
+            c = np.sqrt(0.5)
+            a[:, [-2, -1]] = a[:, [-2, -1]] @ np.array([[c, -c], [c, c]])
+        else:
+            a[:, -1] = a[:, -2]
+        return values
+
+    p = default_params(8, 0.5)
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
+    monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
+    assert diagonalize_floquet(f, p.period).route == "schur"
 
 
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])

@@ -9,6 +9,8 @@ from dtcmorph.spins import (
     check_norm_deviation,
     local_magnetization,
     magnetization_weights,
+    max_modulus,
+    max_unitarity_defect,
     norm_deviation,
 )
 
@@ -77,3 +79,22 @@ def test_norm_check_flags_one_drifted_column():
     block[:, 2] = np.nan
     with pytest.raises(ValidationError, match="nan"):
         check_norm_deviation(norm_deviation(block))
+
+
+@pytest.mark.parametrize("shape, order", [((256, 256), "C"), ((256, 256), "F"), ((100, 150), "C")])
+def test_max_modulus_is_the_one_shot_maximum(shape, order):
+    rng = np.random.default_rng(3)
+    mat = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape), order=order)
+    assert max_modulus(mat) == np.abs(mat).max()
+    mat[7, -1] = np.nan
+    assert np.isnan(max_modulus(mat))
+
+
+def test_unitarity_defect_sees_every_column_block():
+    # D = 256: the broken column lies in the last of four column blocks
+    q = np.linalg.qr(random_state(8, 1)[:, None] * random_state(8, 2)[None, :] + np.eye(256))[0]
+    assert max_unitarity_defect(q) < 1e-12
+    q[:, 250] *= 1.01
+    assert max_unitarity_defect(q) == pytest.approx(1.01**2 - 1)
+    q[3, 250] = np.nan
+    assert np.isnan(max_unitarity_defect(q))

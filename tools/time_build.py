@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dense build of F and one factor-form period at several chain lengths.
+"""Time the dense build of F, one factor-form period and the eigensolve at several chain lengths.
 
 Run from anywhere; dtcmorph is imported from the src/ of the checkout this
 script sits in, so a copy of it in another checkout times that checkout.
@@ -8,13 +8,18 @@ script sits in, so a copy of it in another checkout times that checkout.
     python3 tools/time_build.py --n-sites 8 10 12 --repeats 5
 
 For each N it times `fast_floquet_operator(factors)` (one dense D x D
-build) and `apply_floquet(factors, psi)` (one period on a state vector) on
-one interior cell (lambda = 0.5, default couplings, disorder seed 7), after
-one untimed call of each, with OpenBLAS held to one thread. N = 12 is
-opt-in: one build takes seconds there.
+build, "build"), `apply_floquet(factors, psi)` (one period on a state
+vector, "period") and `diagonalize_floquet(f, period, vectors)` of that F
+without and with states ("values", "states"; `--repeats` calls each) on one
+interior cell (lambda = 0.5, default couplings, disorder seed 7), after one
+untimed call of each, with OpenBLAS held to one thread. One more untimed
+call of each stage runs under tracemalloc for its traced peak: what it
+allocates beyond its inputs, in D x D complex buffers. N = 12 is opt-in:
+one build takes seconds there and one eigensolve minutes.
 
-Standard output is one JSON line: the environment fingerprint and, per N,
-the median, min and max of the build and period times in milliseconds.
+Standard output is one JSON line: the environment fingerprint and, per N
+and stage, the median, min and max time in milliseconds and the peak in
+buffers ("peak_buffers").
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -32,7 +38,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from dtcmorph import lapack  # noqa: E402
-from dtcmorph.floquet import apply_floquet, fast_floquet_operator, floquet_factors  # noqa: E402
+from dtcmorph.floquet import (  # noqa: E402
+    apply_floquet,
+    diagonalize_floquet,
+    fast_floquet_operator,
+    floquet_factors,
+)
 from dtcmorph.hamiltonians import MAX_SITES, default_params, sample_disorder  # noqa: E402
 
 
@@ -41,14 +52,20 @@ def _summary(seconds: list) -> dict:
     return {"median_ms": statistics.median(ms), "min_ms": min(ms), "max_ms": max(ms)}
 
 
-def _timed(call, repeats: int) -> dict:
+def _timed(call, repeats: int, buffer_bytes: int) -> dict:
     call()
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         seconds.append(time.perf_counter() - start)
-    return _summary(seconds)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {**_summary(seconds), "peak_buffers": peak / buffer_bytes}
 
 
 def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
@@ -56,10 +73,14 @@ def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
     factors = floquet_factors(params, sample_disorder(params, 7))
     psi = np.zeros(params.dim, dtype=complex)
     psi[0] = 1.0
+    f = fast_floquet_operator(factors)
+    buffer_bytes = f.nbytes
     return {
         "n_sites": n_sites,
-        "build": _timed(lambda: fast_floquet_operator(factors), repeats),
-        "period": _timed(lambda: apply_floquet(factors, psi), periods),
+        "build": _timed(lambda: fast_floquet_operator(factors), repeats, buffer_bytes),
+        "period": _timed(lambda: apply_floquet(factors, psi), periods, buffer_bytes),
+        "values": _timed(lambda: diagonalize_floquet(f, params.period, False), repeats, buffer_bytes),
+        "states": _timed(lambda: diagonalize_floquet(f, params.period, True), repeats, buffer_bytes),
     }
 
 
@@ -80,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n-sites", type=int, nargs="+", default=[8, 10],
                         help="even chain lengths to time (default: 8 10)")
     parser.add_argument("--repeats", type=int, default=20,
-                        help="timed builds per chain length (default: 20)")
+                        help="timed builds and eigensolves per chain length (default: 20)")
     parser.add_argument("--periods", type=int, default=200,
                         help="timed apply_floquet periods per chain length (default: 200)")
     args = parser.parse_args(argv)
