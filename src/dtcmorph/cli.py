@@ -128,9 +128,10 @@ def resolve_config(args) -> RunConfig:
 
 
 def _route_counts(routes: list) -> dict:
-    """Manifest counts of the spectral routes taken: Schur fallbacks and closed-form cells."""
+    """Manifest counts of the spectral routes taken: Cayley solves answered only on a
+    phase-rotated F (`diagonalize_floquet`'s retry) and closed-form cells."""
     return {
-        "eigensolver_fallbacks": routes.count("schur"),
+        "eigensolver_fallbacks": routes.count("cayley_rotated"),
         "closed_form_cells": routes.count("closed_form"),
     }
 

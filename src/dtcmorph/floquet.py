@@ -17,17 +17,16 @@ applies them in place in O(N*D) per state. `stripped_floquet_powers`
 evolves all 2^N configurations at once, or a block of them, through one
 merged dimer layer per period, again without F.
 
-`floquet_spectrum` gives the spectrum of one cell from its factors and
-picks one of three routes, which the result names in `route`. Where every
-dimer gate is monomial, F is a permutation times phases (at lam = 0 and 1
-with the default couplings), and `endpoint_spectrum` reads quasienergies and
-Floquet states off F's permutation cycles in closed form ("closed_form"),
-with no dense F and no eigensolve. Everywhere else dense F is built from the
-same factors and `diagonalize_floquet` diagonalizes its Hermitian Cayley
-transform ("cayley"), for quasienergies alone and for Floquet states (plus
-Rayleigh quotients) alike; a complex Schur decomposition ("schur") is the
-one fallback where the transform or its gates refuse. The inverse, the
-eigensolve and Schur call LAPACK in the OpenBLAS that numpy links (`lapack`).
+`floquet_spectrum` gives the spectrum of one cell from its factors, and
+the result names its route in `route`. Where every dimer gate is monomial,
+F is a permutation times phases (at lam = 0 and 1 with the default
+couplings), and `endpoint_spectrum` reads quasienergies and Floquet states
+off F's permutation cycles in closed form ("closed_form"), with no dense F
+and no eigensolve. Everywhere else dense F is built from the same factors
+and `diagonalize_floquet` diagonalizes its Hermitian Cayley transform
+("cayley"), for quasienergies and Floquet states alike, retried on e^{-i phi} F
+for a few fixed phases phi where refused ("cayley_rotated"). The inverse and
+the eigensolve call LAPACK in the OpenBLAS that numpy links (`lapack`).
 """
 
 from __future__ import annotations
@@ -52,14 +51,17 @@ from .spins import BLOCK_COLS, max_hermiticity_defect, max_modulus, max_unitarit
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-# the Cayley transform of F falls back to Schur above this relative
-# anti-Hermitian part, max|H - H^H| / max|H|
+# the Cayley transform of F is refused above this relative anti-Hermitian
+# part, max|H - H^H| / max|H|
 CAYLEY_HERMITICITY_TOL = 1e-10
-# Floquet states from the Cayley transform fall back to Schur above these
-# entrywise defects: the eigen-residual max|FV - V Lambda| and the
-# orthonormality max|V^H V - 1|
+# Floquet states from the Cayley transform are refused above these entrywise
+# defects: the eigen-residual max|FV - V Lambda| and the orthonormality
+# max|V^H V - 1|
 CAYLEY_RESIDUAL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
+# a refused Cayley solve is retried on e^{-i phi} F, phi = k pi / D for k in this
+# order; |phi| < pi for D >= 4, so one fold restores the principal branch
+CAYLEY_RETRY_STEPS = (1, -1, 3, -3)
 # a dimer gate is monomial (a permutation times phases) when its off-pattern
 # entries and modulus defects are at most this; at the default endpoints
 # they are cos(pi/2) = 6e-17 and propagator round-off up to 2.2e-16
@@ -76,8 +78,8 @@ class FloquetResult:
     ascending `quasienergies`; ties are broken by the index of the dominant
     configuration so degenerate clusters have a reproducible order. An
     eigenvalues-only result has `states` None. `route` names what computed
-    it: "closed_form" (`endpoint_spectrum`), "cayley", or "schur" where the
-    Cayley solve was refused by its gates.
+    it: "closed_form" (`endpoint_spectrum`), "cayley", or "cayley_rotated"
+    where only the Cayley solve of a phase-rotated F was accepted.
     """
 
     quasienergies: np.ndarray
@@ -268,20 +270,21 @@ def _hermitian_part(h: np.ndarray) -> tuple[float, float]:
     return float(np.max(defects)), float(np.max(scales))
 
 
-def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
-    """2H for the Hermitian Cayley transform H of a unitary F, or None when refused.
+def _cayley_hermitian(f: np.ndarray, phase: float = 0.0) -> np.ndarray | None:
+    """2H for the Hermitian Cayley transform H of the unitary e^{-i phase} F, or None when refused.
 
-    H = i(1+F)(1-F)^-1 = i(2(1-F)^-1 - 1) is Hermitian, shares F's
-    eigenvectors, and each eigenvalue e^{i*theta} of F becomes
-    h = -cot(theta/2). H is symmetrized (`_hermitian_part`) before
-    `lapack.eigh`, which reads one triangle only. Refused (None): 1-F
+    H = i(1+G)(1-G)^-1 = i(2(1-G)^-1 - 1) for G = e^{-i phase} F is
+    Hermitian, shares F's eigenvectors, and each eigenvalue e^{i*theta} of G
+    becomes h = -cot(theta/2). H is symmetrized (`_hermitian_part`) before
+    `lapack.eigh`, which reads one triangle only. Refused (None): 1-G
     singular, or H non-finite or further from Hermitian than
     CAYLEY_HERMITICITY_TOL. Beside F it allocates the returned D x D buffer,
     `lapack.invert`'s workspace of 64 D entries and block temporaries.
     """
     d = f.shape[0]
-    h = np.negative(np.asarray(f, dtype=complex), order="F")
-    h.flat[:: d + 1] += 1.0  # 1 - F, in place from here on
+    h = (np.multiply(f, -np.exp(-1j * phase), order="F") if phase
+         else np.negative(np.asarray(f, dtype=complex), order="F"))
+    h.flat[:: d + 1] += 1.0  # 1 - G, in place from here on
     if not lapack.invert(h):
         return None
     h *= 2j
@@ -290,6 +293,33 @@ def _cayley_hermitian(f: np.ndarray) -> np.ndarray | None:
     if not (np.isfinite(scale) and defect <= CAYLEY_HERMITICITY_TOL * scale):
         return None
     return h
+
+
+def _cayley_solve(f: np.ndarray, phase: float, vectors: bool):
+    """(eigenphases of F, states or None) from the Cayley transform of e^{-i phase} F.
+
+    None where the transform or a gate refuses; see `diagonalize_floquet`.
+    """
+    herm = _cayley_hermitian(f, phase)
+    if herm is None:
+        return None
+    if not vectors:
+        values = lapack.eigh(herm, vectors=False)
+        return 2.0 * np.arctan2(1.0, -0.5 * values) + phase, None
+    # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
+    lapack.eigh(herm, vectors=True)
+    basis = herm  # overwritten by the eigenvectors
+    fv = f @ basis
+    quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
+    for lo in range(0, len(quotients), BLOCK_COLS):
+        cols = slice(lo, lo + BLOCK_COLS)
+        fv[:, cols] -= basis[:, cols] * quotients[cols]
+    residual = max_modulus(fv)
+    del fv
+    orthonormality = max_unitarity_defect(basis)
+    if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
+        return np.angle(quotients), basis
+    return None
 
 
 def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
@@ -303,43 +333,29 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     degenerate clusters, and each eigenphase is the argument of the Rayleigh
     quotient v^H F v; the call is gated on the eigen-residual
     max|FV - V Lambda| and the orthonormality max|V^H V - 1|. Where the
-    transform or a gate refuses, a complex Schur decomposition computes the
-    result instead, with route "schur".
+    transform or a gate refuses, the solve is retried on G = e^{-i phi} F for
+    phi = k pi / D, k in CAYLEY_RETRY_STEPS, with route "cayley_rotated":
+    values add phi back to G's eigenphases, and the quotients and residual
+    are taken against F itself. Refused at every phi, it is a ValidationError.
 
     Beside F, values allocate the transform's buffer (`_cayley_hermitian`);
     states add zheevd's two workspace buffers, then FV, which is freed
-    before the orthonormality Gram. No max|entry| makes a full-size temporary.
+    before the orthonormality Gram. No max|entry| makes a full-size
+    temporary, and a refused attempt's buffers are freed before the next.
     """
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
-    herm = _cayley_hermitian(f)
-    angles = states = None
-    if herm is not None and not vectors:
-        values = lapack.eigh(herm, vectors=False)
-        angles = 2.0 * np.arctan2(1.0, -0.5 * values)
-    elif herm is not None:
-        # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
-        lapack.eigh(herm, vectors=True)
-        basis = herm  # overwritten by the eigenvectors
-        fv = f @ basis
-        quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
-        for lo in range(0, len(quotients), BLOCK_COLS):
-            cols = slice(lo, lo + BLOCK_COLS)
-            fv[:, cols] -= basis[:, cols] * quotients[cols]
-        residual = max_modulus(fv)
-        del fv
-        orthonormality = max_unitarity_defect(basis)
-        if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
-            angles, states = np.angle(quotients), basis
-    route = "cayley"
-    if angles is None:
-        route = "schur"
-        upper, states = lapack.schur(f)
-        angles = np.angle(np.diag(upper))
-    return _ordered_result(angles, states if vectors else None, period, route)
+    for step in (0, *CAYLEY_RETRY_STEPS):
+        solved = _cayley_solve(f, step * np.pi / len(f), vectors)
+        if solved is not None:
+            route = "cayley_rotated" if step else "cayley"
+            return _ordered_result(*solved, period, route)
+    raise ValidationError(
+        f"the Cayley solve refused F and e^(-i k pi/D) F for every k in {CAYLEY_RETRY_STEPS}"
+    )
 
 
 def _ordered_result(angles, states, period: float, route: str) -> FloquetResult:
@@ -499,8 +515,8 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
 
     The closed form (`endpoint_spectrum`) answers where it can; elsewhere
     dense F is built (`fast_floquet_operator`) and diagonalized
-    (`diagonalize_floquet`), by Cayley or by its Schur fallback. The
-    result's `route` says which.
+    (`diagonalize_floquet`), by Cayley, retried on a phase-rotated F where
+    refused. The result's `route` says which.
     """
     result = endpoint_spectrum(factors, period, vectors)
     if result is None:

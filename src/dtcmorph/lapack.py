@@ -1,4 +1,4 @@
-"""The five LAPACK and BLAS routines the package needs, and the BLAS thread
+"""The four LAPACK and BLAS routines the package needs, and the BLAS thread
 limit, all from numpy's own OpenBLAS.
 
 Every numpy wheel links numpy.linalg against an ILP64 OpenBLAS that carries
@@ -26,7 +26,6 @@ _SIGNATURES = {
     "zgetrf": (6, 0),
     "zgetri": (7, 0),
     "zheevd": (13, 2),
-    "zgees": (15, 2),
     "zherk": (10, 2),
 }
 # OpenBLAS's thread-count setter, which returns the previous count; even the
@@ -96,16 +95,16 @@ def _call(name: str, *args) -> int:
     return info.value
 
 
-def _with_workspaces(name: str, head: tuple, dtypes: tuple, tail: tuple = ()) -> int:
-    """Call a driver whose arguments are head, (work, lwork) per dtype, tail.
+def _with_workspaces(name: str, head: tuple, dtypes: tuple) -> int:
+    """Call a driver whose arguments are head, then (work, lwork) per dtype.
 
     A workspace query (every lwork -1) sizes the workspaces first, as scipy
     does, so LAPACK blocks the work the same way.
     """
     sizes = [np.empty(1, dtype=dtype) for dtype in dtypes]
-    _call(name, *head, *[x for s in sizes for x in (s.ctypes.data, _ref(-1))], *tail)
+    _call(name, *head, *[x for s in sizes for x in (s.ctypes.data, _ref(-1))])
     work = [np.empty(max(1, int(s[0].real)), dtype=s.dtype) for s in sizes]
-    return _call(name, *head, *[x for w in work for x in (w.ctypes.data, _ref(len(w)))], *tail)
+    return _call(name, *head, *[x for w in work for x in (w.ctypes.data, _ref(len(w)))])
 
 
 def _order(a: np.ndarray) -> int:
@@ -142,23 +141,6 @@ def eigh(a: np.ndarray, vectors: bool) -> np.ndarray:
     if _with_workspaces("zheevd", head, (np.complex128, np.float64, np.int64)):
         raise np.linalg.LinAlgError("zheevd did not converge")
     return values
-
-
-def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Z) of a square `a` = Z T Z^H, unsorted (zgees).
-
-    T is upper-triangular and Z unitary; `a` itself is left as it is.
-    LinAlgError where the QR iteration fails.
-    """
-    t = np.array(a, dtype=np.complex128, order="F")
-    n = _order(t)
-    z = np.empty_like(t)
-    values, rwork = np.empty(n, dtype=np.complex128), np.empty(n)
-    head = (b"V", b"N", None, _ref(n), t.ctypes.data, _ref(n), _ref(0), values.ctypes.data,
-            z.ctypes.data, _ref(n))
-    if _with_workspaces("zgees", head, (np.complex128,), (rwork.ctypes.data, None)):
-        raise np.linalg.LinAlgError("zgees found no Schur form")
-    return t, z
 
 
 def gram_upper(m: np.ndarray) -> np.ndarray:

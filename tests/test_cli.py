@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -297,12 +298,32 @@ def test_missing_config_file_exits_two(tmp_path):
     assert run_cli(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_validation_failure_exits_three(tmp_path, monkeypatch):
+def test_validation_failure_exits_three(tmp_path, monkeypatch, capsys):
     def broken(cfg, out_dir):
         raise ValidationError("forced")
 
     monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
     assert run_cli(["spectrum", "--n-sites", "2", "--out", str(tmp_path / "v")]) == 3
+    # a cell whose Cayley solve is refused at every rotation fails loudly:
+    # here every cell at lambda 0.5, flagged per worker thread by its factors
+    cell = threading.local()
+    real_factors, real_cayley = ensemble.floquet_factors, floquet._cayley_hermitian
+
+    def factors(params, disorder):
+        cell.refused = params.lam == 0.5
+        return real_factors(params, disorder)
+
+    monkeypatch.setattr(ensemble, "floquet_factors", factors)
+    monkeypatch.setattr(floquet, "_cayley_hermitian",
+                        lambda f, phase=0.0: None if cell.refused else real_cayley(f, phase))
+    out = tmp_path / "lev"
+    assert run_cli(sweep_args("levels", out)) == 3
+    err = capsys.readouterr().err
+    for realization in (0, 1):
+        assert f"cell (1,{realization}) failed: ValidationError: the Cayley solve refused" in err
+    assert "cell (0," not in err
+    assert "every cell failed at lambda 0.5" in err
+    assert not out.exists()
 
 
 def test_dynamics_manifest_counts_undefined_fidelities(tmp_path):
@@ -572,7 +593,10 @@ def test_manifest_lists_every_file(tmp_path, command):
 
 
 def test_manifest_counts_eigensolver_fallbacks(tmp_path, monkeypatch):
-    monkeypatch.setattr(floquet, "_cayley_hermitian", lambda f: None)
+    # only the unrotated attempt is refused, so every cell is retried once
+    real = floquet._cayley_hermitian
+    monkeypatch.setattr(floquet, "_cayley_hermitian",
+                        lambda f, phase=0.0: real(f, phase) if phase else None)
     out = tmp_path / "lev"
     assert run_cli(sweep_args("levels", out)) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

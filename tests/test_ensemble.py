@@ -227,16 +227,17 @@ def test_cells_without_fractal_solve_for_values_only():
 
 
 def test_cell_records_an_eigensolver_fallback(monkeypatch):
-    # with the Cayley route refused, Schur solves and the cell says so, with
-    # and without states
+    # with the Cayley route refused at every rotation, the cell fails and
+    # records why, with and without states
     fractal_plan = small_plan(lambdas=(0.4,), realizations=1)
     assert run_sweep(fractal_plan, workers=1).records[0].route == "cayley"
-    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
+    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f, phase=0.0: None)
     plan = small_plan(lambdas=(0.4,), realizations=2, states=False)
-    records = run_sweep(plan, workers=1).records
-    assert [r.route for r in records] == ["schur", "schur"]
-    fractal = run_sweep(fractal_plan, workers=1).records
-    assert fractal[0].route == "schur" and fractal[0].error is None
+    records = run_sweep(plan, workers=1).records + run_sweep(fractal_plan, workers=1).records
+    assert [r.route for r in records] == [None] * 3
+    for record in records:
+        assert record.error.startswith("ValidationError: the Cayley solve refused F")
+        assert record.quasienergies is None
 
 
 def test_endpoint_cells_take_the_closed_form():

@@ -225,7 +225,8 @@ def test_spectral_round_trip(lam, seed):
 
 
 # The Cayley route changes the numerical path, not the result: quasienergies
-# must agree with Schur and with numpy's eig to this tolerance, fixed before
+# without states must agree with those of the states route and with numpy's
+# eig to this tolerance, fixed before
 # measuring (measured worst over the grid below: 6.4e-13).
 VALUES_ONLY_TOL = 1e-11
 
@@ -247,8 +248,8 @@ def test_values_only_matches_schur_and_eig(n_sites, lam):
         f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
         values = diagonalize_floquet(f, p.period, vectors=False)
         assert values.states is None and values.route == "cayley"
-        schur = diagonalize_floquet(f, p.period)
-        assert np.max(np.abs(values.quasienergies - schur.quasienergies)) < VALUES_ONLY_TOL
+        with_states = diagonalize_floquet(f, p.period)
+        assert np.max(np.abs(values.quasienergies - with_states.quasienergies)) < VALUES_ONLY_TOL
         eig = folded(np.linalg.eigvals(f), p.period)
         assert np.max(np.abs(values.quasienergies - eig)) < VALUES_ONLY_TOL
 
@@ -309,20 +310,20 @@ def test_values_only_keeps_degenerate_gap_counts(lam):
     # at the endpoints F is monomial and its clusters are exactly degenerate
     p = default_params(8, lam)
     f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5)))
-    schur = gap_ratios(diagonalize_floquet(f, p.period).quasienergies)
+    with_states = gap_ratios(diagonalize_floquet(f, p.period).quasienergies)
     values = gap_ratios(diagonalize_floquet(f, p.period, vectors=False).quasienergies)
-    assert schur.single_degenerate > 0
+    assert with_states.single_degenerate > 0
     assert (values.double_degenerate, values.single_degenerate) == (
-        schur.double_degenerate,
-        schur.single_degenerate,
+        with_states.double_degenerate,
+        with_states.single_degenerate,
     )
 
 
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
 def test_values_only_falls_back_when_one_minus_f_is_singular(f):
     values = diagonalize_floquet(f, 1.0, vectors=False)
-    assert values.route == "schur" and values.states is None
-    assert np.array_equal(values.quasienergies, diagonalize_floquet(f, 1.0).quasienergies)
+    assert values.route == "cayley_rotated" and values.states is None
+    assert np.max(np.abs(values.quasienergies - folded(np.linalg.eigvals(f), 1.0))) < 1e-12
 
 
 def test_values_only_falls_back_on_the_hermiticity_gate():
@@ -334,7 +335,7 @@ def test_values_only_falls_back_on_the_hermiticity_gate():
     theta[:2] = (1e-9, -3e-10)
     f = (q * np.exp(1j * theta)) @ q.conj().T
     values = diagonalize_floquet(f, 1.0, vectors=False)
-    assert values.route == "schur"
+    assert values.route == "cayley_rotated"
     assert np.max(np.abs(values.quasienergies - folded(np.exp(1j * theta), 1.0))) < 1e-12
 
 
@@ -592,11 +593,14 @@ def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypat
     assert floquet_module._cayley_hermitian(f) is not None
     monkeypatch.setattr(floquet_module.lapack, "invert", kicked(1e-8))
     assert floquet_module._cayley_hermitian(f) is None
-    assert diagonalize_floquet(f, p.period, vectors=False).route == "schur"
+    # the kick lands on every attempt, so every rotation is refused too
+    with pytest.raises(ValidationError, match="refused F and e\\^\\(-i k pi/D\\) F"):
+        diagonalize_floquet(f, p.period, vectors=False)
 
 
 # floquet_spectrum answers every cell by one route and names it: the closed
-# form at the exact endpoints, Cayley in between, Schur where Cayley refuses
+# form at the exact endpoints, Cayley in between, rotated Cayley where the
+# Cayley solve of F itself is refused
 @pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("lam, route", [(0.0, "closed_form"), (0.5, "cayley"), (1.0, "closed_form")])
 def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
@@ -619,8 +623,9 @@ def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
 def test_floquet_spectrum_falls_back_to_schur(monkeypatch, vectors):
     p = default_params(4, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 3))
-    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f: None)
-    assert floquet_spectrum(factors, p.period, vectors).route == "schur"
+    monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f, phase=0.0: None)
+    with pytest.raises(ValidationError, match="refused"):
+        floquet_spectrum(factors, p.period, vectors)
 
 
 @pytest.mark.parametrize(
@@ -637,7 +642,8 @@ def test_permute_columns_matches_fancy_indexing(order, layout):
 @pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
 def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
     res = diagonalize_floquet(f, 1.0)
-    assert res.route == "schur"
+    assert res.route == "cayley_rotated"
+    assert np.max(np.abs(res.quasienergies - folded(np.linalg.eigvals(f), 1.0))) < 1e-12
     assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(len(f)))) < 1e-12
     assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
 
@@ -658,13 +664,11 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
 
     p = default_params(4, 0.5)
     f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
-    clean = diagonalize_floquet(f, p.period)
+    assert diagonalize_floquet(f, p.period).route == "cayley"
+    # every rotation's eigenvectors are corrupted too, so the call must fail
     monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
-    res = diagonalize_floquet(f, p.period)
-    assert (res.route, clean.route) == ("schur", "cayley")
-    assert np.max(np.abs(res.quasienergies - clean.quasienergies)) < VALUES_ONLY_TOL
-    assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(p.dim))) < 1e-12
-    assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
+    with pytest.raises(ValidationError, match="refused"):
+        diagonalize_floquet(f, p.period)
 
 
 @pytest.mark.parametrize("gate", ["residual", "orthonormality"])
@@ -684,7 +688,8 @@ def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
     p = default_params(8, 0.5)
     f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
     monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
-    assert diagonalize_floquet(f, p.period).route == "schur"
+    with pytest.raises(ValidationError, match="refused"):
+        diagonalize_floquet(f, p.period)
 
 
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])

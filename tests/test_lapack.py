@@ -69,19 +69,6 @@ def test_eigh_vectors_match_scipy(dim):
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_schur_matches_scipy(dim):
-    a = random_complex(dim, dim + 3, order="C")
-    before = a.copy()
-    upper, vectors = lapack.schur(a)
-    assert np.array_equal(a, before)
-    assert not np.tril(upper, -1).any()
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= ORACLE_RTOL * dim
-    assert_close(vectors @ upper @ vectors.conj().T, a)
-    expected_upper, _ = scipy.linalg.schur(a, output="complex")
-    assert_close(np.sort(np.diag(upper)), np.sort(np.diag(expected_upper)))
-
-
-@pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_gram_upper_matches_the_product(dim, order):
     m = random_complex(dim, dim + 4, order=order)
