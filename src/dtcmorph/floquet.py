@@ -248,6 +248,24 @@ def fast_floquet_operator(factors: FloquetFactors) -> np.ndarray:
     return mat
 
 
+def _block_pairs(dim: int) -> list:
+    """Pairs (a, b), a <= b, of the BLOCK_COLS-wide index blocks of range(dim)."""
+    blocks = [slice(lo, lo + BLOCK_COLS) for lo in range(0, dim, BLOCK_COLS)]
+    return [(a, b) for i, a in enumerate(blocks) for b in blocks[i:]]
+
+
+def _transpose_in_place(mat: np.ndarray) -> None:
+    """Replace the square `mat` by its transpose, one block pair at a time.
+
+    A C-ordered F then holds F^T, so `mat.T` is F in Fortran order in the
+    same buffer, with the same values; beside `mat` only one block exists.
+    """
+    for a, b in _block_pairs(len(mat)):
+        upper = mat[a, b].copy()
+        mat[a, b] = mat[b, a].T
+        mat[b, a] = upper.T
+
+
 def _hermitian_part(h: np.ndarray) -> tuple[float, float]:
     """Replace the square `h` by h + h^H in place; return max|2h - (h + h^H)| and max|h + h^H|.
 
@@ -258,52 +276,57 @@ def _hermitian_part(h: np.ndarray) -> tuple[float, float]:
     blocks of each pair before they are overwritten. Either maximum is NaN
     where an entry is.
     """
-    blocks = [slice(lo, lo + BLOCK_COLS) for lo in range(0, len(h), BLOCK_COLS)]
     defects, scales = [], []
-    for i, a in enumerate(blocks):
-        for b in blocks[i:]:
-            s = h[a, b] + np.conj(h[b, a]).T
-            defects += [np.abs(2.0 * h[a, b] - s).max(), np.abs(2.0 * h[b, a] - s.conj().T).max()]
-            scales.append(np.abs(s).max())
-            h[a, b] = s
-            h[b, a] = s.conj().T
+    for a, b in _block_pairs(len(h)):
+        s = h[a, b] + np.conj(h[b, a]).T
+        defects += [np.abs(2.0 * h[a, b] - s).max(), np.abs(2.0 * h[b, a] - s.conj().T).max()]
+        scales.append(np.abs(s).max())
+        h[a, b] = s
+        h[b, a] = s.conj().T
     return float(np.max(defects)), float(np.max(scales))
 
 
-def _cayley_hermitian(f: np.ndarray, phase: float = 0.0) -> np.ndarray | None:
+def _cayley_hermitian(g: np.ndarray, phase: float = 0.0) -> np.ndarray | None:
     """2H for the Hermitian Cayley transform H of the unitary e^{-i phase} F, or None when refused.
 
+    `g` holds F as a writeable Fortran-ordered complex128 array and is
+    consumed: the transform is formed in its buffer, which is returned.
     H = i(1+G)(1-G)^-1 = i(2(1-G)^-1 - 1) for G = e^{-i phase} F is
     Hermitian, shares F's eigenvectors, and each eigenvalue e^{i*theta} of G
     becomes h = -cot(theta/2). H is symmetrized (`_hermitian_part`) before
     `lapack.eigh`, which reads one triangle only. Refused (None): 1-G
     singular, or H non-finite or further from Hermitian than
-    CAYLEY_HERMITICITY_TOL. Beside F it allocates the returned D x D buffer,
-    `lapack.invert`'s workspace of 64 D entries and block temporaries.
+    CAYLEY_HERMITICITY_TOL. Beside `g` it allocates `lapack.invert`'s
+    workspace of 64 D entries and block temporaries.
     """
-    d = f.shape[0]
-    h = (np.multiply(f, -np.exp(-1j * phase), order="F") if phase
-         else np.negative(np.asarray(f, dtype=complex), order="F"))
-    h.flat[:: d + 1] += 1.0  # 1 - G, in place from here on
-    if not lapack.invert(h):
+    d = g.shape[0]
+    if phase:
+        g *= -np.exp(-1j * phase)
+    else:
+        np.negative(g, out=g)
+    g.flat[:: d + 1] += 1.0  # 1 - G
+    if not lapack.invert(g):
         return None
-    h *= 2j
-    h.flat[:: d + 1] -= 1j
-    defect, scale = _hermitian_part(h)  # h is 2H from here on
+    g *= 2j
+    g.flat[:: d + 1] -= 1j
+    defect, scale = _hermitian_part(g)  # g is 2H from here on
     if not (np.isfinite(scale) and defect <= CAYLEY_HERMITICITY_TOL * scale):
         return None
-    return h
+    return g
 
 
-def _cayley_solve(f: np.ndarray, phase: float, vectors: bool):
+def _cayley_solve(g: np.ndarray, phase: float, f: np.ndarray | None):
     """(eigenphases of F, states or None) from the Cayley transform of e^{-i phase} F.
 
-    None where the transform or a gate refuses; see `diagonalize_floquet`.
+    The transform is formed in `g`, which holds F (see `_cayley_hermitian`).
+    With `f`, F itself, the Floquet states are computed too and gated
+    against it. None where the transform or a gate refuses; see
+    `diagonalize_floquet`.
     """
-    herm = _cayley_hermitian(f, phase)
+    herm = _cayley_hermitian(g, phase)
     if herm is None:
         return None
-    if not vectors:
+    if f is None:
         values = lapack.eigh(herm, vectors=False)
         return 2.0 * np.arctan2(1.0, -0.5 * values) + phase, None
     # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
@@ -322,6 +345,18 @@ def _cayley_solve(f: np.ndarray, phase: float, vectors: bool):
     return None
 
 
+@dataclass
+class _BuiltOperator:
+    """Dense F that `floquet_spectrum` built from `factors` and hands over.
+
+    `diagonalize_floquet` takes `f` out of it, so that the call holds the
+    only reference: a values solve consumes F, and a retry builds it again.
+    """
+
+    f: np.ndarray | None
+    factors: FloquetFactors
+
+
 def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
     """Quasienergies and Floquet states of a unitary one-period propagator.
 
@@ -338,18 +373,35 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     values add phi back to G's eigenphases, and the quotients and residual
     are taken against F itself. Refused at every phi, it is a ValidationError.
 
-    Beside F, values allocate the transform's buffer (`_cayley_hermitian`);
+    `f` is left unchanged: each attempt forms the transform in a Fortran-
+    ordered copy, so beside F values allocate one more D x D buffer and
     states add zheevd's two workspace buffers, then FV, which is freed
-    before the orthonormality Gram. No max|entry| makes a full-size
-    temporary, and a refused attempt's buffers are freed before the next.
+    before the orthonormality Gram. The F that `floquet_spectrum` builds
+    for values only is consumed instead (see there). No max|entry| or Gram
+    makes a full-size temporary, and a refused attempt's buffers are freed
+    before the next.
     """
+    built = None
+    if isinstance(f, _BuiltOperator):
+        built, f = f, f.f
+        built.f = None
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
+    consume = built is not None and not vectors  # states keep F for FV
     for step in (0, *CAYLEY_RETRY_STEPS):
-        solved = _cayley_solve(f, step * np.pi / len(f), vectors)
+        if consume:
+            if step:  # the refused attempt spent F's buffer: free it, build F again
+                del f
+                f = fast_floquet_operator(built.factors)
+            _transpose_in_place(f)
+            g = f.T
+        else:
+            g = np.array(f, dtype=complex, order="F")
+        solved = _cayley_solve(g, step * np.pi / len(g), f if vectors else None)
+        del g
         if solved is not None:
             route = "cayley_rotated" if step else "cayley"
             return _ordered_result(*solved, period, route)
@@ -516,11 +568,17 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
     The closed form (`endpoint_spectrum`) answers where it can; elsewhere
     dense F is built (`fast_floquet_operator`) and diagonalized
     (`diagonalize_floquet`), by Cayley, retried on a phase-rotated F where
-    refused. The result's `route` says which.
+    refused. The result's `route` says which. The call owns the F it builds.
+    Without states, F is transposed in place by block pairs after the
+    unitarity gate, so that its buffer holds F in Fortran order, and the
+    Cayley transform is formed there: the cell holds one D x D buffer and
+    block-sized temporaries, and a retry builds F again. With states, F is
+    kept for FV.
     """
     result = endpoint_spectrum(factors, period, vectors)
     if result is None:
-        result = diagonalize_floquet(fast_floquet_operator(factors), period, vectors)
+        built = _BuiltOperator(fast_floquet_operator(factors), factors)
+        result = diagonalize_floquet(built, period, vectors)
     return result
 
 

@@ -1,5 +1,5 @@
-"""The four LAPACK and BLAS routines the package needs, and the BLAS thread
-limit, all from numpy's own OpenBLAS.
+"""The three LAPACK routines the package needs, and the BLAS thread limit,
+all from numpy's own OpenBLAS.
 
 Every numpy wheel links numpy.linalg against an ILP64 OpenBLAS that carries
 LAPACK, with symbols `scipy_<name>_64_` (the scipy-openblas wheels) or
@@ -26,7 +26,6 @@ _SIGNATURES = {
     "zgetrf": (6, 0),
     "zgetri": (7, 0),
     "zheevd": (13, 2),
-    "zherk": (10, 2),
 }
 # OpenBLAS's thread-count setter, which returns the previous count; even the
 # scipy-openblas wheels export it without prefix or suffix
@@ -141,23 +140,3 @@ def eigh(a: np.ndarray, vectors: bool) -> np.ndarray:
     if _with_workspaces("zheevd", head, (np.complex128, np.float64, np.int64)):
         raise np.linalg.LinAlgError("zheevd did not converge")
     return values
-
-
-def gram_upper(m: np.ndarray) -> np.ndarray:
-    """The Gram matrix M^H M of the columns of `m` in its upper triangle, zeros below (zherk).
-
-    A C-ordered `m` goes in uncopied as M^T, and then the result is the
-    entrywise conjugate of M^H M, with equal moduli.
-    """
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
-    rows, cols = m.shape
-    if m.flags.c_contiguous:  # A A^H with A = M^T is conj(M^H M)
-        a, trans = np.asarray(m.T, dtype=np.complex128, order="F"), b"N"
-    else:
-        a, trans = np.asarray(m, dtype=np.complex128, order="F"), b"C"
-    gram = np.zeros((cols, cols), dtype=np.complex128, order="F")
-    one, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
-    _ROUTINES["zherk"](b"U", trans, _ref(cols), _ref(rows), one, a.ctypes.data,
-                       _ref(a.shape[0]), zero, gram.ctypes.data, _ref(cols), 1, 1)
-    return gram

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import lapack
 from .errors import ValidationError
 
 # largest |norm - 1| a state, or any column of a block, may show
@@ -104,9 +103,18 @@ def max_modulus(mat: np.ndarray) -> float:
 def max_unitarity_defect(mat: np.ndarray) -> float:
     """Max-entry norm of (M^dagger M - I) for a square M; NaN if M holds one.
 
-    Beside M it allocates the D x D Gram matrix (`lapack.gram_upper`, which
-    copies M unless it is C- or Fortran-ordered complex) and one column block.
+    The Gram matrix M^H M is Hermitian, so its lower block triangle holds
+    every modulus. It is taken one block row at a time: the BLOCK_COLS columns
+    of a block, conjugated, against the columns up to them. Beside M only the
+    conjugated block and its block row exist, 2 BLOCK_COLS * D entries.
     """
-    gram = lapack.gram_upper(mat)  # an upper triangle, or its conjugate: same moduli
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    return max_modulus(gram)
+    return float(np.max([_gram_row_defect(mat, lo) for lo in range(0, mat.shape[1], BLOCK_COLS)]))
+
+
+def _gram_row_defect(mat: np.ndarray, lo: int) -> float:
+    """max|(M^H M - I)[block, :hi]| for the block of columns lo:hi, hi = lo + BLOCK_COLS."""
+    hi = lo + BLOCK_COLS
+    gram = np.conj(mat[:, lo:hi]).T @ mat[:, :hi]
+    width = len(gram)
+    gram[range(width), range(lo, lo + width)] -= 1.0
+    return np.abs(gram).max()

@@ -30,7 +30,7 @@ from dtcmorph.hamiltonians import (
     pair_coupling_diagonal,
     sample_disorder,
 )
-from dtcmorph.spins import basis_state, magnetization_weights, max_unitarity_defect
+from dtcmorph.spins import BLOCK_COLS, basis_state, magnetization_weights, max_unitarity_defect
 
 
 def expm_taylor(a):
@@ -531,16 +531,18 @@ def test_endpoint_spectrum_orders_its_states_in_place():
 
 
 # traced peak of one interior cell, dense build included, in D x D complex
-# buffers: F and its Cayley transform, plus zgetri's 64 D workspace (1/4 of a
-# buffer at N = 8); states add zheevd's two workspace buffers
-VALUES_CELL_PEAK_BUFFERS = 2.3
+# buffers. A values cell holds only F; its largest temporaries are the
+# unitarity Gram's conjugated block and block row, two blocks of BLOCK_COLS
+# columns (measured 1.50 at N = 8, 1.13 at N = 10). The bound allows 0.75 of
+# a block more: 1.69 and 1.17. States add the transform and zheevd's two
+# workspace buffers.
+VALUES_CELL_EXTRA_BLOCKS = 2.75
 STATES_CELL_PEAK_BUFFERS = 4.25
 
 
 @pytest.mark.parametrize("n_sites", [8, 10])
-@pytest.mark.parametrize("vectors, bound", [(False, VALUES_CELL_PEAK_BUFFERS),
-                                            (True, STATES_CELL_PEAK_BUFFERS)])
-def test_interior_cell_peak_buffers(n_sites, vectors, bound):
+@pytest.mark.parametrize("vectors", [False, True])
+def test_interior_cell_peak_buffers(n_sites, vectors):
     p = default_params(n_sites, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 7))
     tracemalloc.start()
@@ -550,7 +552,29 @@ def test_interior_cell_peak_buffers(n_sites, vectors, bound):
     finally:
         tracemalloc.stop()
     assert res.route == "cayley"
+    if vectors:
+        bound = STATES_CELL_PEAK_BUFFERS
+    else:
+        bound = 1.0 + VALUES_CELL_EXTRA_BLOCKS * BLOCK_COLS / p.dim
     assert peak <= bound * p.dim**2 * 16
+
+
+# traced peak of the dense build alone: F and one chunk of a gate's product,
+# BLOCK_COLS columns' worth (measured 1.25 at N = 8, 1.06 at N = 10)
+BUILD_EXTRA_BLOCKS = 1.1
+
+
+@pytest.mark.parametrize("n_sites", [8, 10])
+def test_dense_build_peak_buffers(n_sites):
+    p = default_params(n_sites, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    tracemalloc.start()
+    try:
+        fast_floquet_operator(factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.0 + BUILD_EXTRA_BLOCKS * BLOCK_COLS / p.dim) * p.dim**2 * 16
 
 
 @pytest.mark.parametrize("dim", [1, 64, 150, 256])
@@ -571,7 +595,7 @@ def test_cayley_transform_is_bitwise_the_one_shot_sum():
     assert floquet_module.lapack.invert(h)
     h *= 2j
     h.flat[:: p.dim + 1] -= 1j
-    assert np.array_equal(floquet_module._cayley_hermitian(f), h + h.conj().T)
+    assert np.array_equal(floquet_module._cayley_hermitian(np.asfortranarray(f)), h + h.conj().T)
 
 
 # (row, column) of the kick: both halves of the off-diagonal block pair of
@@ -589,10 +613,11 @@ def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypat
             return ok
         return invert
 
+    # the transform is formed in its argument's buffer, so each call gets a copy of F
     monkeypatch.setattr(floquet_module.lapack, "invert", kicked(1e-12))
-    assert floquet_module._cayley_hermitian(f) is not None
+    assert floquet_module._cayley_hermitian(np.asfortranarray(f)) is not None
     monkeypatch.setattr(floquet_module.lapack, "invert", kicked(1e-8))
-    assert floquet_module._cayley_hermitian(f) is None
+    assert floquet_module._cayley_hermitian(np.asfortranarray(f)) is None
     # the kick lands on every attempt, so every rotation is refused too
     with pytest.raises(ValidationError, match="refused F and e\\^\\(-i k pi/D\\) F"):
         diagonalize_floquet(f, p.period, vectors=False)
@@ -626,6 +651,48 @@ def test_floquet_spectrum_falls_back_to_schur(monkeypatch, vectors):
     monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f, phase=0.0: None)
     with pytest.raises(ValidationError, match="refused"):
         floquet_spectrum(factors, p.period, vectors)
+
+
+def refuse_the_unrotated_attempt(monkeypatch):
+    real = floquet_module._cayley_hermitian
+    monkeypatch.setattr(floquet_module, "_cayley_hermitian",
+                        lambda f, phase=0.0: real(f, phase) if phase else None)
+
+
+def count_builds(monkeypatch):
+    calls = []
+    real = floquet_module.fast_floquet_operator
+    monkeypatch.setattr(floquet_module, "fast_floquet_operator",
+                        lambda factors: calls.append(factors) or real(factors))
+    return calls
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_a_retry_rebuilds_f_only_where_the_cell_consumed_it(monkeypatch, vectors):
+    # a values cell spends F's buffer on its first attempt, so the retry
+    # builds F again; a states cell keeps F for FV and builds it once
+    p = default_params(8, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    f = fast_floquet_operator(factors)
+    builds = count_builds(monkeypatch)
+    refuse_the_unrotated_attempt(monkeypatch)
+    res = floquet_spectrum(factors, p.period, vectors)
+    assert res.route == "cayley_rotated"
+    assert len(builds) == (1 if vectors else 2)
+    assert np.max(np.abs(res.quasienergies - folded(np.linalg.eigvals(f), p.period))) < 1e-12
+
+
+@pytest.mark.parametrize("refused", [False, True])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_diagonalize_floquet_leaves_the_callers_f_unchanged(monkeypatch, vectors, refused):
+    p = default_params(8, 0.5)
+    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 7)))
+    kept = f.copy()
+    if refused:
+        refuse_the_unrotated_attempt(monkeypatch)
+    res = diagonalize_floquet(f, p.period, vectors)
+    assert res.route == ("cayley_rotated" if refused else "cayley")
+    assert np.array_equal(f, kept)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """The numpy kernels against dense Kronecker-product and per-configuration oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dtcmorph import backend, lapack
 from dtcmorph.floquet import apply_floquet, fast_floquet_operator, floquet_factors
 from dtcmorph.hamiltonians import build_h3, default_params, h2_diagonal, sample_disorder
+from dtcmorph.spins import BLOCK_COLS
 
 
 def dense_gate(n_sites, bit, gate):
@@ -36,6 +39,54 @@ def test_gate_kernels_match_kron_oracle(n_sites, apply, width):
             work = operand.copy()
             apply(work, bit, gate)
             assert np.max(np.abs(work - full @ operand)) < 1e-12
+
+
+def one_shot_gate(mat, bit, gate):
+    """The gate as one batched product over the whole view, with a full-size temporary."""
+    k = gate.shape[0]
+    view = mat.reshape(mat.shape[0] // (k << bit), k, -1)
+    view[:] = np.matmul(gate, view)
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize(
+    "apply,width", [(backend.apply_site_gate, 1), (backend.apply_pair_gate, 2)]
+)
+def test_chunked_gates_are_bitwise_the_one_shot_product(n_sites, apply, width):
+    """A state vector, a block of 3 columns and a D x D matrix, at every bit."""
+    rng = np.random.default_rng(n_sites)
+    d = 1 << n_sites
+    gate = random_complex(rng, (1 << width, 1 << width))
+    operands = [random_complex(rng, shape) for shape in [d, (d, 3), (d, d)]]
+    for bit in range(n_sites - width + 1):
+        for operand in operands:
+            work, expected = operand.copy(), operand.copy()
+            apply(work, bit, gate)
+            one_shot_gate(expected, bit, gate)
+            assert np.array_equal(work, expected)
+
+
+# traced peak of one gate call on a D x D matrix, in units of BLOCK_COLS * D
+# complex entries: one chunk of the product, plus views and the gate
+GATE_PEAK_CHUNKS = 1.01
+
+
+@pytest.mark.parametrize(
+    "apply,width", [(backend.apply_site_gate, 1), (backend.apply_pair_gate, 2)]
+)
+def test_a_gate_on_a_matrix_allocates_one_chunk(apply, width):
+    n_sites = 10
+    d = 1 << n_sites
+    mat = np.eye(d, dtype=complex)
+    gate = random_complex(np.random.default_rng(0), (1 << width, 1 << width))
+    for bit in range(n_sites - width + 1):
+        tracemalloc.start()
+        try:
+            apply(mat, bit, gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= GATE_PEAK_CHUNKS * BLOCK_COLS * d * 16
 
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])

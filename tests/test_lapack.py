@@ -15,10 +15,9 @@ ORACLE_RTOL = 1e-12
 VECTOR_TOL = 1e-9
 
 
-def random_complex(dim, seed, order="F"):
+def random_complex(dim, seed):
     rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return np.asarray(mat, order=order)
+    return np.asfortranarray(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_hermitian(dim, seed):
@@ -66,25 +65,6 @@ def test_eigh_vectors_match_scipy(dim):
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(dim))) <= ORACLE_RTOL * dim
     overlaps = np.abs(np.einsum("ij,ij->j", basis.conj(), expected_vectors))
     assert np.max(np.abs(overlaps - 1.0)) <= VECTOR_TOL
-
-
-@pytest.mark.parametrize("dim", DIMS)
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_gram_upper_matches_the_product(dim, order):
-    m = random_complex(dim, dim + 4, order=order)
-    gram = lapack.gram_upper(m)
-    expected = m.conj().T @ m
-    if order == "C":  # taken as M^T: the conjugate, with equal moduli
-        expected = expected.conj()
-    assert not np.tril(gram, -1).any()
-    assert_close(gram, np.triu(expected))
-
-
-def test_gram_upper_takes_strided_and_real_input():
-    m = random_complex(8, 5)[::2, ::2]
-    assert_close(lapack.gram_upper(m), np.triu(m.conj().T @ m))
-    real = np.arange(9.0).reshape(3, 3)
-    assert_close(np.abs(lapack.gram_upper(real)), np.triu(real.T @ real))
 
 
 @pytest.mark.parametrize(

@@ -98,3 +98,38 @@ def test_unitarity_defect_sees_every_column_block():
     assert max_unitarity_defect(q) == pytest.approx(1.01**2 - 1)
     q[3, 250] = np.nan
     assert np.isnan(max_unitarity_defect(q))
+
+
+def haar_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def one_shot_unitarity_defect(mat):
+    return np.abs(mat.conj().T @ mat - np.eye(len(mat))).max()
+
+
+# (j, k): column k leans on column j, so only Gram entries (j, k) and (k, j)
+# move; they lie in the block pair of index blocks 0 and 3, which only the
+# product of one block with another sees
+@pytest.mark.parametrize("j, k", [(10, 200), (200, 10)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unitarity_defect_sees_a_kick_off_the_diagonal_blocks(j, k, order):
+    q = np.asarray(haar_unitary(256, 4), order=order)
+    assert max_unitarity_defect(q) < 1e-13
+    eps = 1e-8
+    q[:, k] = (q[:, k] + eps * q[:, j]) / np.sqrt(1.0 + eps**2)
+    assert max_unitarity_defect(q) == pytest.approx(eps, rel=1e-6)
+    assert max_unitarity_defect(q) == pytest.approx(one_shot_unitarity_defect(q), rel=1e-6)
+
+
+def test_unitarity_defect_takes_a_short_last_block():
+    # D = 150: blocks of 64, 64 and 22 columns
+    q = haar_unitary(150, 5)
+    assert max_unitarity_defect(q) == pytest.approx(one_shot_unitarity_defect(q), abs=1e-15)
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
+    assert max_unitarity_defect(m) == pytest.approx(one_shot_unitarity_defect(m), rel=1e-13)
+    q[140, 145] = np.nan
+    assert np.isnan(max_unitarity_defect(q))
