@@ -24,15 +24,17 @@ couplings), and `endpoint_spectrum` reads quasienergies and Floquet states
 off F's permutation cycles in closed form ("closed_form"), with no dense F
 and no eigensolve. Everywhere else dense F is built from the same factors
 and `diagonalize_floquet` diagonalizes its Hermitian Cayley transform
-("cayley"), for quasienergies and Floquet states alike, retried on e^{-i phi} F
-for a few fixed phases phi where refused ("cayley_rotated"). The inverse and
+("cayley"), formed in F's own buffer, for quasienergies and Floquet states
+alike, retried on e^{-i phi} F for a few fixed phases phi where refused
+("cayley_rotated"); the states are checked against F applied by its
+factors, one block of columns at a time. The inverse and
 the eigensolve call LAPACK in the OpenBLAS that numpy links (`lapack`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -315,34 +317,54 @@ def _cayley_hermitian(g: np.ndarray, phase: float = 0.0) -> np.ndarray | None:
     return g
 
 
-def _cayley_solve(g: np.ndarray, phase: float, f: np.ndarray | None):
+def _cayley_solve(g: np.ndarray, phase: float, apply_f):
     """(eigenphases of F, states or None) from the Cayley transform of e^{-i phase} F.
 
     The transform is formed in `g`, which holds F (see `_cayley_hermitian`).
-    With `f`, F itself, the Floquet states are computed too and gated
-    against it. None where the transform or a gate refuses; see
+    With `apply_f`, which returns F @ block for a block of columns, the
+    Floquet states are computed too, in `g`'s buffer, and gated against F
+    (`_rayleigh_quotients`). None where the transform or a gate refuses; see
     `diagonalize_floquet`.
     """
     herm = _cayley_hermitian(g, phase)
     if herm is None:
         return None
-    if f is None:
+    if apply_f is None:
         values = lapack.eigh(herm, vectors=False)
         return 2.0 * np.arctan2(1.0, -0.5 * values) + phase, None
     # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
     lapack.eigh(herm, vectors=True)
     basis = herm  # overwritten by the eigenvectors
-    fv = f @ basis
-    quotients = np.vecdot(basis, fv, axis=0)  # v^H F v per column
-    for lo in range(0, len(quotients), BLOCK_COLS):
-        cols = slice(lo, lo + BLOCK_COLS)
-        fv[:, cols] -= basis[:, cols] * quotients[cols]
-    residual = max_modulus(fv)
-    del fv
+    quotients, residual = _rayleigh_quotients(basis, apply_f)
     orthonormality = max_unitarity_defect(basis)
     if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
         return np.angle(quotients), basis
     return None
+
+
+def _rayleigh_quotients(basis: np.ndarray, apply_f) -> tuple[np.ndarray, float]:
+    """(v^H F v per column of `basis`, the eigen-residual max|FV - V Lambda|).
+
+    Taken one BLOCK_COLS-column block at a time: `apply_f(block)` returns F
+    @ block as a new array, so beside `basis` only block-sized arrays exist
+    and no FV is formed. The residual is NaN where an entry is.
+    """
+    quotients = np.empty(basis.shape[1], dtype=complex)
+    defects = []
+    for lo in range(0, len(quotients), BLOCK_COLS):
+        cols = slice(lo, lo + BLOCK_COLS)
+        fv = apply_f(basis[:, cols])
+        quotients[cols] = np.vecdot(basis[:, cols], fv, axis=0)
+        fv -= basis[:, cols] * quotients[cols]
+        defects.append(max_modulus(fv))
+    return quotients, float(np.max(defects))
+
+
+def _factor_applied(factors: FloquetFactors, block: np.ndarray) -> np.ndarray:
+    """F @ block through F's factors, in a C-ordered copy of `block`."""
+    block = np.array(block, order="C")
+    apply_floquet(factors, block)
+    return block
 
 
 @dataclass
@@ -350,7 +372,8 @@ class _BuiltOperator:
     """Dense F that `floquet_spectrum` built from `factors` and hands over.
 
     `diagonalize_floquet` takes `f` out of it, so that the call holds the
-    only reference: a values solve consumes F, and a retry builds it again.
+    only reference: every attempt forms the Cayley transform in F's buffer,
+    the states' gates apply F through `factors`, and a retry builds F again.
     """
 
     f: np.ndarray | None
@@ -375,11 +398,12 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
 
     `f` is left unchanged: each attempt forms the transform in a Fortran-
     ordered copy, so beside F values allocate one more D x D buffer and
-    states add zheevd's two workspace buffers, then FV, which is freed
-    before the orthonormality Gram. The F that `floquet_spectrum` builds
-    for values only is consumed instead (see there). No max|entry| or Gram
-    makes a full-size temporary, and a refused attempt's buffers are freed
-    before the next.
+    states add zheevd's two workspace buffers. The Rayleigh quotients and
+    the residual are taken one BLOCK_COLS-column block of V at a time
+    (`_rayleigh_quotients`, `f @ block`), so no FV is formed. The F that
+    `floquet_spectrum` builds is consumed instead (see there). No
+    max|entry| or Gram makes a full-size temporary, and a refused attempt's
+    buffers are freed before the next.
     """
     built = None
     if isinstance(f, _BuiltOperator):
@@ -390,9 +414,14 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
-    consume = built is not None and not vectors  # states keep F for FV
+    if not vectors:
+        apply_f = None
+    elif built is None:
+        apply_f = partial(np.matmul, f)
+    else:
+        apply_f = partial(_factor_applied, built.factors)
     for step in (0, *CAYLEY_RETRY_STEPS):
-        if consume:
+        if built is not None:
             if step:  # the refused attempt spent F's buffer: free it, build F again
                 del f
                 f = fast_floquet_operator(built.factors)
@@ -400,7 +429,7 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
             g = f.T
         else:
             g = np.array(f, dtype=complex, order="F")
-        solved = _cayley_solve(g, step * np.pi / len(g), f if vectors else None)
+        solved = _cayley_solve(g, step * np.pi / len(g), apply_f)
         del g
         if solved is not None:
             route = "cayley_rotated" if step else "cayley"
@@ -568,12 +597,14 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
     The closed form (`endpoint_spectrum`) answers where it can; elsewhere
     dense F is built (`fast_floquet_operator`) and diagonalized
     (`diagonalize_floquet`), by Cayley, retried on a phase-rotated F where
-    refused. The result's `route` says which. The call owns the F it builds.
-    Without states, F is transposed in place by block pairs after the
-    unitarity gate, so that its buffer holds F in Fortran order, and the
-    Cayley transform is formed there: the cell holds one D x D buffer and
-    block-sized temporaries, and a retry builds F again. With states, F is
-    kept for FV.
+    refused. The result's `route` says which. The call owns the F it builds:
+    after the unitarity gate F is transposed in place by block pairs, so
+    that its buffer holds F in Fortran order, and the Cayley transform is
+    formed there, and a retry builds F again. Values hold that one D x D
+    buffer and block-sized temporaries. States are computed in the same
+    buffer, beside zheevd's two workspace buffers, and are gated against F
+    applied through its factors (`apply_floquet`) to one column block at a
+    time, so the cell keeps no F beside them.
     """
     result = endpoint_spectrum(factors, period, vectors)
     if result is None:

@@ -73,6 +73,11 @@ def test_plan_params_keep_the_base_couplings():
     assert plan.params(0.8) == replace(base, lam=0.8)
 
 
+# a states cell takes its quotients from F applied by its factors, the dense
+# call from F @ V: quasienergies agree to this, stated before measuring
+STATES_ROUTE_TOL = 1e-13
+
+
 def test_degenerate_sweep_matches_direct_pipeline():
     plan = small_plan(lambdas=(0.4,), realizations=1)
     result = run_sweep(plan, workers=1)
@@ -85,9 +90,9 @@ def test_degenerate_sweep_matches_direct_pipeline():
     f = fast_floquet_operator(floquet_factors(params, disorder))
     direct = diagonalize_floquet(f, params.period)
     assert record.seed == seed
-    assert np.array_equal(record.quasienergies, direct.quasienergies)
+    assert np.max(np.abs(record.quasienergies - direct.quasienergies)) < STATES_ROUTE_TOL
     assert np.array_equal(
-        record.ratios.ratios, gap_ratios(direct.quasienergies).ratios
+        record.ratios.ratios, gap_ratios(record.quasienergies).ratios
     )
 
 

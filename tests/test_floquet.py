@@ -534,10 +534,12 @@ def test_endpoint_spectrum_orders_its_states_in_place():
 # buffers. A values cell holds only F; its largest temporaries are the
 # unitarity Gram's conjugated block and block row, two blocks of BLOCK_COLS
 # columns (measured 1.50 at N = 8, 1.13 at N = 10). The bound allows 0.75 of
-# a block more: 1.69 and 1.17. States add the transform and zheevd's two
-# workspace buffers.
+# a block more: 1.69 and 1.17. A states cell computes its states in F's
+# buffer too and adds zheevd's two workspace buffers; its residual applies F
+# by its factors to one column block at a time (measured 3.03 at N = 8, 3.01
+# at N = 10).
 VALUES_CELL_EXTRA_BLOCKS = 2.75
-STATES_CELL_PEAK_BUFFERS = 4.25
+STATES_CELL_PEAK_BUFFERS = 3.25
 
 
 @pytest.mark.parametrize("n_sites", [8, 10])
@@ -623,6 +625,24 @@ def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypat
         diagonalize_floquet(f, p.period, vectors=False)
 
 
+# quasienergies of the states route, stated before measuring: against the
+# dense call's F @ V quotients (measured <= 5.0e-16 at N = 4-10) and against
+# numpy's eig of dense F (measured <= 9.8e-15 at N = 10, as before the states
+# route applied F by its factors)
+STATES_ROUTE_TOL = 1e-13
+
+
+@pytest.mark.parametrize("n_sites", [4, 6, 8, 10])
+@pytest.mark.parametrize("lam", [0.001, 0.5, 0.999])
+def test_states_cell_quasienergies_match_eig(n_sites, lam):
+    p = default_params(n_sites, lam)
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    eig = folded(np.linalg.eigvals(fast_floquet_operator(factors)), p.period)
+    res = floquet_spectrum(factors, p.period, vectors=True)
+    assert res.route == "cayley"
+    assert np.max(np.abs(res.quasienergies - eig)) < STATES_ROUTE_TOL
+
+
 # floquet_spectrum answers every cell by one route and names it: the closed
 # form at the exact endpoints, Cayley in between, rotated Cayley where the
 # Cayley solve of F itself is refused
@@ -637,7 +657,12 @@ def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
     else:
         direct = diagonalize_floquet(fast_floquet_operator(factors), p.period, vectors)
     assert res.route == direct.route == route
-    assert np.array_equal(res.quasienergies, direct.quasienergies)
+    if route == "cayley" and vectors:
+        # the cell takes its quotients from F applied by its factors, the
+        # dense call from F @ V; the eigenvectors and their order are the same
+        assert np.max(np.abs(res.quasienergies - direct.quasienergies)) < STATES_ROUTE_TOL
+    else:
+        assert np.array_equal(res.quasienergies, direct.quasienergies)
     if vectors:
         assert np.array_equal(res.states, direct.states)
     else:
@@ -645,7 +670,7 @@ def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
 
 
 @pytest.mark.parametrize("vectors", [True, False])
-def test_floquet_spectrum_falls_back_to_schur(monkeypatch, vectors):
+def test_floquet_spectrum_raises_once_every_rotation_is_refused(monkeypatch, vectors):
     p = default_params(4, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 3))
     monkeypatch.setattr(floquet_module, "_cayley_hermitian", lambda f, phase=0.0: None)
@@ -669,8 +694,8 @@ def count_builds(monkeypatch):
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_a_retry_rebuilds_f_only_where_the_cell_consumed_it(monkeypatch, vectors):
-    # a values cell spends F's buffer on its first attempt, so the retry
-    # builds F again; a states cell keeps F for FV and builds it once
+    # a cell spends F's buffer on its first attempt, values and states
+    # alike, so the retry builds F again
     p = default_params(8, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 7))
     f = fast_floquet_operator(factors)
@@ -678,7 +703,7 @@ def test_a_retry_rebuilds_f_only_where_the_cell_consumed_it(monkeypatch, vectors
     refuse_the_unrotated_attempt(monkeypatch)
     res = floquet_spectrum(factors, p.period, vectors)
     assert res.route == "cayley_rotated"
-    assert len(builds) == (1 if vectors else 2)
+    assert len(builds) == 2
     assert np.max(np.abs(res.quasienergies - folded(np.linalg.eigvals(f), p.period))) < 1e-12
 
 
@@ -738,9 +763,11 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
         diagonalize_floquet(f, p.period)
 
 
-@pytest.mark.parametrize("gate", ["residual", "orthonormality"])
-def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
-    # D = 256: the corrupted columns lie in the last of four column blocks
+def corrupt_the_last_column_block(monkeypatch, gate):
+    """Make every eigensolve with vectors fail `gate` in the last two columns.
+
+    At D = 256 those lie in the last of four 64-column blocks.
+    """
     real_eigh = floquet_module.lapack.eigh
 
     def corrupted_eigh(a, vectors):
@@ -752,11 +779,27 @@ def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
             a[:, -1] = a[:, -2]
         return values
 
+    monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
+
+
+@pytest.mark.parametrize("gate", ["residual", "orthonormality"])
+def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
     p = default_params(8, 0.5)
     f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
-    monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
+    corrupt_the_last_column_block(monkeypatch, gate)
     with pytest.raises(ValidationError, match="refused"):
         diagonalize_floquet(f, p.period)
+
+
+@pytest.mark.parametrize("gate", ["residual", "orthonormality"])
+def test_factor_applied_gates_see_the_last_column_block(monkeypatch, gate):
+    # a built cell's residual applies F by its factors to each column block
+    p = default_params(8, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 3))
+    assert floquet_spectrum(factors, p.period).route == "cayley"
+    corrupt_the_last_column_block(monkeypatch, gate)
+    with pytest.raises(ValidationError, match="refused"):
+        floquet_spectrum(factors, p.period)
 
 
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])

@@ -29,16 +29,17 @@ def test_time_build_reports_time_and_peak_of_every_stage(capsys):
     assert load_tool("time_build").main(["--n-sites", "4", "--repeats", "2", "--periods", "2"]) == 0
     [chain] = json.loads(capsys.readouterr().out)["chains"]
     assert chain["n_sites"] == 4
-    for stage in ("build", "period", "values", "states", "cell"):
+    for stage in ("build", "period", "values", "states", "cell", "states_cell"):
         summary = chain[stage]
         assert set(summary) == {"median_ms", "min_ms", "max_ms", "peak_buffers"}
         assert 0 < summary["min_ms"] <= summary["median_ms"] <= summary["max_ms"]
         assert summary["peak_buffers"] > 0
     # F alone is one buffer, and the states add their own beside the transform's;
-    # the values cell holds the F it builds
+    # a cell holds the F it builds, and a states cell its states in F's buffer
     assert chain["build"]["peak_buffers"] >= 1
     assert chain["states"]["peak_buffers"] >= 2
     assert chain["cell"]["peak_buffers"] >= 1
+    assert chain["states_cell"]["peak_buffers"] >= 1
 
 
 # N = 2 keeps the four runs per comparison to about a second

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dense build of F, one factor-form period, the eigensolve and a whole values cell at several chain lengths.
+"""Time the dense build of F, one factor-form period, the eigensolve and whole values and states cells at several chain lengths.
 
 Run from anywhere; dtcmorph is imported from the src/ of the checkout this
 script sits in, so a copy of it in another checkout times that checkout.
@@ -11,16 +11,17 @@ For each N it times `fast_floquet_operator(factors)` (one dense D x D
 build, "build"), `apply_floquet(factors, psi)` (one period on a state
 vector, "period"), `diagonalize_floquet(f, period, vectors)` of that F
 without and with states ("values", "states") and
-`floquet_spectrum(factors, period, vectors=False)`, the build and the
-values solve of one `levels` cell ("cell"; `--repeats` calls of each but
+`floquet_spectrum(factors, period, vectors)`, the build and the solve of
+one `levels` cell without states ("cell") and of one `heff`, `fractal` or
+`sweep` cell with them ("states_cell"; `--repeats` calls of each but
 "period") on one interior cell (lambda = 0.5, default couplings, disorder
 seed 7), after one untimed call of each, with OpenBLAS held to one thread.
 One more untimed call of each stage runs under tracemalloc for its traced
 peak: what it allocates beyond its inputs, in D x D complex buffers.
-`diagonalize_floquet` leaves the F it is given unchanged, so "values"
-solves in a copy of F; only "cell" shows the values cell, which builds F
-and solves in F's own buffer. N = 12 is opt-in: one build takes seconds
-there and one eigensolve minutes.
+`diagonalize_floquet` leaves the F it is given unchanged, so "values" and
+"states" solve in a copy of F; only "cell" and "states_cell" show a cell,
+which builds F and solves in F's own buffer. N = 12 is opt-in: one build
+takes seconds there and one eigensolve minutes.
 
 Standard output is one JSON line: the environment fingerprint and, per N
 and stage, the median, min and max time in milliseconds and the peak in
@@ -88,6 +89,7 @@ def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
         "values": _timed(lambda: diagonalize_floquet(f, params.period, False), repeats, buffer_bytes),
         "states": _timed(lambda: diagonalize_floquet(f, params.period, True), repeats, buffer_bytes),
         "cell": _timed(lambda: floquet_spectrum(factors, params.period, False), repeats, buffer_bytes),
+        "states_cell": _timed(lambda: floquet_spectrum(factors, params.period, True), repeats, buffer_bytes),
     }
 
 
