@@ -9,8 +9,16 @@ run writes CSV tables and a manifest.json with seeds and digests.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# A command computes with one BLAS thread (`lapack.one_blas_thread`). Where
+# numpy is not loaded yet, its OpenBLAS then starts with that one thread too,
+# not with an idle worker pool; a process that loaded numpy first, and an
+# OPENBLAS_NUM_THREADS the user set, are left as they are.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -448,9 +456,10 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         # every command runs with one BLAS thread, as a sweep does, so the
         # digits of its CSVs do not depend on the BLAS thread count
-        with staged_output(out_dir) as staging, lapack.one_blas_thread():
+        with staged_output(out_dir) as staging, lapack.one_blas_thread() as threads_at_start:
             files, fields = _HANDLERS[args.command](cfg, staging)
-            fields = {**fields, "blas_threads_per_cell": 1, "lapack": lapack.library()}
+            fields = {**fields, "blas_threads_per_cell": 1, "lapack": lapack.library(),
+                      "environment": lapack.environment(threads_at_start)}
             write_manifest(staging, args.command, cfg, files, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

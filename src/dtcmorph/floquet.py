@@ -635,9 +635,15 @@ def effective_hamiltonian(result: FloquetResult) -> np.ndarray:
 
 
 def sparsity_fraction(mat: np.ndarray, rel_threshold: float = 1e-3) -> float:
-    """Fraction of entries with magnitude above rel_threshold * max |entry|."""
-    mags = np.abs(mat)
-    peak = mags.max()
+    """Fraction of entries with magnitude above rel_threshold * max |entry|.
+
+    The max and the count are taken over blocks of BLOCK_COLS columns, so no
+    full-size modulus or mask array exists beside `mat`.
+    """
+    peak = max_modulus(mat)
     if peak == 0.0:
         return 0.0
-    return float(np.mean(mags > rel_threshold * peak))
+    bound = rel_threshold * peak
+    count = sum(int(np.count_nonzero(np.abs(mat[:, lo:lo + BLOCK_COLS]) > bound))
+                for lo in range(0, mat.shape[1], BLOCK_COLS))
+    return count / mat.size

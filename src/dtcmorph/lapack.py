@@ -9,13 +9,16 @@ dependencies, so no library file is searched for and no second BLAS is
 loaded. Integers are 64-bit; every matrix is a Fortran-ordered complex128
 array that the routine overwrites in place. The same handle gives OpenBLAS's
 thread setter, which `one_blas_thread` holds at one thread. Where a symbol
-is missing, importing this module raises ImportError.
+is missing, importing this module raises ImportError. `environment` records
+the host and these libraries for a run's manifest.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import os
+import sys
 
 import numpy as np
 
@@ -30,11 +33,18 @@ _SIGNATURES = {
 # OpenBLAS's thread-count setter, which returns the previous count; even the
 # scipy-openblas wheels export it without prefix or suffix
 _THREAD_SETTER = "openblas_set_num_threads_local"
+# OpenBLAS's text queries, by environment key; informational, so a library
+# without them is recorded as None rather than refused
+_BUILD_QUERIES = {"openblas_core": "get_corename", "openblas_config": "get_config"}
+
+
+def _library_handle() -> ctypes.CDLL:
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 def _bind() -> dict:
     """The routines by name, and OpenBLAS's thread setter as "set_threads"."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = _library_handle()
     symbols = {name: (f"scipy_{name}_64_", f"{name}_64_") for name in _SIGNATURES}
     symbols["set_threads"] = (_THREAD_SETTER,)
     found = {name: next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
@@ -59,6 +69,8 @@ _ROUTINES = _bind()
 def one_blas_thread():
     """Hold OpenBLAS to one thread, restoring the old count on exit.
 
+    Yields the count it replaced: the one the scope started with.
+
     LAPACK results depend on the number of BLAS threads. This OpenBLAS keeps
     one process-wide count, which even the "_local" setter changes, so the
     limit is set once around a whole command or sweep by the calling thread,
@@ -67,7 +79,7 @@ def one_blas_thread():
     """
     previous = _ROUTINES["set_threads"](1)
     try:
-        yield
+        yield previous
     finally:
         _ROUTINES["set_threads"](previous)
 
@@ -79,6 +91,41 @@ def library() -> str:
         return f"{lapack['name']} {lapack['version']}"
     except KeyError:  # a numpy build that records no LAPACK
         return "unknown"
+
+
+def _openblas_build() -> dict:
+    """OpenBLAS's core name (e.g. 'SkylakeX') and build string, None where not exported."""
+    lib = _library_handle()
+    build = {}
+    for key, query in _BUILD_QUERIES.items():
+        spellings = (f"scipy_openblas_{query}64_", f"openblas_{query}64_")
+        symbol = next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
+        if symbol is None:
+            build[key] = None
+            continue
+        symbol.argtypes = []
+        symbol.restype = ctypes.c_char_p
+        build[key] = symbol().decode()
+    return build
+
+
+def environment(blas_threads_at_start: int) -> dict:
+    """Versions, libraries and CPUs of this process, for a run's manifest.
+
+    With DYNAMIC_ARCH (in the build string) OpenBLAS picks its kernels by
+    CPU, so the core name says why two hosts may differ in the last digits.
+    `blas_threads_at_start` is the count `one_blas_thread` replaced.
+    """
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "lapack": library(),
+        **_openblas_build(),
+        "cpu_count": os.cpu_count(),
+        "affinity": sorted(affinity) if affinity is not None else None,
+        "blas_threads_at_start": blas_threads_at_start,
+    }
 
 
 def _ref(value: int):

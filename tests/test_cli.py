@@ -47,6 +47,12 @@ def read_flags(command, **values):
             for arg in (flags[field], str(value))]
 
 
+def environment_without_blas_threads():
+    """os.environ without the variables OpenBLAS reads its thread count from."""
+    return {key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
 def test_spectrum_toy_run(tmp_path):
     out = tmp_path / "spec"
     code = run_cli(["spectrum", "--lambdas", "0.0,0.5", *common_args(out)])
@@ -575,7 +581,8 @@ def test_manifest_lists_every_file(tmp_path, command):
     assert manifest["workers"] == (2 if command in SWEEP_COMMANDS + ("dynamics",) else 1)
     # every command that diagonalizes F reports its fallbacks and its
     # closed-form endpoint cells (none on this grid); every command runs
-    # under the one-BLAS-thread limit and reports its BLAS threads
+    # under the one-BLAS-thread limit and reports its BLAS threads and the
+    # environment it ran in
     if command in SWEEP_COMMANDS + ("heff",):
         assert manifest["eigensolver_fallbacks"] == 0
         assert manifest["closed_form_cells"] == 0
@@ -584,6 +591,8 @@ def test_manifest_lists_every_file(tmp_path, command):
         assert "closed_form_cells" not in manifest
     assert manifest["blas_threads_per_cell"] == 1
     assert manifest["lapack"] == lapack.library() != "unknown"
+    environment = manifest["environment"]
+    assert environment == lapack.environment(environment["blas_threads_at_start"])
     names = [entry["name"] for entry in manifest["files"]]
     assert sorted(names) == sorted(path.name for path in out.glob("*.csv"))
     for entry in manifest["files"]:
@@ -742,11 +751,14 @@ def test_blas_limit_needs_no_proc_maps(tmp_path, monkeypatch, blas_threads):
 
 
 def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
-    # At N = 8 OpenBLAS runs LAPACK on several threads by default, and the
-    # last digits then depend on the thread count; every command must run
-    # with one BLAS thread whatever the environment and the worker count
-    # (heff and walk are serial and take no --workers, so they run once per
-    # BLAS setting; dynamics evolves its columns in one or two blocks).
+    # At N = 8 OpenBLAS runs LAPACK on several threads when it has them, and
+    # the last digits then depend on the thread count; every command must run
+    # with one BLAS thread whatever the environment and the worker count.
+    # A command process left to itself starts OpenBLAS with one thread, so
+    # OPENBLAS_NUM_THREADS=2 is what starts a pool of several here; the
+    # manifest records the count each run started with (heff and walk are
+    # serial and take no --workers, so they run once per BLAS setting;
+    # dynamics evolves its columns in one or two blocks).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
@@ -756,12 +768,9 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     }
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
-    for blas in (None, "1"):
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = src
-        if blas is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas
+    for blas in ("2", "1"):
+        env = {**environment_without_blas_threads(), "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": blas}
         for workers in ("1", "2"):
             for name, args in commands.items():
                 if workers == "2" and "workers" not in cli.COMMANDS[name][1]:
@@ -775,10 +784,56 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                 outputs.setdefault(name, []).append(
                     {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
                 )
+                manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+                assert manifest["environment"]["blas_threads_at_start"] == int(blas)
     for name, runs in outputs.items():
         assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4, "walk": 4}[name]
         assert len(runs) == (4 if "workers" in cli.COMMANDS[name][1] else 2)
         assert all(run == runs[0] for run in runs), name
+
+
+# A fresh interpreter that imports the package as a command process does,
+# and reports the OpenBLAS thread count the limit replaced
+_BLAS_START_PROBE = """
+import json, os, sys
+import dtcmorph
+numpy_after_package = "numpy" in sys.modules
+from dtcmorph import cli, lapack
+with lapack.one_blas_thread() as threads_at_start:
+    pass
+print(json.dumps({"numpy_after_package": numpy_after_package, "threads": threads_at_start,
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.parametrize("variable, threads", [(None, 1), ("2", 2)])
+def test_a_command_process_starts_openblas_with_one_thread_unless_told(variable, threads):
+    env = {**environment_without_blas_threads(),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    proc = subprocess.run([sys.executable, "-c", _BLAS_START_PROBE], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout) == {"numpy_after_package": False, "threads": threads,
+                                       "variable": variable or "1"}
+
+
+_LATE_CLI_PROBE = """
+import json, os
+import numpy
+before = dict(os.environ)
+import dtcmorph.cli
+print(json.dumps(dict(os.environ) == before))
+"""
+
+
+def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
+    # a library user who loaded numpy first keeps the OpenBLAS numpy started
+    env = {**environment_without_blas_threads(),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LATE_CLI_PROBE], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout) is True
 
 
 # Run in a fresh interpreter the way perfbench/child.py times a command: the

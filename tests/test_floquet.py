@@ -882,6 +882,36 @@ def test_sparsity_fraction_zero_matrix():
     assert sparsity_fraction(np.zeros((3, 3))) == 0.0
 
 
+@pytest.mark.parametrize("n_sites", [2, 8])
+def test_sparsity_fraction_equals_the_one_shot_formula(n_sites):
+    # an integer count over the size, so the BLOCK_COLS-column blocks (one
+    # partial block at D = 4, four at D = 256) give the full-array result bitwise
+    p = default_params(n_sites, lam=0.5)
+    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
+                              p.period)
+    h_eff = effective_hamiltonian(res)
+    mags = np.abs(h_eff)
+    for threshold in (1e-3, 0.5):
+        assert sparsity_fraction(h_eff, threshold) == float(np.mean(mags > threshold * mags.max()))
+
+
+def test_sparsity_fraction_allocates_no_full_size_array():
+    # one column block at a time: np.abs of a strided block takes about one
+    # complex block of D x BLOCK_COLS, and its mask one byte an entry; at
+    # D = 256 a full |H_eff| would take 4 real blocks, a full mask 4 masks
+    p = default_params(8, lam=0.5)
+    h_eff = effective_hamiltonian(
+        diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
+                            p.period))
+    tracemalloc.start()
+    try:
+        sparsity_fraction(h_eff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.dim * BLOCK_COLS * (16 + 1)
+
+
 def cluster_fraction(quasienergies, centers, period, tol):
     centers = np.asarray(centers)
     dist = np.abs(quasienergies[:, None] - centers[None, :])

@@ -95,3 +95,16 @@ def test_missing_symbols_are_named(monkeypatch):
 def test_library_names_numpy_lapack():
     config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     assert lapack.library() == f"{config['name']} {config['version']}"
+
+
+def test_environment_records_the_libraries_and_cpus(monkeypatch):
+    env = lapack.environment(blas_threads_at_start=3)
+    assert set(env) == {"python", "numpy", "lapack", "openblas_core", "openblas_config",
+                        "cpu_count", "affinity", "blas_threads_at_start"}
+    assert env["numpy"] == np.__version__ and env["lapack"] == lapack.library()
+    assert env["blas_threads_at_start"] == 3
+    # numpy's wheels export both queries; the build string names the core
+    assert env["openblas_core"] and env["openblas_core"] in env["openblas_config"]
+    # a library without them is recorded, not refused
+    monkeypatch.setitem(lapack._BUILD_QUERIES, "openblas_core", "get_bogus")
+    assert lapack.environment(1)["openblas_core"] is None

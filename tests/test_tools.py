@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from dtcmorph import lapack
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,7 +29,11 @@ def test_time_build_rejects_a_chain_length_it_cannot_build(capsys, n_sites):
 
 def test_time_build_reports_time_and_peak_of_every_stage(capsys):
     assert load_tool("time_build").main(["--n-sites", "4", "--repeats", "2", "--periods", "2"]) == 0
-    [chain] = json.loads(capsys.readouterr().out)["chains"]
+    report = json.loads(capsys.readouterr().out)
+    # the fingerprint is the environment block of a run manifest
+    fingerprint = report["fingerprint"]
+    assert fingerprint == lapack.environment(fingerprint["blas_threads_at_start"])
+    [chain] = report["chains"]
     assert chain["n_sites"] == 4
     for stage in ("build", "period", "values", "states", "cell", "states_cell"):
         summary = chain[stage]

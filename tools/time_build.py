@@ -23,16 +23,16 @@ peak: what it allocates beyond its inputs, in D x D complex buffers.
 which builds F and solves in F's own buffer. N = 12 is opt-in: one build
 takes seconds there and one eigensolve minutes.
 
-Standard output is one JSON line: the environment fingerprint and, per N
-and stage, the median, min and max time in milliseconds and the peak in
-buffers ("peak_buffers").
+Standard output is one JSON line: the environment fingerprint, the same
+`lapack.environment` block a run manifest records, and, per N and stage,
+the median, min and max time in milliseconds and the peak in buffers
+("peak_buffers").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -93,18 +93,6 @@ def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
     }
 
 
-def fingerprint() -> dict:
-    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "lapack": lapack.library(),
-        "cpu_count": os.cpu_count(),
-        "affinity": sorted(affinity) if affinity is not None else None,
-        "blas_threads": 1,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n-sites", type=int, nargs="+", default=[8, 10],
@@ -118,9 +106,9 @@ def main(argv=None) -> int:
         parser.error("--repeats and --periods must be at least 1")
     if any(n % 2 or not 2 <= n <= MAX_SITES for n in args.n_sites):
         parser.error(f"--n-sites takes even chain lengths from 2 to {MAX_SITES}")
-    with lapack.one_blas_thread():
+    with lapack.one_blas_thread() as threads_at_start:
         chains = [time_chain(n, args.repeats, args.periods) for n in args.n_sites]
-    print(json.dumps({"fingerprint": fingerprint(), "chains": chains}))
+    print(json.dumps({"fingerprint": lapack.environment(threads_at_start), "chains": chains}))
     return 0
 
 
