@@ -12,11 +12,12 @@ results are then bitwise identical for any worker count.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+
+from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def derive_seed(master_seed: int, lambda_index: int, realization_index: int) -> 
     payload = struct.pack(
         "<QQQ", master_seed & _SEED_MASK, lambda_index & _SEED_MASK, realization_index & _SEED_MASK
     )
-    digest = hashlib.blake2b(payload, digest_size=8, person=b"dtc-cell").digest()
+    digest = blake2b(payload, digest_size=8, person=b"dtc-cell").digest()
     return int.from_bytes(digest, "little")
 
 

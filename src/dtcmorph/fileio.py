@@ -17,7 +17,6 @@ directory unchanged.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import json
 import math
@@ -30,6 +29,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+# CPython's built-in sha256: the same digest as hashlib's, which loads OpenSSL
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    from _sha256 import sha256
 
 from .errors import ConfigError, ValidationError
 from .hamiltonians import ModelParams, default_params
@@ -182,7 +187,7 @@ def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
     lines = itertools.chain(
         [",".join(header)], (",".join(_format_cells(row, name)) for row in rows)
     )
-    digest = hashlib.sha256()
+    digest = sha256()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:

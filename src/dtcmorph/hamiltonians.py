@@ -16,10 +16,10 @@ and recrystallizes the other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng  # loaded with the package, not on the first draw
 
 from .spins import dimension, sign_table
 
@@ -101,10 +101,67 @@ def default_params(n_sites: int, lam: float = 0.0) -> ModelParams:
 def sample_disorder(params: ModelParams, seed: int) -> DisorderRealization:
     """Draw n_sites independent fields uniformly from [0, w].
 
-    Deterministic function of (seed, n_sites, w).
+    Deterministic function of (seed, n_sites, w): bit for bit the draw of
+    `numpy.random.default_rng(seed).uniform(0.0, w, n_sites)`, O'Neill's
+    PCG64 (XSL-RR 128/64) seeded by numpy's `SeedSequence`, replayed in
+    integers (`_pcg64_doubles`) so that no command loads `numpy.random`.
+    The seed is any nonnegative integer (numpy's included); a negative one
+    is a ValueError and a float a TypeError, as under numpy.
     """
-    rng = default_rng(seed)
-    return DisorderRealization(w=rng.uniform(0.0, params.w, params.n_sites), seed=seed)
+    u = _pcg64_doubles(operator.index(seed), params.n_sites)
+    return DisorderRealization(w=[0.0 + params.w * x for x in u], seed=seed)
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_doubles(seed: int, count: int) -> list:
+    """The first `count` doubles in [0, 1) of numpy's PCG64(SeedSequence(seed))."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5  # SeedSequence's hashmix/mix entropy pool of 4 words
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD  # generate_state(4, uint64): 8 words, low word first
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    seed_words = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+    # PCG64 srandom: state 0, inc = 2*initseq + 1, step, add initstate, step
+    inc = ((seed_words[2] << 64 | seed_words[3]) << 1 | 1) & _MASK128
+    lcg = (inc + (seed_words[0] << 64 | seed_words[1])) * _PCG_MULTIPLIER + inc & _MASK128
+    out = []
+    for _ in range(count):
+        lcg = (lcg * _PCG_MULTIPLIER + inc) & _MASK128
+        x = ((lcg >> 64) ^ lcg) & 0xFFFFFFFFFFFFFFFF  # XSL-RR output
+        rot = lcg >> 122
+        x = (x >> rot | x << (64 - rot)) & 0xFFFFFFFFFFFFFFFF
+        out.append((x >> 11) * 2.0**-53)
+    return out
 
 
 def _check_disorder(params: ModelParams, disorder: DisorderRealization) -> None:

@@ -850,6 +850,9 @@ print(json.dumps({
     "code": code,
     "scipy": scipy_at_setup + sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy_added": sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"),
+    # the disorder draw and the digests load neither numpy.random nor OpenSSL
+    "loaded": sorted(m for m in ("numpy.random", "hashlib", "_hashlib", "hmac", "secrets")
+                     if m in sys.modules),
 }))
 """
 
@@ -863,4 +866,4 @@ def test_commands_load_no_scipy_and_no_numpy_module_after_setup(tmp_path, comman
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"code": 0, "scipy": [], "numpy_added": []}
+    assert report == {"code": 0, "scipy": [], "numpy_added": [], "loaded": []}

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,19 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(7, 0, 0) != derive_seed(7, 1, 0)
     assert derive_seed(7, 0, 0) != derive_seed(8, 0, 0)
     assert 0 <= derive_seed(7, 3, 5) < 2**64
+
+
+@pytest.mark.parametrize("payload", [b"", b"dtcmorph", bytes(range(256)) * (3 << 12)],
+                         ids=["empty", "short", "3MB"])
+def test_derive_seed_blake2b_is_hashlibs(payload):
+    key = {"digest_size": 8, "person": b"dtc-cell"}
+    assert ensemble.blake2b(payload, **key).digest() == hashlib.blake2b(payload, **key).digest()
+
+
+def test_derive_seed_is_the_keyed_blake2b_of_the_cell():
+    for cell in [(0, 0, 0), (7, 3, 5), (2**64 - 1, 20, 99)]:
+        digest = hashlib.blake2b(struct.pack("<QQQ", *cell), digest_size=8, person=b"dtc-cell")
+        assert derive_seed(*cell) == int.from_bytes(digest.digest(), "little")
 
 
 def test_derive_seed_collision_sweep():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dtcmorph.fileio as fileio
 from dtcmorph.errors import ValidationError
 from dtcmorph.fileio import (
     ConfigError,
@@ -15,6 +16,16 @@ from dtcmorph.fileio import (
     write_csv,
     write_manifest,
 )
+
+
+@pytest.mark.parametrize("payload", [b"", b"dtcmorph", bytes(range(256)) * (3 << 12)],
+                         ids=["empty", "short", "3MB"])
+def test_write_csv_sha256_is_hashlibs(payload):
+    # write_csv hashes line by line with CPython's built-in sha256
+    digest = fileio.sha256()
+    for start in range(0, len(payload), 1000):
+        digest.update(payload[start:start + 1000])
+    assert digest.hexdigest() == hashlib.sha256(payload).hexdigest()
 
 
 def test_config_round_trip_identity():

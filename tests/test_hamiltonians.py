@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dtcmorph.ensemble import derive_seed
 from dtcmorph.hamiltonians import (
     DisorderRealization,
     build_h1,
@@ -106,6 +108,34 @@ def test_sample_disorder_zero_bound():
 
     p = replace(default_params(8), w=0.0)
     assert np.all(sample_disorder(p, 5).w == 0.0)
+
+
+# seeds at the 32- and 64-bit word boundaries, seeds longer than the 4-word
+# entropy pool, the seeds a sweep derives, and random 64-bit seeds
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, 2**128, 2**200 + 12345]
+GRID_SEEDS = [derive_seed(7, li, ri) for li in range(21) for ri in range(8)]
+_SEED_RNG = random.Random(2024)
+RANDOM_SEEDS = [_SEED_RNG.getrandbits(64) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("n_sites", range(2, 13, 2))
+@pytest.mark.parametrize("w", [0.0, None, 1.0])
+def test_sample_disorder_is_numpy_default_rng_bit_for_bit(n_sites, w):
+    p = default_params(n_sites)
+    p = replace(p, w=p.w if w is None else w)
+    for seed in EDGE_SEEDS + GRID_SEEDS + RANDOM_SEEDS:
+        expected = np.random.default_rng(seed).uniform(0.0, p.w, n_sites)
+        assert np.array_equal(sample_disorder(p, seed).w, expected), seed
+
+
+def test_sample_disorder_takes_integer_seeds_only():
+    p = default_params(8)
+    assert np.array_equal(sample_disorder(p, np.int64(42)).w,
+                          np.random.default_rng(42).uniform(0.0, p.w, 8))
+    with pytest.raises(ValueError):
+        sample_disorder(p, -1)
+    with pytest.raises(TypeError):
+        sample_disorder(p, 1.5)
 
 
 def test_sample_disorder_range_and_mean():

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,16 @@ def test_time_build_reports_time_and_peak_of_every_stage(capsys):
     assert chain["states"]["peak_buffers"] >= 2
     assert chain["cell"]["peak_buffers"] >= 1
     assert chain["states_cell"]["peak_buffers"] >= 1
+
+
+def test_time_build_starts_openblas_with_one_thread_as_a_command_does():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "time_build.py"), "--n-sites", "2",
+         "--repeats", "1", "--periods", "1"],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert json.loads(proc.stdout)["fingerprint"]["blas_threads_at_start"] == 1
 
 
 # N = 2 keeps the four runs per comparison to about a second

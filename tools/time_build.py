@@ -41,6 +41,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+# before numpy: dtcmorph.cli gives OpenBLAS its one-thread default, as in a command
+import dtcmorph.cli  # noqa: E402, F401
 import numpy as np  # noqa: E402
 
 from dtcmorph import lapack  # noqa: E402
