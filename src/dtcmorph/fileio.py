@@ -140,7 +140,7 @@ def format_value(value, context: str = "") -> str:
         if any(c in value for c in ',"\r\n'):
             return '"' + value.replace('"', '""') + '"'
         return value
-    if isinstance(value, (int, np.bool_)) or hasattr(value, "__index__"):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))  # bools, numpy's included, as 0/1
     value = float(value)
     if not math.isfinite(value):
@@ -156,16 +156,19 @@ class EmittedFile:
 
 
 def _format_cells(row, context: str) -> list:
-    """The cells of one row; a numpy array in it stands for its elements, in order.
+    """The cells of one row; a 1-D numpy array in it stands for its elements, in order.
 
     A finite float array is rendered with repr over `tolist()`, which for
     Python floats is exactly `format_value`'s rule; any other array, or one
     holding a non-finite value, goes through `format_value` value by value.
+    An array of another dimension is a ValueError naming `context`.
     """
     cells = []
     for value in row:
         if not isinstance(value, np.ndarray):
             cells.append(format_value(value, context))
+        elif value.ndim != 1:
+            raise ValueError(f"a {value.ndim}-D array in a row of {context}; rows take 1-D arrays")
         elif value.dtype.kind == "f" and np.isfinite(value).all():
             cells.extend(map(repr, value.tolist()))
         else:
@@ -178,9 +181,10 @@ def write_csv(out_dir: Path, name: str, header, rows) -> EmittedFile:
 
     `rows` may be any iterable, a generator included; each row is formatted,
     hashed and written before the next is read, so memory stays at one row.
-    A 1-D numpy array in a row stands for its elements (`_format_cells`). A
-    table that fails part-way, e.g. on a non-finite value (ValidationError
-    naming the file), is deleted before the error propagates; the run's
+    A 1-D numpy array in a row stands for its elements (`_format_cells`);
+    an array of another dimension is a ValueError naming the file. A table
+    that fails part-way, e.g. on a non-finite value (ValidationError naming
+    the file), is deleted before the error propagates; the run's
     staging directory (`staged_output`) keeps the output directory unchanged.
     """
     path = Path(out_dir) / name

@@ -34,7 +34,7 @@ the eigensolve call LAPACK in the OpenBLAS that numpy links (`lapack`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -317,71 +317,54 @@ def _cayley_hermitian(g: np.ndarray, phase: float = 0.0) -> np.ndarray | None:
     return g
 
 
-def _cayley_solve(g: np.ndarray, phase: float, apply_f):
+def _cayley_solve(g: np.ndarray, phase: float, factors: FloquetFactors | None):
     """(eigenphases of F, states or None) from the Cayley transform of e^{-i phase} F.
 
     The transform is formed in `g`, which holds F (see `_cayley_hermitian`).
-    With `apply_f`, which returns F @ block for a block of columns, the
-    Floquet states are computed too, in `g`'s buffer, and gated against F
-    (`_rayleigh_quotients`). None where the transform or a gate refuses; see
-    `diagonalize_floquet`.
+    With `factors`, the Floquet states are computed too, in `g`'s buffer,
+    and gated against F applied by its factors (`_rayleigh_quotients`).
+    None where the transform or a gate refuses; see `diagonalize_floquet`.
     """
     herm = _cayley_hermitian(g, phase)
     if herm is None:
         return None
-    if apply_f is None:
+    if factors is None:
         values = lapack.eigh(herm, vectors=False)
         return 2.0 * np.arctan2(1.0, -0.5 * values) + phase, None
     # divide and conquer keeps V orthonormal to ~1e-15 where "evr" drifted to 4e-11
     lapack.eigh(herm, vectors=True)
     basis = herm  # overwritten by the eigenvectors
-    quotients, residual = _rayleigh_quotients(basis, apply_f)
+    quotients, residual = _rayleigh_quotients(basis, factors)
     orthonormality = max_unitarity_defect(basis)
     if residual <= CAYLEY_RESIDUAL_TOL and orthonormality <= ORTHONORMALITY_TOL:
         return np.angle(quotients), basis
     return None
 
 
-def _rayleigh_quotients(basis: np.ndarray, apply_f) -> tuple[np.ndarray, float]:
+def _rayleigh_quotients(basis: np.ndarray, factors: FloquetFactors) -> tuple[np.ndarray, float]:
     """(v^H F v per column of `basis`, the eigen-residual max|FV - V Lambda|).
 
-    Taken one BLOCK_COLS-column block at a time: `apply_f(block)` returns F
-    @ block as a new array, so beside `basis` only block-sized arrays exist
-    and no FV is formed. The residual is NaN where an entry is.
+    Taken one BLOCK_COLS-column block at a time: F is applied by its factors
+    (`apply_floquet`) to a C-ordered copy of the block, so beside `basis`
+    only block-sized arrays exist and no F or FV is formed. The residual is
+    NaN where an entry is.
     """
     quotients = np.empty(basis.shape[1], dtype=complex)
     defects = []
     for lo in range(0, len(quotients), BLOCK_COLS):
         cols = slice(lo, lo + BLOCK_COLS)
-        fv = apply_f(basis[:, cols])
+        fv = np.array(basis[:, cols], order="C")
+        apply_floquet(factors, fv)
         quotients[cols] = np.vecdot(basis[:, cols], fv, axis=0)
         fv -= basis[:, cols] * quotients[cols]
         defects.append(max_modulus(fv))
     return quotients, float(np.max(defects))
 
 
-def _factor_applied(factors: FloquetFactors, block: np.ndarray) -> np.ndarray:
-    """F @ block through F's factors, in a C-ordered copy of `block`."""
-    block = np.array(block, order="C")
-    apply_floquet(factors, block)
-    return block
-
-
-@dataclass
-class _BuiltOperator:
-    """Dense F that `floquet_spectrum` built from `factors` and hands over.
-
-    `diagonalize_floquet` takes `f` out of it, so that the call holds the
-    only reference: every attempt forms the Cayley transform in F's buffer,
-    the states' gates apply F through `factors`, and a retry builds F again.
-    """
-
-    f: np.ndarray | None
-    factors: FloquetFactors
-
-
-def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> FloquetResult:
-    """Quasienergies and Floquet states of a unitary one-period propagator.
+def diagonalize_floquet(
+    f: np.ndarray, factors: FloquetFactors, period: float, vectors: bool = True
+) -> FloquetResult:
+    """Quasienergies and Floquet states of F = `fast_floquet_operator(factors)`, which is consumed.
 
     Quasienergies are -arg(eigenvalue)/period folded onto the principal
     branch (-pi/period, pi/period]. F is diagonalized through its Hermitian
@@ -396,41 +379,29 @@ def diagonalize_floquet(f: np.ndarray, period: float, vectors: bool = True) -> F
     values add phi back to G's eigenphases, and the quotients and residual
     are taken against F itself. Refused at every phi, it is a ValidationError.
 
-    `f` is left unchanged: each attempt forms the transform in a Fortran-
-    ordered copy, so beside F values allocate one more D x D buffer and
-    states add zheevd's two workspace buffers. The Rayleigh quotients and
-    the residual are taken one BLOCK_COLS-column block of V at a time
-    (`_rayleigh_quotients`, `f @ block`), so no FV is formed. The F that
-    `floquet_spectrum` builds is consumed instead (see there). No
-    max|entry| or Gram makes a full-size temporary, and a refused attempt's
-    buffers are freed before the next.
+    `f` is the C-ordered F built from `factors`, and its buffer is spent:
+    after the unitarity gate it is transposed in place by block pairs, so
+    that it holds F in Fortran order, and the transform is formed there. A
+    retry builds F again from `factors`, after the refused attempt's buffer
+    is freed (where the caller keeps no reference to `f`). Values hold that
+    one D x D buffer and block-sized temporaries. States are computed in
+    the same buffer, beside zheevd's two workspace buffers, and the
+    Rayleigh quotients and the residual apply F through its factors to one
+    BLOCK_COLS-column block of V at a time (`_rayleigh_quotients`), so no F
+    and no FV are kept beside them. No max|entry| or Gram makes a full-size
+    temporary.
     """
-    built = None
-    if isinstance(f, _BuiltOperator):
-        built, f = f, f.f
-        built.f = None
     defect = max_unitarity_defect(f)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
         )
-    if not vectors:
-        apply_f = None
-    elif built is None:
-        apply_f = partial(np.matmul, f)
-    else:
-        apply_f = partial(_factor_applied, built.factors)
     for step in (0, *CAYLEY_RETRY_STEPS):
-        if built is not None:
-            if step:  # the refused attempt spent F's buffer: free it, build F again
-                del f
-                f = fast_floquet_operator(built.factors)
-            _transpose_in_place(f)
-            g = f.T
-        else:
-            g = np.array(f, dtype=complex, order="F")
-        solved = _cayley_solve(g, step * np.pi / len(g), apply_f)
-        del g
+        if step:  # the refused attempt spent F's buffer: free it, build F again
+            del f
+            f = fast_floquet_operator(factors)
+        _transpose_in_place(f)
+        solved = _cayley_solve(f.T, step * np.pi / len(f), factors if vectors else None)
         if solved is not None:
             route = "cayley_rotated" if step else "cayley"
             return _ordered_result(*solved, period, route)
@@ -595,21 +566,13 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
     """Quasienergies, and with `vectors` Floquet states, of F given by its factors.
 
     The closed form (`endpoint_spectrum`) answers where it can; elsewhere
-    dense F is built (`fast_floquet_operator`) and diagonalized
-    (`diagonalize_floquet`), by Cayley, retried on a phase-rotated F where
-    refused. The result's `route` says which. The call owns the F it builds:
-    after the unitarity gate F is transposed in place by block pairs, so
-    that its buffer holds F in Fortran order, and the Cayley transform is
-    formed there, and a retry builds F again. Values hold that one D x D
-    buffer and block-sized temporaries. States are computed in the same
-    buffer, beside zheevd's two workspace buffers, and are gated against F
-    applied through its factors (`apply_floquet`) to one column block at a
-    time, so the cell keeps no F beside them.
+    dense F is built (`fast_floquet_operator`) and spent by
+    `diagonalize_floquet`, by Cayley, retried on a phase-rotated F where
+    refused. The result's `route` says which.
     """
     result = endpoint_spectrum(factors, period, vectors)
     if result is None:
-        built = _BuiltOperator(fast_floquet_operator(factors), factors)
-        result = diagonalize_floquet(built, period, vectors)
+        result = diagonalize_floquet(fast_floquet_operator(factors), factors, period, vectors)
     return result
 
 

@@ -38,17 +38,19 @@ _THREAD_SETTER = "openblas_set_num_threads_local"
 _BUILD_QUERIES = {"openblas_core": "get_corename", "openblas_config": "get_config"}
 
 
-def _library_handle() -> ctypes.CDLL:
-    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+_LIBRARY = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+def _symbol(spellings: tuple):
+    """The function of the first of `spellings` that the library exports, or None."""
+    return next((getattr(_LIBRARY, s) for s in spellings if hasattr(_LIBRARY, s)), None)
 
 
 def _bind() -> dict:
     """The routines by name, and OpenBLAS's thread setter as "set_threads"."""
-    lib = _library_handle()
     symbols = {name: (f"scipy_{name}_64_", f"{name}_64_") for name in _SIGNATURES}
     symbols["set_threads"] = (_THREAD_SETTER,)
-    found = {name: next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
-             for name, spellings in symbols.items()}
+    found = {name: _symbol(spellings) for name, spellings in symbols.items()}
     missing = [" or ".join(symbols[name]) for name, f in found.items() if f is None]
     if missing:
         raise ImportError(
@@ -95,11 +97,9 @@ def library() -> str:
 
 def _openblas_build() -> dict:
     """OpenBLAS's core name (e.g. 'SkylakeX') and build string, None where not exported."""
-    lib = _library_handle()
     build = {}
     for key, query in _BUILD_QUERIES.items():
-        spellings = (f"scipy_openblas_{query}64_", f"openblas_{query}64_")
-        symbol = next((getattr(lib, s) for s in spellings if hasattr(lib, s)), None)
+        symbol = _symbol((f"scipy_openblas_{query}64_", f"openblas_{query}64_"))
         if symbol is None:
             build[key] = None
             continue

@@ -127,10 +127,8 @@ def test_criterion_4_quasienergy_clustering():
         params = default_params(N_SITES, lam)
         per_seed = []
         for seed in range(20):
-            disorder = sample_disorder(params, seed)
-            result = diagonalize_floquet(
-                fast_floquet_operator(floquet_factors(params, disorder)), params.period
-            )
+            factors = floquet_factors(params, sample_disorder(params, seed))
+            result = diagonalize_floquet(fast_floquet_operator(factors), factors, params.period)
             per_seed.append(_cluster_fraction(result.quasienergies, centers, params.period))
         fractions[lam] = float(np.mean(per_seed))
     checks = [

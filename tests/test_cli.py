@@ -294,8 +294,9 @@ def test_spectrum_with_coupling_overrides_matches_direct_solve(tmp_path):
     for cell in manifest["cell_seeds"]:
         lam = (0.3, 0.7)[cell["lambda_index"]]
         params = cfg.params_for(lam)
-        f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, cell["seed"])))
-        direct = diagonalize_floquet(f, params.period, vectors=False).quasienergies
+        factors = floquet_factors(params, sample_disorder(params, cell["seed"]))
+        f = fast_floquet_operator(factors)
+        direct = diagonalize_floquet(f, factors, params.period, vectors=False).quasienergies
         got = [float(r[3]) for r in rows if float(r[0]) == lam and int(r[1]) == cell["seed"]]
         assert got == direct.tolist()
 

@@ -204,9 +204,8 @@ def test_melted_states_more_fractal_than_crystal():
     means = {}
     for lam in (0.001, 0.5):
         p = default_params(8, lam)
-        res = diagonalize_floquet(
-            fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed))), p.period
-        )
+        factors = floquet_factors(p, sample_disorder(p, seed))
+        res = diagonalize_floquet(fast_floquet_operator(factors), factors, p.period)
         means[lam] = float(np.mean(state_fractal_dimensions(res)))
     assert means[0.5] > means[0.001]
 

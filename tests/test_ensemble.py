@@ -88,11 +88,6 @@ def test_plan_params_keep_the_base_couplings():
     assert plan.params(0.8) == replace(base, lam=0.8)
 
 
-# a states cell takes its quotients from F applied by its factors, the dense
-# call from F @ V: quasienergies agree to this, stated before measuring
-STATES_ROUTE_TOL = 1e-13
-
-
 def test_degenerate_sweep_matches_direct_pipeline():
     plan = small_plan(lambdas=(0.4,), realizations=1)
     result = run_sweep(plan, workers=1)
@@ -102,10 +97,10 @@ def test_degenerate_sweep_matches_direct_pipeline():
     params = default_params(4, 0.4)
     seed = derive_seed(101, 0, 0)
     disorder = sample_disorder(params, seed)
-    f = fast_floquet_operator(floquet_factors(params, disorder))
-    direct = diagonalize_floquet(f, params.period)
+    factors = floquet_factors(params, disorder)
+    direct = diagonalize_floquet(fast_floquet_operator(factors), factors, params.period)
     assert record.seed == seed
-    assert np.max(np.abs(record.quasienergies - direct.quasienergies)) < STATES_ROUTE_TOL
+    assert np.array_equal(record.quasienergies, direct.quasienergies)
     assert np.array_equal(
         record.ratios.ratios, gap_ratios(record.quasienergies).ratios
     )
@@ -238,8 +233,9 @@ def test_cells_without_fractal_solve_for_values_only():
     plan = small_plan(states=False)
     for record in run_sweep(plan, workers=2).records:
         params = plan.params(record.lam)
-        f = fast_floquet_operator(floquet_factors(params, sample_disorder(params, record.seed)))
-        values = diagonalize_floquet(f, params.period, vectors=False)
+        factors = floquet_factors(params, sample_disorder(params, record.seed))
+        values = diagonalize_floquet(fast_floquet_operator(factors), factors, params.period,
+                                     vectors=False)
         assert record.route == "cayley"
         assert np.array_equal(record.quasienergies, values.quasienergies)
         assert np.array_equal(record.ratios.ratios, gap_ratios(values.quasienergies).ratios)

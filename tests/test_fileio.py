@@ -126,6 +126,22 @@ def test_format_value_rejects_non_finite():
         format_value(float("inf"))
 
 
+def test_format_value_renders_a_0d_array_as_its_value():
+    # an ndarray has __index__ whatever its dtype; only integer types print as integers
+    assert format_value(np.array(1.5)) == "1.5"
+    assert format_value(np.array(-0.25)) == "-0.25"
+    with pytest.raises(ValidationError, match=r"non-finite value in output \(t.csv\)"):
+        format_value(np.array(np.nan), "t.csv")
+
+
+@pytest.mark.parametrize("cell", [np.ones((2, 2)), np.array(1.5)])
+def test_write_csv_refuses_a_row_array_that_is_not_1d(tmp_path, cell):
+    rows = ((0.5, np.ones(2)) if i < 3 else (0.5, cell) for i in range(5))
+    with pytest.raises(ValueError, match=r"-D array in a row of odd.csv; rows take 1-D arrays"):
+        write_csv(tmp_path, "odd.csv", ("a", "b", "c"), rows)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_digest_and_rows(tmp_path):
     emitted = write_csv(tmp_path, "table.csv", ("a", "b"), [(1, 0.5), (2, 0.25)])
     assert isinstance(emitted, EmittedFile)

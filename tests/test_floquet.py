@@ -11,6 +11,7 @@ import dtcmorph.floquet as floquet_module
 from dtcmorph.diagnostics import gap_ratios, state_fractal_dimensions
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
+    FloquetFactors,
     apply_floquet,
     diagonalize_floquet,
     effective_hamiltonian,
@@ -46,6 +47,40 @@ def expm_taylor(a):
     for _ in range(squarings):
         total = total @ total
     return total
+
+
+def dense_spectrum(factors, period, vectors=True):
+    """`diagonalize_floquet` of the dense F built from `factors`."""
+    return diagonalize_floquet(fast_floquet_operator(factors), factors, period, vectors)
+
+
+EYE2, EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+
+
+def diagonal_factors(phases):
+    """Hand-made factors with identity gates: F is exactly diag(phases), D = 2^n."""
+    n_sites = len(phases).bit_length() - 1
+    dimers = (EYE4,) * (n_sites // 2)
+    return FloquetFactors(rotations=(EYE2,) * n_sites, u1=dimers,
+                          phases=np.asarray(phases, dtype=complex), u3=dimers)
+
+
+def gate_factors(u):
+    """Hand-made factors of two sites whose one segment-3 gate is the 4x4 unitary `u`: F = u."""
+    return FloquetFactors(rotations=(EYE2, EYE2), u1=(EYE4,), phases=np.ones(4, dtype=complex),
+                          u3=(np.asarray(u, dtype=complex),))
+
+
+@pytest.mark.parametrize("phases", [[1.0, 1.0], np.exp(1j * np.arange(8)), [0.5, 1.0, 2j, -1.0]])
+def test_hand_made_factors_build_exactly_the_operator_they_stand_for(phases):
+    factors = diagonal_factors(phases)
+    assert np.array_equal(fast_floquet_operator(factors), np.diag(factors.phases))
+    psi = np.arange(len(phases)) + 1j
+    work = psi.copy()
+    apply_floquet(factors, work)
+    assert np.array_equal(work, factors.phases * psi)
+    u, _ = near_identity_unitary()
+    assert np.array_equal(fast_floquet_operator(gate_factors(u)), u)
 
 
 def test_propagator_zero_hamiltonian():
@@ -179,15 +214,14 @@ def test_stripped_powers_are_floquet_powers_without_the_last_u3(n_sites, lam):
 
 
 def test_diagonalize_identity():
-    res = diagonalize_floquet(np.eye(8, dtype=complex), 1.0)
+    res = dense_spectrum(diagonal_factors(np.ones(8)), 1.0)
     assert np.allclose(res.quasienergies, 0.0)
     assert np.allclose(res.states, np.eye(8))
 
 
 def test_diagonalize_diagonal_phases():
     phases = np.array([-2.0, -0.5, 0.1, 3.0])
-    f = np.diag(np.exp(-1j * phases))
-    res = diagonalize_floquet(f, 1.0)
+    res = dense_spectrum(diagonal_factors(np.exp(-1j * phases)), 1.0)
     assert np.allclose(np.sort(phases), res.quasienergies, atol=1e-12)
     # states are basis vectors up to phase
     assert np.allclose(np.abs(res.states), np.eye(4)[:, np.argsort(phases)], atol=1e-12)
@@ -195,22 +229,23 @@ def test_diagonalize_diagonal_phases():
 
 def test_diagonalize_principal_branch_edge():
     # eigenvalue -1 maps to +pi/T, not -pi/T
-    res = diagonalize_floquet(np.diag([-1.0 + 0j, 1.0]), 1.0)
+    res = dense_spectrum(diagonal_factors([-1.0, 1.0]), 1.0)
     assert res.quasienergies[-1] == pytest.approx(np.pi)
     assert np.all(res.quasienergies > -np.pi)
 
 
 def test_diagonalize_rejects_non_unitary():
     with pytest.raises(ValidationError):
-        diagonalize_floquet(np.diag([0.5 + 0j, 1.0]), 1.0)
+        dense_spectrum(diagonal_factors([0.5, 1.0]), 1.0)
 
 
 @pytest.mark.parametrize("lam,seed", [(0.0, 0), (0.37, 4), (1.0, 9)])
 def test_spectral_round_trip(lam, seed):
     p = default_params(6, lam)
     disorder = sample_disorder(p, seed)
-    f = fast_floquet_operator(floquet_factors(p, disorder))
-    res = diagonalize_floquet(f, p.period)
+    factors = floquet_factors(p, disorder)
+    f = fast_floquet_operator(factors)
+    res = dense_spectrum(factors, p.period)
     dim = p.dim
     assert len(res.quasienergies) == dim
     assert np.all(np.diff(res.quasienergies) >= 0)
@@ -245,10 +280,11 @@ def folded(eigvals, period):
 def test_values_only_matches_schur_and_eig(n_sites, lam):
     p = default_params(n_sites, lam)
     for seed in range(10):
-        f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
-        values = diagonalize_floquet(f, p.period, vectors=False)
+        factors = floquet_factors(p, sample_disorder(p, seed))
+        f = fast_floquet_operator(factors)
+        values = dense_spectrum(factors, p.period, vectors=False)
         assert values.states is None and values.route == "cayley"
-        with_states = diagonalize_floquet(f, p.period)
+        with_states = dense_spectrum(factors, p.period)
         assert np.max(np.abs(values.quasienergies - with_states.quasienergies)) < VALUES_ONLY_TOL
         eig = folded(np.linalg.eigvals(f), p.period)
         assert np.max(np.abs(values.quasienergies - eig)) < VALUES_ONLY_TOL
@@ -295,7 +331,7 @@ def test_coupling_space_matches_dense_oracle(p, seed):
         got = weights @ (np.abs(states) ** 2)
         assert np.max(np.abs(got - weights @ (np.abs(power) ** 2))) < 1e-12
     eig = folded(np.linalg.eigvals(dense), p.period)
-    eps = diagonalize_floquet(dense, p.period).quasienergies
+    eps = dense_spectrum(factors, p.period).quasienergies
     assert np.max(np.abs(eps - eig)) < VALUES_ONLY_TOL
     # wherever F is monomial, the closed form must match the dense oracle too
     closed = endpoint_spectrum(floquet_factors(p, disorder), p.period)
@@ -309,9 +345,9 @@ def test_coupling_space_matches_dense_oracle(p, seed):
 def test_values_only_keeps_degenerate_gap_counts(lam):
     # at the endpoints F is monomial and its clusters are exactly degenerate
     p = default_params(8, lam)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5)))
-    with_states = gap_ratios(diagonalize_floquet(f, p.period).quasienergies)
-    values = gap_ratios(diagonalize_floquet(f, p.period, vectors=False).quasienergies)
+    factors = floquet_factors(p, sample_disorder(p, 5))
+    with_states = gap_ratios(dense_spectrum(factors, p.period).quasienergies)
+    values = gap_ratios(dense_spectrum(factors, p.period, vectors=False).quasienergies)
     assert with_states.single_degenerate > 0
     assert (values.double_degenerate, values.single_degenerate) == (
         with_states.double_degenerate,
@@ -319,29 +355,35 @@ def test_values_only_keeps_degenerate_gap_counts(lam):
     )
 
 
-@pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
+# F = I (every eigenvalue on the branch point) and F = diag(-1, 1)
+@pytest.mark.parametrize("f", [np.ones(8), np.array([-1.0, 1.0])])
 def test_values_only_falls_back_when_one_minus_f_is_singular(f):
-    values = diagonalize_floquet(f, 1.0, vectors=False)
+    values = dense_spectrum(diagonal_factors(f), 1.0, vectors=False)
     assert values.route == "cayley_rotated" and values.states is None
-    assert np.max(np.abs(values.quasienergies - folded(np.linalg.eigvals(f), 1.0))) < 1e-12
+    assert np.max(np.abs(values.quasienergies - folded(f, 1.0))) < 1e-12
+
+
+def near_identity_unitary():
+    """(u, theta): a 4x4 unitary in a random basis with eigenphases theta, two of them 1e-9 and -3e-10."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    theta = rng.uniform(-np.pi, np.pi, 4)
+    theta[:2] = (1e-9, -3e-10)
+    return (q * np.exp(1j * theta)) @ q.conj().T, theta
 
 
 def test_values_only_falls_back_on_the_hermiticity_gate():
     # an eigenvalue 1e-9 from 1 in a random basis makes (1 - F)^-1 so
-    # ill-conditioned that H is measurably non-Hermitian (relative ~1e-6)
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
-    theta = rng.uniform(-np.pi, np.pi, 32)
-    theta[:2] = (1e-9, -3e-10)
-    f = (q * np.exp(1j * theta)) @ q.conj().T
-    values = diagonalize_floquet(f, 1.0, vectors=False)
+    # ill-conditioned that H is measurably non-Hermitian (relative 5.4e-7)
+    u, theta = near_identity_unitary()
+    values = dense_spectrum(gate_factors(u), 1.0, vectors=False)
     assert values.route == "cayley_rotated"
     assert np.max(np.abs(values.quasienergies - folded(np.exp(1j * theta), 1.0))) < 1e-12
 
 
 def test_values_only_rejects_non_unitary():
     with pytest.raises(ValidationError):
-        diagonalize_floquet(np.diag([0.5 + 0j, 1.0]), 1.0, vectors=False)
+        dense_spectrum(diagonal_factors([0.5, 1.0]), 1.0, vectors=False)
 
 
 # Floquet states from the Cayley transform: quasienergies must agree with
@@ -397,8 +439,9 @@ def assert_same_cluster_projectors(eps, states, ref_eps, ref_states, period):
 def test_vectors_route_matches_schur_and_eig(n_sites, lam):
     p = default_params(n_sites, lam)
     for seed in range(10):
-        f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, seed)))
-        res = diagonalize_floquet(f, p.period)
+        factors = floquet_factors(p, sample_disorder(p, seed))
+        f = fast_floquet_operator(factors)
+        res = dense_spectrum(factors, p.period)
         assert res.route == "cayley"
         eps, vecs = schur_reference(f, p.period)
         assert np.max(np.abs(res.quasienergies - eps)) < VALUES_ONLY_TOL
@@ -443,7 +486,7 @@ def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
         eig_eps = unsorted_folded(eig_values, p.period)
         h_eig = np.linalg.solve(eig_vecs.T, (eig_vecs * eig_eps).T).T  # V diag(eps) V^-1
         assert np.max(np.abs(h_eff - h_eig)) <= HEFF_RTOL * scale
-        cayley = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, disorder)), p.period)
+        cayley = dense_spectrum(floquet_factors(p, disorder), p.period)
         ours, theirs = gap_ratios(res.quasienergies), gap_ratios(cayley.quasienergies)
         assert (ours.double_degenerate, ours.single_degenerate) == (
             theirs.double_degenerate,
@@ -452,6 +495,40 @@ def test_endpoint_spectrum_matches_the_oracles(n_sites, lam):
         values = endpoint_spectrum(floquet_factors(p, disorder), p.period, vectors=False)
         assert values.states is None
         assert np.array_equal(values.quasienergies, res.quasienergies)
+
+
+def pairing_defect(eps, k, period):
+    """max |eps_{n+D/k} - eps_n - 2 pi/(kT)|, taken modulo 2 pi/T, in mean level spacings 2 pi/(DT).
+
+    eps is sorted on the quasienergy zone; the index n + D/k wraps around it.
+    """
+    zone = 2.0 * np.pi / period
+    shift = np.roll(eps, -(len(eps) // k)) - eps - zone / k
+    return np.max(np.abs(np.remainder(shift + zone / 2, zone) - zone / 2)) / (zone / len(eps))
+
+
+# The 4T and 2T orders as spectral pairing: at lam = 0 every quasienergy has
+# partners shifted by pi/(2T), at lam = 1 by pi/T, exactly (the closed form says
+# so for every seed). The bound, in mean level spacings, was fixed before
+# measuring (measured worst 1.4e-13 at N = 10); an interior cell reads O(1).
+PAIRING_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("lam, k", [(0.0, 4), (1.0, 2)])
+def test_endpoint_spectra_are_exactly_paired(n_sites, lam, k):
+    p = default_params(n_sites, lam)
+    for seed in range(5):
+        factors = floquet_factors(p, sample_disorder(p, seed))
+        eps = endpoint_spectrum(factors, p.period, vectors=False).quasienergies
+        assert pairing_defect(eps, k, p.period) < PAIRING_TOL
+
+
+def test_an_interior_spectrum_is_not_paired():
+    p = default_params(8, 0.5)
+    eps = floquet_spectrum(floquet_factors(p, sample_disorder(p, 0)), p.period, vectors=False)
+    for k in (4, 2):
+        assert pairing_defect(eps.quasienergies, k, p.period) > 0.5  # measured 4.5 and 4.8
 
 
 def detuned(p, **products):
@@ -605,7 +682,8 @@ def test_cayley_transform_is_bitwise_the_one_shot_sum():
 @pytest.mark.parametrize("entry", [(200, 10), (10, 200)])
 def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypatch, entry):
     p = default_params(8, 0.5)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 7)))
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    f = fast_floquet_operator(factors)
     real_invert = floquet_module.lapack.invert
 
     def kicked(size):
@@ -622,13 +700,11 @@ def test_cayley_refuses_an_anti_hermitian_part_off_the_diagonal_blocks(monkeypat
     assert floquet_module._cayley_hermitian(np.asfortranarray(f)) is None
     # the kick lands on every attempt, so every rotation is refused too
     with pytest.raises(ValidationError, match="refused F and e\\^\\(-i k pi/D\\) F"):
-        diagonalize_floquet(f, p.period, vectors=False)
+        dense_spectrum(factors, p.period, vectors=False)
 
 
-# quasienergies of the states route, stated before measuring: against the
-# dense call's F @ V quotients (measured <= 5.0e-16 at N = 4-10) and against
-# numpy's eig of dense F (measured <= 9.8e-15 at N = 10, as before the states
-# route applied F by its factors)
+# quasienergies of the states route against numpy's eig of dense F, stated
+# before measuring (measured <= 9.8e-15 at N = 10)
 STATES_ROUTE_TOL = 1e-13
 
 
@@ -655,14 +731,9 @@ def test_floquet_spectrum_is_the_route_it_names(lam, route, vectors):
     if route == "closed_form":
         direct = endpoint_spectrum(factors, p.period, vectors)
     else:
-        direct = diagonalize_floquet(fast_floquet_operator(factors), p.period, vectors)
+        direct = dense_spectrum(factors, p.period, vectors)
     assert res.route == direct.route == route
-    if route == "cayley" and vectors:
-        # the cell takes its quotients from F applied by its factors, the
-        # dense call from F @ V; the eigenvectors and their order are the same
-        assert np.max(np.abs(res.quasienergies - direct.quasienergies)) < STATES_ROUTE_TOL
-    else:
-        assert np.array_equal(res.quasienergies, direct.quasienergies)
+    assert np.array_equal(res.quasienergies, direct.quasienergies)
     if vectors:
         assert np.array_equal(res.states, direct.states)
     else:
@@ -694,7 +765,7 @@ def count_builds(monkeypatch):
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_a_retry_rebuilds_f_only_where_the_cell_consumed_it(monkeypatch, vectors):
-    # a cell spends F's buffer on its first attempt, values and states
+    # the solve spends F's buffer on its first attempt, values and states
     # alike, so the retry builds F again
     p = default_params(8, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 7))
@@ -705,19 +776,6 @@ def test_a_retry_rebuilds_f_only_where_the_cell_consumed_it(monkeypatch, vectors
     assert res.route == "cayley_rotated"
     assert len(builds) == 2
     assert np.max(np.abs(res.quasienergies - folded(np.linalg.eigvals(f), p.period))) < 1e-12
-
-
-@pytest.mark.parametrize("refused", [False, True])
-@pytest.mark.parametrize("vectors", [False, True])
-def test_diagonalize_floquet_leaves_the_callers_f_unchanged(monkeypatch, vectors, refused):
-    p = default_params(8, 0.5)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 7)))
-    kept = f.copy()
-    if refused:
-        refuse_the_unrotated_attempt(monkeypatch)
-    res = diagonalize_floquet(f, p.period, vectors)
-    assert res.route == ("cayley_rotated" if refused else "cayley")
-    assert np.array_equal(f, kept)
 
 
 @pytest.mark.parametrize(
@@ -731,13 +789,14 @@ def test_permute_columns_matches_fancy_indexing(order, layout):
     assert np.array_equal(mat, expected)
 
 
-@pytest.mark.parametrize("f", [np.eye(8, dtype=complex), np.diag([-1.0 + 0j, 1.0])])
+# F = I and F = diag(-1, 1), given by their diagonals
+@pytest.mark.parametrize("f", [np.ones(8), np.array([-1.0, 1.0])])
 def test_vectors_route_falls_back_when_one_minus_f_is_singular(f):
-    res = diagonalize_floquet(f, 1.0)
+    res = dense_spectrum(diagonal_factors(f), 1.0)
     assert res.route == "cayley_rotated"
-    assert np.max(np.abs(res.quasienergies - folded(np.linalg.eigvals(f), 1.0))) < 1e-12
+    assert np.max(np.abs(res.quasienergies - folded(f, 1.0))) < 1e-12
     assert np.max(np.abs(res.states.conj().T @ res.states - np.eye(len(f)))) < 1e-12
-    assert np.max(np.abs(f @ res.states - res.states * res.eigenvalues)) < 1e-12
+    assert np.max(np.abs(f[:, None] * res.states - res.states * res.eigenvalues)) < 1e-12
 
 
 @pytest.mark.parametrize("gate", ["residual", "orthonormality"])
@@ -755,12 +814,12 @@ def test_vectors_route_falls_back_when_a_gate_fails(monkeypatch, gate):
         return values
 
     p = default_params(4, 0.5)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
-    assert diagonalize_floquet(f, p.period).route == "cayley"
+    factors = floquet_factors(p, sample_disorder(p, 3))
+    assert dense_spectrum(factors, p.period).route == "cayley"
     # every rotation's eigenvectors are corrupted too, so the call must fail
     monkeypatch.setattr(floquet_module.lapack, "eigh", corrupted_eigh)
     with pytest.raises(ValidationError, match="refused"):
-        diagonalize_floquet(f, p.period)
+        dense_spectrum(factors, p.period)
 
 
 def corrupt_the_last_column_block(monkeypatch, gate):
@@ -785,15 +844,15 @@ def corrupt_the_last_column_block(monkeypatch, gate):
 @pytest.mark.parametrize("gate", ["residual", "orthonormality"])
 def test_vectors_route_gates_see_the_last_column_block(monkeypatch, gate):
     p = default_params(8, 0.5)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 3)))
+    factors = floquet_factors(p, sample_disorder(p, 3))
     corrupt_the_last_column_block(monkeypatch, gate)
     with pytest.raises(ValidationError, match="refused"):
-        diagonalize_floquet(f, p.period)
+        dense_spectrum(factors, p.period)
 
 
 @pytest.mark.parametrize("gate", ["residual", "orthonormality"])
 def test_factor_applied_gates_see_the_last_column_block(monkeypatch, gate):
-    # a built cell's residual applies F by its factors to each column block
+    # a cell's residual applies F by its factors to each column block
     p = default_params(8, 0.5)
     factors = floquet_factors(p, sample_disorder(p, 3))
     assert floquet_spectrum(factors, p.period).route == "cayley"
@@ -805,21 +864,22 @@ def test_factor_applied_gates_see_the_last_column_block(monkeypatch, gate):
 @pytest.mark.parametrize("consumer", [effective_hamiltonian, state_fractal_dimensions])
 def test_state_consumers_reject_values_only_results(consumer):
     p = default_params(4, 0.5)
-    f = fast_floquet_operator(floquet_factors(p, sample_disorder(p, 0)))
+    factors = floquet_factors(p, sample_disorder(p, 0))
     with pytest.raises(ValueError, match="quasienergies only; diagonalize with vectors=True"):
-        consumer(diagonalize_floquet(f, p.period, vectors=False))
+        consumer(dense_spectrum(factors, p.period, vectors=False))
 
 
 def test_effective_hamiltonian_identity():
-    res = diagonalize_floquet(np.eye(4, dtype=complex), 1.0)
+    res = dense_spectrum(diagonal_factors(np.ones(4)), 1.0)
     assert np.allclose(effective_hamiltonian(res), 0.0)
 
 
 def test_effective_hamiltonian_reconstructs_floquet():
     p = default_params(6, lam=0.43)
     disorder = sample_disorder(p, 21)
-    f = fast_floquet_operator(floquet_factors(p, disorder))
-    res = diagonalize_floquet(f, p.period)
+    factors = floquet_factors(p, disorder)
+    f = fast_floquet_operator(factors)
+    res = dense_spectrum(factors, p.period)
     h_eff = effective_hamiltonian(res)
     assert np.max(np.abs(propagator(h_eff, p.period) - f)) < 1e-8
 
@@ -832,8 +892,7 @@ HEFF_BLOCK_TOL = 1e-12
 def test_effective_hamiltonian_blocks_match_the_one_shot_formula(monkeypatch, block_rows):
     # 3 rows of 64 leave a short last block
     p = default_params(6, lam=0.43)
-    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 8))),
-                              p.period)
+    res = dense_spectrum(floquet_factors(p, sample_disorder(p, 8)), p.period)
     h = (res.states * res.quasienergies) @ res.states.conj().T
     expected = 0.5 * (h + h.conj().T)
     if block_rows is not None:
@@ -851,8 +910,7 @@ HEFF_EXTRA_BLOCKS = 8
 
 def test_effective_hamiltonian_allocates_blocks_beside_its_result(monkeypatch):
     p = default_params(8, lam=0.5)
-    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
-                              p.period)
+    res = dense_spectrum(floquet_factors(p, sample_disorder(p, 5)), p.period)
     monkeypatch.setattr(floquet_module, "HEFF_BLOCK_ROWS", 16)
     tracemalloc.start()
     try:
@@ -871,7 +929,7 @@ def test_effective_hamiltonian_sparsity_contrast():
     for lam in (0.0, 0.5):
         p = default_params(8, lam)
         disorder = sample_disorder(p, disorder_seed)
-        res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, disorder)), p.period)
+        res = dense_spectrum(floquet_factors(p, disorder), p.period)
         fractions[lam] = sparsity_fraction(effective_hamiltonian(res))
     assert fractions[0.0] < fractions[0.5]
     assert fractions[0.0] < 0.05
@@ -887,8 +945,7 @@ def test_sparsity_fraction_equals_the_one_shot_formula(n_sites):
     # an integer count over the size, so the BLOCK_COLS-column blocks (one
     # partial block at D = 4, four at D = 256) give the full-array result bitwise
     p = default_params(n_sites, lam=0.5)
-    res = diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
-                              p.period)
+    res = dense_spectrum(floquet_factors(p, sample_disorder(p, 5)), p.period)
     h_eff = effective_hamiltonian(res)
     mags = np.abs(h_eff)
     for threshold in (1e-3, 0.5):
@@ -901,8 +958,7 @@ def test_sparsity_fraction_allocates_no_full_size_array():
     # D = 256 a full |H_eff| would take 4 real blocks, a full mask 4 masks
     p = default_params(8, lam=0.5)
     h_eff = effective_hamiltonian(
-        diagonalize_floquet(fast_floquet_operator(floquet_factors(p, sample_disorder(p, 5))),
-                            p.period))
+        dense_spectrum(floquet_factors(p, sample_disorder(p, 5)), p.period))
     tracemalloc.start()
     try:
         sparsity_fraction(h_eff)
@@ -928,13 +984,13 @@ def test_quasienergy_clustering_regression():
     tol = 0.1 * np.pi
     for seed in (0, 1):
         d0 = sample_disorder(p0, seed)
-        r0 = diagonalize_floquet(fast_floquet_operator(floquet_factors(p0, d0)), p0.period)
+        r0 = dense_spectrum(floquet_factors(p0, d0), p0.period)
         frac0 = cluster_fraction(
             r0.quasienergies, [0, np.pi / 2, -np.pi / 2, np.pi], p0.period, tol
         )
         assert frac0 == pytest.approx(0.8750, abs=1e-9)
         d1 = sample_disorder(p1, seed)
-        r1 = diagonalize_floquet(fast_floquet_operator(floquet_factors(p1, d1)), p1.period)
+        r1 = dense_spectrum(floquet_factors(p1, d1), p1.period)
         frac1 = cluster_fraction(r1.quasienergies, [0, np.pi], p1.period, tol)
         assert frac1 == pytest.approx(0.578125, abs=1e-9)
 
@@ -959,7 +1015,7 @@ def test_closed_form_explains_criterion_4():
         for seed in range(20):
             factors = floquet_factors(p, sample_disorder(p, seed))
             closed = endpoint_spectrum(factors, p.period, vectors=False).quasienergies
-            cayley = diagonalize_floquet(fast_floquet_operator(factors), p.period).quasienergies
+            cayley = dense_spectrum(factors, p.period).quasienergies
             frac = cluster_fraction(closed, centers, p.period, tol)
             assert frac == cluster_fraction(cayley, centers, p.period, tol)
             per_seed.append(frac)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dense build of F, one factor-form period, the eigensolve and whole values and states cells at several chain lengths.
+"""Time the dense build of F, one factor-form period and whole values and states cells at several chain lengths.
 
 Run from anywhere; dtcmorph is imported from the src/ of the checkout this
 script sits in, so a copy of it in another checkout times that checkout.
@@ -9,19 +9,16 @@ script sits in, so a copy of it in another checkout times that checkout.
 
 For each N it times `fast_floquet_operator(factors)` (one dense D x D
 build, "build"), `apply_floquet(factors, psi)` (one period on a state
-vector, "period"), `diagonalize_floquet(f, period, vectors)` of that F
-without and with states ("values", "states") and
-`floquet_spectrum(factors, period, vectors)`, the build and the solve of
-one `levels` cell without states ("cell") and of one `heff`, `fractal` or
-`sweep` cell with them ("states_cell"; `--repeats` calls of each but
-"period") on one interior cell (lambda = 0.5, default couplings, disorder
-seed 7), after one untimed call of each, with OpenBLAS held to one thread.
-One more untimed call of each stage runs under tracemalloc for its traced
-peak: what it allocates beyond its inputs, in D x D complex buffers.
-`diagonalize_floquet` leaves the F it is given unchanged, so "values" and
-"states" solve in a copy of F; only "cell" and "states_cell" show a cell,
-which builds F and solves in F's own buffer. N = 12 is opt-in: one build
-takes seconds there and one eigensolve minutes.
+vector, "period") and `floquet_spectrum(factors, period, vectors)`, the
+build and the solve of one `levels` cell without states ("cell") and of
+one `heff`, `fractal` or `sweep` cell with them ("states_cell";
+`--repeats` calls of each but "period") on one interior cell
+(lambda = 0.5, default couplings, disorder seed 7), after one untimed call
+of each, with OpenBLAS held to one thread. One more untimed call of each
+stage runs under tracemalloc for its traced peak: what it allocates beyond
+its inputs, in D x D complex buffers. A cell builds F and solves in F's own
+buffer. N = 12 is opt-in: one build takes seconds there and one eigensolve
+minutes.
 
 Standard output is one JSON line: the environment fingerprint, the same
 `lapack.environment` block a run manifest records, and, per N and stage,
@@ -48,7 +45,6 @@ import numpy as np  # noqa: E402
 from dtcmorph import lapack  # noqa: E402
 from dtcmorph.floquet import (  # noqa: E402
     apply_floquet,
-    diagonalize_floquet,
     fast_floquet_operator,
     floquet_factors,
     floquet_spectrum,
@@ -82,14 +78,11 @@ def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
     factors = floquet_factors(params, sample_disorder(params, 7))
     psi = np.zeros(params.dim, dtype=complex)
     psi[0] = 1.0
-    f = fast_floquet_operator(factors)
-    buffer_bytes = f.nbytes
+    buffer_bytes = params.dim**2 * 16  # one D x D complex buffer
     return {
         "n_sites": n_sites,
         "build": _timed(lambda: fast_floquet_operator(factors), repeats, buffer_bytes),
         "period": _timed(lambda: apply_floquet(factors, psi), periods, buffer_bytes),
-        "values": _timed(lambda: diagonalize_floquet(f, params.period, False), repeats, buffer_bytes),
-        "states": _timed(lambda: diagonalize_floquet(f, params.period, True), repeats, buffer_bytes),
         "cell": _timed(lambda: floquet_spectrum(factors, params.period, False), repeats, buffer_bytes),
         "states_cell": _timed(lambda: floquet_spectrum(factors, params.period, True), repeats, buffer_bytes),
     }
@@ -100,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n-sites", type=int, nargs="+", default=[8, 10],
                         help="even chain lengths to time (default: 8 10)")
     parser.add_argument("--repeats", type=int, default=20,
-                        help="timed builds and eigensolves per chain length (default: 20)")
+                        help="timed builds and cells per chain length (default: 20)")
     parser.add_argument("--periods", type=int, default=200,
                         help="timed apply_floquet periods per chain length (default: 200)")
     args = parser.parse_args(argv)
