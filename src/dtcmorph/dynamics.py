@@ -21,10 +21,22 @@ import numpy as np
 from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
 from .ensemble import worker_count
-from .floquet import apply_floquet, floquet_factors, kron_dims, stripped_floquet_powers
+from .floquet import (
+    apply_floquet,
+    floquet_factors,
+    kron_dims,
+    stripped_floquet_powers,
+    stripped_gates,
+)
 from .hamiltonians import DisorderRealization, ModelParams
 from .lapack import one_blas_thread
-from .spins import basis_state, check_norm_deviation, magnetization_weights, norm_deviation
+from .spins import (
+    BLOCK_COLS,
+    basis_state,
+    check_norm_deviation,
+    magnetization_weights,
+    norm_deviation,
+)
 
 # a fidelity is undefined where the product of the two spectrum norms is below
 # this fraction of the largest product in its lambda column: the series is
@@ -153,8 +165,8 @@ class FidelityMaps:
     `spectra` hold the magnetization series of one initial configuration per
     column and its power spectrum, both taken from the same evolution and
     transform as the maps; each spectrum is bitwise `power_spectrum` of its
-    series. `workers` is the number of column blocks each lam's evolution
-    ran in parallel.
+    series. `workers` is the number of threads that evolved each lam's
+    column blocks.
     """
 
     lambdas: np.ndarray
@@ -167,18 +179,15 @@ class FidelityMaps:
     workers: int = 1
 
 
-def column_blocks(n_sites: int, count: int) -> list[range]:
-    """At most `count` contiguous blocks of the high Kronecker index of
-    `stripped_floquet_powers`, as even as they come.
-
-    A chain of one dimer (N = 2) stays one block: its lower half is the 1 x 1
-    identity, and there splitting moves the series in the last bits through
-    numpy's small-shape matmul dispatch.
+def column_blocks(n_sites: int) -> list[range]:
+    """The fixed blocks of the high Kronecker index of `stripped_floquet_powers`
+    that the fidelity maps evolve one at a time: contiguous runs of
+    max(1, BLOCK_COLS // d_lo) indices, BLOCK_COLS columns each from N = 8 up
+    and one block for N <= 6 (D <= 64).
     """
     d_hi, d_lo = kron_dims(n_sites)
-    count = 1 if d_lo == 1 else min(count, d_hi)
-    bounds = [d_hi * i // count for i in range(count + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    width = max(1, BLOCK_COLS // d_lo)
+    return [range(lo, min(lo + width, d_hi)) for lo in range(0, d_hi, width)]
 
 
 def _all_config_power_spectra(
@@ -186,43 +195,53 @@ def _all_config_power_spectra(
     disorder: DisorderRealization,
     n_periods: int,
     initial_config: int,
-    blocks: list,
+    workers: int,
     pool: ThreadPoolExecutor | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(n, D) power spectra of the magnetization series of every basis state,
     and the (n,) series of `initial_config` itself.
 
     Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
-    U3 conserves both, so dense F is never built. The columns evolve in
-    `blocks` of the high Kronecker index (`column_blocks`), each filling its
-    own columns of the magnetizations with its own population buffer: the
-    calling thread evolves the first block and `pool` the others (None with
-    one block). Every column is computed the same way whatever the
-    blocks, so the result is bitwise the same. Once every block has
-    finished, a norm drift in any column raises one ValidationError naming
-    the largest.
+    U3 conserves both, so dense F is never built. The columns evolve in the
+    fixed `column_blocks`, which share one `stripped_gates`; each block fills
+    its own columns of the magnetizations with its own population buffer.
+    `workers` threads take every workers-th block, the calling thread from
+    block 0 and `pool` (None with one worker) from blocks 1.., so a thread
+    holds one block's buffers at a time: two complex and one real
+    D x BLOCK_COLS array, whatever D. Every column is computed the same way
+    whatever the workers, so the result is bitwise the same. Once every
+    block has finished, a norm drift in any column raises one
+    ValidationError naming the largest.
     """
     d = params.dim
     d_lo = kron_dims(params.n_sites)[1]
-    factors = floquet_factors(params, disorder)
+    blocks = column_blocks(params.n_sites)
+    gates = stripped_gates(floquet_factors(params, disorder))
     weights = magnetization_weights(params.n_sites)
     magnetizations = np.empty((n_periods, d))
+    deviations = np.empty(len(blocks))
 
     def evolve(block: range) -> float:
         columns = magnetizations[:, block.start * d_lo:block.stop * d_lo]
         populations = np.empty((d, columns.shape[1]))
-        for m, states in enumerate(stripped_floquet_powers(factors, n_periods, block)):
+        for m, states in enumerate(stripped_floquet_powers(gates, n_periods, block)):
             np.abs(states, out=populations)
             populations *= populations
             np.matmul(weights, populations, out=columns[m])
         return norm_deviation(states)
 
-    later = [pool.submit(evolve, block) for block in blocks[1:]]
+    def evolve_share(first: int) -> None:
+        # one block's buffers at a time: evolve's are freed when it returns
+        for b in range(first, len(blocks), workers):
+            deviations[b] = evolve(blocks[b])
+
+    later = [pool.submit(evolve_share, first) for first in range(1, workers)]
     try:
-        deviations = [evolve(blocks[0])]
+        evolve_share(0)
     finally:
         wait(later)  # no block still writes once this call returns or raises
-    deviations += [future.result() for future in later]
+    for future in later:
+        future.result()
     check_norm_deviation(float(np.max(deviations)))  # NaN-safe, whatever the block order
     # a copy, so the (n, D) block is freed on return
     return np.abs(dft(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
@@ -241,13 +260,12 @@ def fidelity_map(
     at each grid lam.
 
     The lam = 0 and lam = 1 references are reused as grid columns when the
-    grid holds those values. Each lam's columns evolve in
-    `column_blocks(N, worker_count(workers))` blocks, which split that lam's
-    buffers and add none: the calling thread evolves one, and a pool of
-    (blocks - 1) threads, open for the whole grid, the others; with one
-    block no thread starts. All run with one BLAS thread
-    (`one_blas_thread`), and the maps are bitwise the same for any worker
-    count.
+    grid holds those values. Each lam's columns evolve in `column_blocks(N)`
+    on min(worker_count(workers), blocks) workers: the calling thread and a
+    pool of (workers - 1) threads, open for the whole grid; with one worker
+    (always for N <= 6, one block) no thread starts. All run with one BLAS
+    thread (`one_blas_thread`), and the maps are bitwise the same for any
+    worker count.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
@@ -256,12 +274,12 @@ def fidelity_map(
         raise ValueError(f"configuration {initial_config} outside [0, {d})")
     lambdas = np.asarray(lambdas, dtype=float)
     grid = [replace(params, lam=lam) for lam in lambdas]  # ModelParams checks each lam
-    blocks = column_blocks(params.n_sites, worker_count(workers))
-    pool = ThreadPoolExecutor(max_workers=len(blocks) - 1) if len(blocks) > 1 else None
+    workers = min(worker_count(workers), len(column_blocks(params.n_sites)))
+    pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
 
     def evolved(lam_params: ModelParams) -> tuple:
         return _all_config_power_spectra(
-            lam_params, disorder, n_periods, initial_config, blocks, pool
+            lam_params, disorder, n_periods, initial_config, workers, pool
         )
 
     with one_blas_thread(), pool or contextlib.nullcontext():
@@ -289,7 +307,7 @@ def fidelity_map(
         undefined_2t=undefined_2t,
         series=series,
         spectra=spectra,
-        workers=len(blocks),
+        workers=workers,
     )
 
 

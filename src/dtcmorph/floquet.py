@@ -15,7 +15,7 @@ as the N site rotations of segment 1 (also merged into N/2 dimer factors),
 the segment-2 phases and N/2 segment-3 dimer factors, and `apply_floquet`
 applies them in place in O(N*D) per state. `stripped_floquet_powers`
 evolves all 2^N configurations at once, or a block of them, through one
-merged dimer layer per period, again without F.
+merged dimer layer per period (`stripped_gates`), again without F.
 
 `floquet_spectrum` gives the spectrum of one cell from its factors, and
 the result names its route in `route`. Where every dimer gate is monomial,
@@ -200,7 +200,30 @@ def kron_dims(n_sites: int) -> tuple[int, int]:
     return tuple(4 ** len(part) for part in _halves(range(n_sites // 2)))
 
 
-def stripped_floquet_powers(factors: FloquetFactors, n_periods: int, block: range | None = None):
+@dataclass(frozen=True)
+class StrippedGates:
+    """The operators of `stripped_floquet_powers`, built once per F by `stripped_gates`.
+
+    `k_hi` (d_hi x d_hi) and the batched (d_hi, d_lo, d_lo) `phased_lo` =
+    diag(phases) (I (x) K_lo) are the merged dimer layer of one period, and
+    `u1_hi`, `u1_lo` the Kronecker halves of U1 (see `kron_dims`). Only
+    `phased_lo` grows with D: D * d_lo entries, 4 MB at N = 12.
+    """
+
+    k_hi: np.ndarray
+    phased_lo: np.ndarray
+    u1_hi: np.ndarray
+    u1_lo: np.ndarray
+    phases: np.ndarray
+
+
+def stripped_gates(factors: FloquetFactors) -> StrippedGates:
+    k_hi, k_lo = _kron_halves([a @ b for a, b in zip(factors.u1, factors.u3)])
+    phased_lo = factors.phases.reshape(len(k_hi), len(k_lo), 1) * k_lo
+    return StrippedGates(k_hi, phased_lo, *_kron_halves(factors.u1), factors.phases)
+
+
+def stripped_floquet_powers(gates: StrippedGates, n_periods: int, block: range | None = None):
     """Yield U3^H F^m for m = 1..n, for a block of the 2^N columns, never forming F.
 
     F^m = U3 [U2 (U1 U3)]^(m-1) U2 U1, so after U2 U1 every period applies
@@ -210,6 +233,7 @@ def stripped_floquet_powers(factors: FloquetFactors, n_periods: int, block: rang
     against O(D^3) for F @ states. The missing left U3 keeps column norms and
     every observable that commutes with it, such as the total magnetization.
 
+    `gates` is `stripped_gates(factors)`, which every block of one F shares.
     `block` is a range of the high Kronecker index (default: all of
     `range(d_hi)`, see `kron_dims`). The yielded D x (len(block) * d_lo)
     array holds the columns [block.start * d_lo, block.stop * d_lo) and
@@ -218,19 +242,16 @@ def stripped_floquet_powers(factors: FloquetFactors, n_periods: int, block: rang
     those of the whole. The same buffer is yielded each period and
     overwritten by the next.
     """
-    k_hi, k_lo = _kron_halves([a @ b for a, b in zip(factors.u1, factors.u3)])
-    d_hi, d_lo = len(k_hi), len(k_lo)
-    phased_lo = factors.phases.reshape(d_hi, d_lo, 1) * k_lo  # diag(phases) (I (x) K_lo)
-    u1_hi, u1_lo = _kron_halves(factors.u1)
-    if block is not None:
-        u1_hi = u1_hi[:, block.start:block.stop]
-    states = np.kron(u1_hi, u1_lo)
-    states *= factors.phases[:, None]
+    d_hi, d_lo = len(gates.k_hi), len(gates.u1_lo)
+    u1_hi = gates.u1_hi if block is None else gates.u1_hi[:, block.start:block.stop]
+    states = np.kron(u1_hi, gates.u1_lo)
+    states *= gates.phases[:, None]
     scratch = np.empty_like(states)
     for m in range(n_periods):
         if m:
-            np.matmul(k_hi, states.reshape(d_hi, -1), out=scratch.reshape(d_hi, -1))
-            np.matmul(phased_lo, scratch.reshape(d_hi, d_lo, -1), out=states.reshape(d_hi, d_lo, -1))
+            np.matmul(gates.k_hi, states.reshape(d_hi, -1), out=scratch.reshape(d_hi, -1))
+            np.matmul(gates.phased_lo, scratch.reshape(d_hi, d_lo, -1),
+                      out=states.reshape(d_hi, d_lo, -1))
         yield states
 
 

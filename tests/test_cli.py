@@ -371,9 +371,10 @@ def test_dynamics_csvs_do_not_depend_on_workers(tmp_path, n_sites):
                 "--workers", str(workers), "--out", str(out)]
         assert run_cli(args) == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        # the pool is capped by the high Kronecker index, and N = 2 is one block
-        assert manifest["workers"] == len(column_blocks(n_sites, workers))
-        assert manifest["workers"] == (1 if n_sites == 2 else workers)
+        # the workers are capped by the fixed 64-column blocks: N <= 6 is one
+        # block, N = 8 four
+        assert manifest["workers"] == min(workers, len(column_blocks(n_sites)))
+        assert manifest["workers"] == (1 if n_sites <= 6 else workers)
         outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
     assert len(outputs[0]) == 4
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -386,7 +387,8 @@ def test_dynamics_norm_drift_message_does_not_depend_on_workers(
     errors = []
     for workers in (1, 2, 3):
         out = tmp_path / f"d{workers}"
-        args = ["dynamics", "--n-sites", "6", "--periods", "8", "--workers", str(workers),
+        # N = 8: four column blocks, so 2 and 3 workers start pool threads
+        args = ["dynamics", "--n-sites", "8", "--periods", "8", "--workers", str(workers),
                 "--out", str(out)]
         assert run_cli(args) == 3
         errors.append(capsys.readouterr().err)
@@ -578,8 +580,8 @@ def test_manifest_lists_every_file(tmp_path, command):
     assert run_cli(args) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # walk and heff are serial and never start a pool; dynamics evolves its
-    # columns in 2 blocks here (N = 4 has 4 high Kronecker indices)
-    assert manifest["workers"] == (2 if command in SWEEP_COMMANDS + ("dynamics",) else 1)
+    # columns in 64-column blocks, and N = 4 (D = 16) is one block, one worker
+    assert manifest["workers"] == (2 if command in SWEEP_COMMANDS else 1)
     # every command that diagonalizes F reports its fallbacks and its
     # closed-form endpoint cells (none on this grid); every command runs
     # under the one-BLAS-thread limit and reports its BLAS threads and the
@@ -759,7 +761,7 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # OPENBLAS_NUM_THREADS=2 is what starts a pool of several here; the
     # manifest records the count each run started with (heff and walk are
     # serial and take no --workers, so they run once per BLAS setting;
-    # dynamics evolves its columns in one or two blocks).
+    # dynamics evolves its four column blocks on one or two workers).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
@@ -851,9 +853,10 @@ print(json.dumps({
     "code": code,
     "scipy": scipy_at_setup + sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy_added": sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"),
-    # the disorder draw and the digests load neither numpy.random nor OpenSSL
-    "loaded": sorted(m for m in ("numpy.random", "hashlib", "_hashlib", "hmac", "secrets")
-                     if m in sys.modules),
+    # the disorder draw and the digests load neither numpy.random nor OpenSSL,
+    # and the reference means no numpy.polynomial
+    "loaded": sorted(m for m in ("numpy.random", "numpy.polynomial", "hashlib", "_hashlib",
+                                 "hmac", "secrets") if m in sys.modules),
 }))
 """
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import dtcmorph.diagnostics as diagnostics
 from dtcmorph.diagnostics import (
     gap_ratios,
     mean_gap_ratio,
@@ -138,6 +139,12 @@ def test_mean_gap_ratio_references():
     assert mean_gap_ratio("goe") == pytest.approx(4 - 2 * np.sqrt(3), abs=1e-9)
     # quadrature constant of the circular-orthogonal surmise, pinned
     assert mean_gap_ratio("coe") == pytest.approx(0.5269216860, abs=1e-6)
+
+
+def test_gauss_legendre_literals_are_leggauss_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(diagnostics._GAUSS_NODES, nodes)
+    assert np.array_equal(diagnostics._GAUSS_WEIGHTS, weights)
 
 
 # --- fractal dimensions --------------------------------------------------

@@ -22,9 +22,16 @@ from dtcmorph.dynamics import (
 )
 import dtcmorph.dynamics as dynamics_module
 from dtcmorph.errors import ValidationError
-from dtcmorph.floquet import fast_floquet_operator, floquet_factors
+from dtcmorph.floquet import (
+    fast_floquet_operator,
+    floquet_factors,
+    kron_dims,
+    stripped_floquet_powers,
+    stripped_gates,
+)
 from dtcmorph.hamiltonians import default_params, sample_disorder
 from dtcmorph.spins import (
+    BLOCK_COLS,
     basis_state,
     check_norm_deviation,
     magnetization_weights,
@@ -359,9 +366,7 @@ def test_all_config_power_spectra_match_dense_powers(n_sites, lam):
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 5)
     expected = dense_power_spectra(p, disorder, 32)
-    got, _ = dynamics_module._all_config_power_spectra(
-        p, disorder, 32, 0, column_blocks(n_sites, 1), None
-    )
+    got, _ = dynamics_module._all_config_power_spectra(p, disorder, 32, 0, 1, None)
     assert got.shape == expected.shape == (32, p.dim)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -438,53 +443,91 @@ def test_fidelity_map_checks_the_all_configuration_norm(corrupt_factors):
 
 
 def test_column_blocks_split_the_high_kronecker_index():
-    # N = 8: d_hi = d_lo = 16; N = 6: d_hi = 16, d_lo = 4; N = 4: d_hi = d_lo = 4
-    assert column_blocks(8, 1) == [range(16)]
-    assert column_blocks(8, 3) == [range(0, 5), range(5, 10), range(10, 16)]
-    assert column_blocks(6, 2) == [range(0, 8), range(8, 16)]
-    assert column_blocks(4, 9) == [range(i, i + 1) for i in range(4)]  # never more than d_hi
-    assert column_blocks(2, 4) == [range(4)]  # d_lo = 1: one block
+    # a block is max(1, 64 // d_lo) high indices: N = 12: d_hi = d_lo = 64;
+    # N = 10: d_hi = 64, d_lo = 16; N = 8: d_hi = d_lo = 16; N = 6: d_hi = 16,
+    # d_lo = 4; N = 4: d_hi = d_lo = 4; N = 2: d_hi = 4, d_lo = 1
+    assert column_blocks(12) == [range(i, i + 1) for i in range(64)]
+    assert column_blocks(10) == [range(i, i + 4) for i in range(0, 64, 4)]
+    assert column_blocks(8) == [range(0, 4), range(4, 8), range(8, 12), range(12, 16)]
+    assert column_blocks(6) == [range(16)]  # D = 64: one block
+    assert column_blocks(4) == [range(4)]
+    assert column_blocks(2) == [range(4)]
+    for n_sites in range(2, 13, 2):
+        d_hi, d_lo = kron_dims(n_sites)
+        blocks = column_blocks(n_sites)
+        assert [i for block in blocks for i in block] == list(range(d_hi))
+        assert {len(block) * d_lo for block in blocks} == {min(BLOCK_COLS, 1 << n_sites)}
 
 
-def blocked_power_spectra(params, disorder, n_periods, count):
-    """`_all_config_power_spectra` in `count` column blocks, on a pool as `fidelity_map` runs it."""
-    blocks = column_blocks(params.n_sites, count)
-    assert len(blocks) == count
-    if count == 1:
+def blocked_power_spectra(params, disorder, n_periods, workers):
+    """`_all_config_power_spectra` on `workers` threads, as `fidelity_map` runs it."""
+    if workers == 1:
+        return dynamics_module._all_config_power_spectra(params, disorder, n_periods, 3, 1, None)
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         return dynamics_module._all_config_power_spectra(
-            params, disorder, n_periods, 3, blocks, None
+            params, disorder, n_periods, 3, workers, pool
         )
-    with ThreadPoolExecutor(max_workers=count - 1) as pool:
-        return dynamics_module._all_config_power_spectra(
-            params, disorder, n_periods, 3, blocks, pool
-        )
+
+
+def whole_power_spectra(params, disorder, n_periods):
+    """The spectra and the configuration-3 series from one whole-D `stripped_floquet_powers`."""
+    weights = magnetization_weights(params.n_sites)
+    magnetizations = np.empty((n_periods, params.dim))
+    gates = stripped_gates(floquet_factors(params, disorder))
+    for m, states in enumerate(stripped_floquet_powers(gates, n_periods)):
+        magnetizations[m] = weights @ (np.abs(states) ** 2)
+    return np.abs(dft(magnetizations)) ** 2, magnetizations[:, 3]
 
 
 @pytest.mark.parametrize("n_sites, n_periods", [(4, 32), (6, 32), (8, 32), (10, 8)])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_column_blocks_are_bitwise_the_whole_evolution(n_sites, n_periods, lam):
+    # N = 8 and 10 have 4 and 16 blocks; N = 4 and 6 are one block
     p = default_params(n_sites, lam)
     disorder = sample_disorder(p, 8)
-    spectra, series = blocked_power_spectra(p, disorder, n_periods, 1)
+    spectra, series = whole_power_spectra(p, disorder, n_periods)
     # up to 4 threads on the shared magnetization array, switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for count in (2, 3, 4):
-            blocked_spectra, blocked_series = blocked_power_spectra(p, disorder, n_periods, count)
-            assert np.array_equal(blocked_spectra, spectra), count
-            assert np.array_equal(blocked_series, series), count
+        for workers in (1, 2, 3, 4):
+            blocked_spectra, blocked_series = blocked_power_spectra(p, disorder, n_periods, workers)
+            assert np.array_equal(blocked_spectra, spectra), workers
+            assert np.array_equal(blocked_series, series), workers
     finally:
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_all_config_evolution_peak_is_workers_times_a_block(workers):
+    # one lambda at N = 10 (D = 1024, 16 blocks of 64 columns), 8 periods.
+    # Each worker holds one block's two complex and one real D x 64 buffers,
+    # under 3 complex ones; all share phased_lo (D x d_lo complex) and the
+    # (n, D) magnetizations and their transform, under 4 complex (n, D)
+    # arrays. Evolving every column at once peaked at 2.5 D x D buffers, 40
+    # block buffers, whatever the workers.
+    n_sites, n_periods = 10, 8
+    p = default_params(n_sites, 0.5)
+    disorder = sample_disorder(p, 3)
+    blocked_power_spectra(p, disorder, n_periods, workers)  # caches and first-call set-up
+    tracemalloc.start()
+    try:
+        blocked_power_spectra(p, disorder, n_periods, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 3 * workers * BLOCK_COLS + kron_dims(n_sites)[1] + 4 * n_periods
+    assert peak <= columns * p.dim * 16
+
+
 def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
     # at lam = 1, F flips every site, so column c visits c and its complement
-    # only; the phases drift most on high Kronecker indices 4..11, so in 4
-    # blocks the largest deviation lies in blocks 1 and 2, which pool threads
-    # evolve, and not in the calling thread's block 0
+    # only; the phases drift most on high Kronecker indices 4..11, so of the 4
+    # blocks at N = 8 the largest deviation lies in blocks 1 and 2. Worker w
+    # takes every workers-th block from block w, so with 2 to 4 workers a
+    # pool thread evolves block 1, and the calling thread never block 1
     real = dynamics_module.floquet_factors
-    n_sites, d_lo = 6, 4
+    n_sites, d_lo = 8, 16
 
     def drifting(params, disorder):
         factors = real(params, disorder)
@@ -503,13 +546,13 @@ def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
             fidelity_map(p, disorder, [0.3], 8, workers=workers)
         messages.add(str(info.value))
     (message,) = messages
-    for states in dynamics_module.stripped_floquet_powers(
-        drifting(dataclasses.replace(p, lam=1.0), disorder), 8
-    ):
+    gates = stripped_gates(drifting(dataclasses.replace(p, lam=1.0), disorder))
+    for states in stripped_floquet_powers(gates, 8):
         pass
     drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
-    first = column_blocks(n_sites, 4)[0]
-    assert drift[: first.stop * d_lo].max() < drift.max()
+    blocks = column_blocks(n_sites)
+    for block in (blocks[0], blocks[3]):
+        assert drift[block.start * d_lo:block.stop * d_lo].max() < drift.max()
     with pytest.raises(ValidationError) as info:
         check_norm_deviation(norm_deviation(states))
     assert str(info.value) == message
@@ -524,9 +567,10 @@ def test_one_worker_starts_no_thread(monkeypatch):
     p = default_params(4, 0.0)
     disorder = sample_disorder(p, 1)
     assert fidelity_map(p, disorder, [0.0, 0.5], 8, workers=1).workers == 1
-    # at N = 2 every worker count is one block
-    p2 = default_params(2, 0.0)
-    assert fidelity_map(p2, sample_disorder(p2, 1), [0.5], 8, workers=4).workers == 1
+    # N <= 6 is one block whatever the worker count
+    for n_sites in (2, 4, 6):
+        p = default_params(n_sites, 0.0)
+        assert fidelity_map(p, sample_disorder(p, 1), [0.5], 8, workers=4).workers == 1
 
 
 def test_fidelity_map_pool_is_smaller_than_its_block_count(monkeypatch):
@@ -538,10 +582,10 @@ def test_fidelity_map_pool_is_smaller_than_its_block_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(dynamics_module, "ThreadPoolExecutor", Recording)
-    p = default_params(4, 0.0)
+    p = default_params(8, 0.0)
     disorder = sample_disorder(p, 1)
     maps = fidelity_map(p, disorder, [0.0, 0.5, 1.0], 8, workers=9)
-    # N = 4 has 4 high Kronecker indices: 4 blocks, the calling thread and 3 pool threads
+    # N = 8 has 4 blocks: 4 workers, the calling thread and 3 pool threads
     assert (maps.workers, sizes) == (4, [3])
     sizes.clear()
     assert fidelity_map(p, disorder, [0.5], 8, workers=2).workers == 2
@@ -549,7 +593,7 @@ def test_fidelity_map_pool_is_smaller_than_its_block_count(monkeypatch):
 
 
 def test_no_thread_outlives_fidelity_map():
-    p = default_params(6, 0.3)
+    p = default_params(8, 0.3)
     disorder = sample_disorder(p, 4)
     before = threading.active_count()
     maps = fidelity_map(p, disorder, [0.0, 0.3, 1.0], 8, workers=3)

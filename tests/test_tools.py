@@ -38,17 +38,20 @@ def test_time_build_reports_time_and_peak_of_every_stage(capsys):
     assert fingerprint == lapack.environment(fingerprint["blas_threads_at_start"])
     [chain] = report["chains"]
     assert chain["n_sites"] == 4
-    for stage in ("build", "period", "cell", "states_cell"):
+    for stage in ("build", "period", "cell", "states_cell", "fidelity"):
         summary = chain[stage]
         assert set(summary) == {"median_ms", "min_ms", "max_ms", "peak_buffers"}
         assert 0 < summary["min_ms"] <= summary["median_ms"] <= summary["max_ms"]
         assert summary["peak_buffers"] > 0
     # F alone is one buffer; a cell holds the F it builds, and a states cell
-    # its states in F's buffer
-    assert set(chain) == {"n_sites", "build", "period", "cell", "states_cell"}
+    # its states in F's buffer. At N = 4 (D = 16) the fidelity column is one
+    # block of every column: its two complex evolution buffers and the real
+    # populations, at least 2.5 buffers
+    assert set(chain) == {"n_sites", "build", "period", "cell", "states_cell", "fidelity"}
     assert chain["build"]["peak_buffers"] >= 1
     assert chain["cell"]["peak_buffers"] >= 1
     assert chain["states_cell"]["peak_buffers"] >= 1
+    assert chain["fidelity"]["peak_buffers"] >= 2.5
 
 
 def test_time_build_starts_openblas_with_one_thread_as_a_command_does():

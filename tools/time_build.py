@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dense build of F, one factor-form period and whole values and states cells at several chain lengths.
+"""Time the dense build of F, one factor-form period, whole values and states cells and one fidelity-map column at several chain lengths.
 
 Run from anywhere; dtcmorph is imported from the src/ of the checkout this
 script sits in, so a copy of it in another checkout times that checkout.
@@ -11,14 +11,18 @@ For each N it times `fast_floquet_operator(factors)` (one dense D x D
 build, "build"), `apply_floquet(factors, psi)` (one period on a state
 vector, "period") and `floquet_spectrum(factors, period, vectors)`, the
 build and the solve of one `levels` cell without states ("cell") and of
-one `heff`, `fractal` or `sweep` cell with them ("states_cell";
+one `heff`, `fractal` or `sweep` cell with them ("states_cell"), and the
+all-configuration evolution of one `dynamics` lambda over
+FIDELITY_PERIODS periods on one worker ("fidelity": the power spectra of
+every basis state that one column of the fidelity maps compares;
 `--repeats` calls of each but "period") on one interior cell
 (lambda = 0.5, default couplings, disorder seed 7), after one untimed call
 of each, with OpenBLAS held to one thread. One more untimed call of each
 stage runs under tracemalloc for its traced peak: what it allocates beyond
 its inputs, in D x D complex buffers. A cell builds F and solves in F's own
-buffer. N = 12 is opt-in: one build takes seconds there and one eigensolve
-minutes.
+buffer; the fidelity column never builds F and holds one block of
+spins.BLOCK_COLS columns at a time. N = 12 is opt-in: one build takes
+seconds there and one eigensolve minutes.
 
 Standard output is one JSON line: the environment fingerprint, the same
 `lapack.environment` block a run manifest records, and, per N and stage,
@@ -43,6 +47,7 @@ import dtcmorph.cli  # noqa: E402, F401
 import numpy as np  # noqa: E402
 
 from dtcmorph import lapack  # noqa: E402
+from dtcmorph.dynamics import _all_config_power_spectra  # noqa: E402
 from dtcmorph.floquet import (  # noqa: E402
     apply_floquet,
     fast_floquet_operator,
@@ -50,6 +55,9 @@ from dtcmorph.floquet import (  # noqa: E402
     floquet_spectrum,
 )
 from dtcmorph.hamiltonians import MAX_SITES, default_params, sample_disorder  # noqa: E402
+
+# periods of the "fidelity" stage; its time grows linearly with them, its peak barely
+FIDELITY_PERIODS = 8
 
 
 def _summary(seconds: list) -> dict:
@@ -75,7 +83,8 @@ def _timed(call, repeats: int, buffer_bytes: int) -> dict:
 
 def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
     params = default_params(n_sites, 0.5)
-    factors = floquet_factors(params, sample_disorder(params, 7))
+    disorder = sample_disorder(params, 7)
+    factors = floquet_factors(params, disorder)
     psi = np.zeros(params.dim, dtype=complex)
     psi[0] = 1.0
     buffer_bytes = params.dim**2 * 16  # one D x D complex buffer
@@ -85,6 +94,10 @@ def time_chain(n_sites: int, repeats: int, periods: int) -> dict:
         "period": _timed(lambda: apply_floquet(factors, psi), periods, buffer_bytes),
         "cell": _timed(lambda: floquet_spectrum(factors, params.period, False), repeats, buffer_bytes),
         "states_cell": _timed(lambda: floquet_spectrum(factors, params.period, True), repeats, buffer_bytes),
+        "fidelity": _timed(
+            lambda: _all_config_power_spectra(params, disorder, FIDELITY_PERIODS, 0, 1, None),
+            repeats, buffer_bytes,
+        ),
     }
 
 
@@ -93,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n-sites", type=int, nargs="+", default=[8, 10],
                         help="even chain lengths to time (default: 8 10)")
     parser.add_argument("--repeats", type=int, default=20,
-                        help="timed builds and cells per chain length (default: 20)")
+                        help="timed builds, cells and fidelity columns per chain length (default: 20)")
     parser.add_argument("--periods", type=int, default=200,
                         help="timed apply_floquet periods per chain length (default: 200)")
     args = parser.parse_args(argv)
