@@ -14,13 +14,13 @@ state; the fidelity maps evolve all 2^N of them at once.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft  # loaded with the package, not on the first spectrum
 
-from .ensemble import worker_count
+from .ensemble import run_indexed, worker_count
 from .floquet import (
     apply_floquet,
     floquet_factors,
@@ -205,9 +205,9 @@ def _all_config_power_spectra(
     U3 conserves both, so dense F is never built. The columns evolve in the
     fixed `column_blocks`, which share one `stripped_gates`; each block fills
     its own columns of the magnetizations with its own population buffer.
-    `workers` threads take every workers-th block, the calling thread from
-    block 0 and `pool` (None with one worker) from blocks 1.., so a thread
-    holds one block's buffers at a time: two complex and one real
+    The calling thread and `workers` - 1 threads of `pool` (None with one
+    worker) take the blocks one at a time (`ensemble.run_indexed`), so a
+    thread holds one block's buffers at a time: two complex and one real
     D x BLOCK_COLS array, whatever D. Every column is computed the same way
     whatever the workers, so the result is bitwise the same. Once every
     block has finished, a norm drift in any column raises one
@@ -219,9 +219,9 @@ def _all_config_power_spectra(
     gates = stripped_gates(floquet_factors(params, disorder))
     weights = magnetization_weights(params.n_sites)
     magnetizations = np.empty((n_periods, d))
-    deviations = np.empty(len(blocks))
 
-    def evolve(block: range) -> float:
+    def evolve(b: int) -> float:
+        block = blocks[b]
         columns = magnetizations[:, block.start * d_lo:block.stop * d_lo]
         populations = np.empty((d, columns.shape[1]))
         for m, states in enumerate(stripped_floquet_powers(gates, n_periods, block)):
@@ -230,18 +230,7 @@ def _all_config_power_spectra(
             np.matmul(weights, populations, out=columns[m])
         return norm_deviation(states)
 
-    def evolve_share(first: int) -> None:
-        # one block's buffers at a time: evolve's are freed when it returns
-        for b in range(first, len(blocks), workers):
-            deviations[b] = evolve(blocks[b])
-
-    later = [pool.submit(evolve_share, first) for first in range(1, workers)]
-    try:
-        evolve_share(0)
-    finally:
-        wait(later)  # no block still writes once this call returns or raises
-    for future in later:
-        future.result()
+    deviations = run_indexed(evolve, len(blocks), workers, pool)
     check_norm_deviation(float(np.max(deviations)))  # NaN-safe, whatever the block order
     # a copy, so the (n, D) block is freed on return
     return np.abs(dft(magnetizations)) ** 2, magnetizations[:, initial_config].copy()
@@ -262,7 +251,8 @@ def fidelity_map(
     The lam = 0 and lam = 1 references are reused as grid columns when the
     grid holds those values. Each lam's columns evolve in `column_blocks(N)`
     on min(worker_count(workers), blocks) workers: the calling thread and a
-    pool of (workers - 1) threads, open for the whole grid; with one worker
+    pool of (workers - 1) threads, open for the whole grid, which take the
+    blocks one at a time (`ensemble.run_indexed`); with one worker
     (always for N <= 6, one block) no thread starts. All run with one BLAS
     thread (`one_blas_thread`), and the maps are bitwise the same for any
     worker count.

@@ -2,19 +2,22 @@
 
 Every (lambda, realization) cell gets its own seed derived from the master
 seed by a keyed hash, so any cell can be regenerated in isolation and the
-result of a sweep is independent of scheduling. Cells run on a bounded
-thread pool (the heavy work is LAPACK, which releases the GIL); all
-floating-point reductions happen afterwards in fixed index order. LAPACK
-results depend on the number of BLAS threads, so every sweep runs under
-`lapack.one_blas_thread`, whatever the worker count and the environment;
-results are then bitwise identical for any worker count.
+result of a sweep is independent of scheduling. Cells run on the calling
+thread and a bounded thread pool (`run_indexed`; the heavy work is LAPACK,
+which releases the GIL); all floating-point reductions happen afterwards in
+fixed index order. LAPACK results depend on the number of BLAS threads, so
+every sweep runs under `lapack.one_blas_thread`, whatever the worker count
+and the environment; results are then bitwise identical for any worker
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
@@ -92,7 +95,7 @@ class CellRecord:
 class EnsembleResult:
     """All cell records of a sweep, ordered by (lambda_index, realization_index).
 
-    `workers` is the size of the cells' thread pool.
+    `workers` is the number of threads that ran the cells, the calling one included.
     """
 
     plan: SweepPlan
@@ -140,20 +143,62 @@ def worker_count(requested: int | None = None) -> int:
     return requested
 
 
-def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
-    """Run every cell of the plan on a pool of `worker_count(workers)` threads.
+def run_indexed(task, count: int, workers: int, pool: ThreadPoolExecutor | None) -> list:
+    """[task(0), ..., task(count - 1)], computed by the calling thread and `workers` - 1 others.
 
-    Every cell runs with one BLAS thread; the result is deterministic for any
-    worker count and any BLAS thread setting.
+    The calling thread and `workers` - 1 jobs submitted to `pool` (None with
+    one worker) each take the next index from one shared iterator until it
+    is exhausted, so a thread holds one task's buffers at a time and no
+    thread idles while another has work. The results are ordered by index
+    whatever ran them. Once a task raises, no thread starts another one; the
+    call returns or raises only after every job has finished, the first
+    error raised again, so no job still runs when it returns.
+    """
+    indices = iter(range(count))
+    lock = threading.Lock()  # one index per taker, also without a GIL
+    results = [None] * count
+
+    def drain() -> None:
+        while True:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = task(index)
+            except BaseException:
+                with lock:
+                    for _ in indices:  # the others stop after their current task
+                        pass
+                raise
+
+    jobs = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        wait(jobs)
+    for job in jobs:
+        job.result()
+    return results
+
+
+def run_sweep(plan: SweepPlan, workers: int | None = None) -> EnsembleResult:
+    """Run every cell of the plan on min(`worker_count(workers)`, cells) threads.
+
+    The calling thread takes cells beside a pool of the other threads
+    (`run_indexed`); with one thread, or one cell, no thread starts, and none
+    outlives the call. Every cell runs with one BLAS thread; the result is
+    deterministic for any worker count and any BLAS thread setting.
     """
     cells = [
         (li, ri)
         for li in range(len(plan.lambdas))
         for ri in range(plan.realizations)
     ]
-    n_workers = worker_count(workers)
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=n_workers) as pool:
-        records = list(pool.map(lambda cell: run_cell(plan, *cell), cells))
+    n_workers = min(worker_count(workers), len(cells))
+    pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
+    with one_blas_thread(), pool or contextlib.nullcontext():
+        records = run_indexed(lambda i: run_cell(plan, *cells[i]), len(cells), n_workers, pool)
     return EnsembleResult(plan=plan, records=records, workers=n_workers)
 
 

@@ -26,13 +26,17 @@ and no eigensolve. Everywhere else dense F is built from the same factors
 and `diagonalize_floquet` diagonalizes its Hermitian Cayley transform
 ("cayley"), formed in F's own buffer, for quasienergies and Floquet states
 alike, retried on e^{-i phi} F for a few fixed phases phi where refused
-("cayley_rotated"); the states are checked against F applied by its
-factors, one block of columns at a time. The inverse and
-the eigensolve call LAPACK in the OpenBLAS that numpy links (`lapack`).
+("cayley_rotated"). F's unitarity is certified by its factors
+(`unitarity_certificate`: their small Gram defects plus an a-priori bound
+on the build's round-off), so no D x D Gram of F is taken; the states are
+checked against F applied by its factors, one block of columns at a time.
+The inverse and the eigensolve call LAPACK in the OpenBLAS that numpy
+links (`lapack`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -52,7 +56,11 @@ from .hamiltonians import (
 from .spins import BLOCK_COLS, max_hermiticity_defect, max_modulus, max_unitarity_defect
 
 HERMITICITY_TOL = 1e-10
+# a dense cell is refused where `unitarity_certificate`, a bound on
+# max|F^H F - 1| for the F built from its factors, exceeds this
 UNITARITY_TOL = 1e-10
+# unit round-off of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
 # the Cayley transform of F is refused above this relative anti-Hermitian
 # part, max|H - H^H| / max|H|
 CAYLEY_HERMITICITY_TOL = 1e-10
@@ -271,6 +279,74 @@ def fast_floquet_operator(factors: FloquetFactors) -> np.ndarray:
     return mat
 
 
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error bound of k roundings (Higham's gamma_k)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _layers_growth(gates) -> float:
+    """prod of sqrt(1 + e) + beta over the layers of the m x m `gates` (`unitarity_certificate`)."""
+    if not gates:
+        return 1.0
+    g = np.asarray(gates, dtype=complex)
+    m = g.shape[-1]
+    frobenius2 = np.sum(np.abs(g) ** 2, axis=(1, 2))
+    gram = np.conj(np.swapaxes(g, 1, 2)) @ g - np.eye(m)
+    e = np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
+    e += math.sqrt(2.0) * _gamma(2 * m + 1) * frobenius2
+    beta = math.sqrt(2.0) * _gamma(2 * m) * np.sqrt(frobenius2)
+    return float(np.prod(np.sqrt(1.0 + e) + beta))
+
+
+def unitarity_certificate(factors: FloquetFactors) -> float:
+    """An upper bound on max|F^H F - 1| for F = `fast_floquet_operator(factors)`,
+    taken from the factors alone in O(N) small products; NaN where a factor
+    holds a NaN.
+
+    The build applies 3N/2 + 1 layers to the columns of the identity: the N
+    2x2 `rotations`, the `phases` and the N/2 4x4 `u3` gates; `apply_floquet`
+    applies N + 1 layers, the N/2 `u1` gates in place of the rotations. Each
+    layer acts on every column x as the full-space L = I (x) G (x) I of its
+    gate G, or diag(phases), and has the singular values of G. Let P be the
+    exact product of the stored layers, and F the computed one, column c of
+    F being P e_c + r_c.
+
+    Factors. For an m x m gate, e = ||G^H G - 1||_2 bounds the layer's
+    singular values to [sqrt(1 - e), sqrt(1 + e)]. It is taken as the
+    Frobenius norm of the computed G^H G - 1 plus that Gram's round-off,
+    sqrt(2) gamma_{2m+1} || |G|^T |G| ||_2 <= sqrt(2) gamma_{2m+1} ||G||_F^2
+    (see below; the 1 subtracted adds one rounding); the Frobenius norm's
+    own rounding is relative and of the order m u, so it is left out. For
+    the phases, with d = max||phase| - 1| + 2u (u for the modulus, u for
+    its rounding into d), sqrt(1 + e) = 1 + d.
+
+    Round-off. An entry of a layer's product is an inner product of m
+    complex terms. Each of its real and imaginary parts is a sum of 2m real
+    products, which any summation order, with or without FMA, computes to
+    within gamma_{2m} of the sum of their moduli, and |a_r b_r| + |a_i b_i|
+    <= |a||b|. So fl(L x) = L x + f with |f| <= sqrt(2) gamma_{2m} |L||x|
+    entrywise, and ||f||_2 <= beta ||x||_2, beta = sqrt(2) gamma_{2m} ||G||_F,
+    as || |L| ||_2 = || |G| ||_2 <= ||G||_F. A phase is one complex product:
+    beta = sqrt(2) gamma_2 (1 + d).
+
+    Bound. With s_j = sqrt(1 + e_j), S = prod s_j >= ||P||_2 and
+    T = prod (s_j + beta_j), induction over the layers gives
+    ||r_c|| <= T - S for every column, and
+    ||P^H P - 1||_2 <= prod (1 + e_j) - 1 = S^2 - 1. Then every entry of
+    F^H F - 1 = (P^H P - 1) + P^H R + R^H P + R^H R is at most
+    S^2 - 1 + 2 S (T - S) + (T - S)^2 = T^2 - 1, the certificate: the larger
+    of T^2 - 1 for the build and for `apply_floquet`. For clean factors the
+    gates contribute a few tens of u each, so the bound is ~1e-13 at N = 10
+    against measured Gram defects of ~3e-15 there, three orders of magnitude
+    under UNITARITY_TOL; a gate or phases scaled by 1.01 give ~2e-2.
+    """
+    d = float(np.max(np.abs(np.abs(factors.phases) - 1.0))) + 2.0 * UNIT_ROUNDOFF
+    phase = (1.0 + d) * (1.0 + math.sqrt(2.0) * _gamma(2))
+    rest = phase * _layers_growth(factors.u3)
+    firsts = [_layers_growth(gates) for gates in (factors.rotations, factors.u1)]
+    return float(np.max(firsts)) ** 2 * rest**2 - 1.0  # np.max keeps a NaN
+
+
 def _block_pairs(dim: int) -> list:
     """Pairs (a, b), a <= b, of the BLOCK_COLS-wide index blocks of range(dim)."""
     blocks = [slice(lo, lo + BLOCK_COLS) for lo in range(0, dim, BLOCK_COLS)]
@@ -400,9 +476,15 @@ def diagonalize_floquet(
     values add phi back to G's eigenphases, and the quotients and residual
     are taken against F itself. Refused at every phi, it is a ValidationError.
 
+    First the unitarity gate: `unitarity_certificate(factors)`, a bound on
+    max|F^H F - 1| from the factors F is built from, must be at most
+    UNITARITY_TOL, and a NaN in a factor fails it. No Gram of F is taken; a
+    NaN that enters F after a clean build makes the Cayley transform
+    non-finite, which every attempt refuses.
+
     `f` is the C-ordered F built from `factors`, and its buffer is spent:
-    after the unitarity gate it is transposed in place by block pairs, so
-    that it holds F in Fortran order, and the transform is formed there. A
+    it is transposed in place by block pairs, so that it holds F in Fortran
+    order, and the transform is formed there. A
     retry builds F again from `factors`, after the refused attempt's buffer
     is freed (where the caller keeps no reference to `f`). Values hold that
     one D x D buffer and block-sized temporaries. States are computed in
@@ -412,7 +494,7 @@ def diagonalize_floquet(
     and no FV are kept beside them. No max|entry| or Gram makes a full-size
     temporary.
     """
-    defect = max_unitarity_defect(f)
+    defect = unitarity_certificate(factors)
     if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"

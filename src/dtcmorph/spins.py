@@ -103,10 +103,13 @@ def max_modulus(mat: np.ndarray) -> float:
 def max_unitarity_defect(mat: np.ndarray) -> float:
     """Max-entry norm of (M^dagger M - I) for a square M; NaN if M holds one.
 
-    The Gram matrix M^H M is Hermitian, so its lower block triangle holds
-    every modulus. It is taken one block row at a time: the BLOCK_COLS columns
-    of a block, conjugated, against the columns up to them. Beside M only the
-    conjugated block and its block row exist, 2 BLOCK_COLS * D entries.
+    It gates the orthonormality of computed Floquet states and serves the
+    tests; a built F is certified by its factors instead
+    (`floquet.unitarity_certificate`). The Gram matrix M^H M is Hermitian,
+    so its lower block triangle holds every modulus. It is taken one block
+    row at a time: the BLOCK_COLS columns of a block, conjugated, against
+    the columns up to them. Beside M only the conjugated block and its block
+    row exist, 2 BLOCK_COLS * D entries.
     """
     return float(np.max([_gram_row_defect(mat, lo) for lo in range(0, mat.shape[1], BLOCK_COLS)]))
 

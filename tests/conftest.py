@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import dtcmorph.dynamics as dynamics_module
@@ -47,3 +48,21 @@ def corrupt_factors(monkeypatch):
         monkeypatch.setattr(dynamics_module, "floquet_factors", corrupted)
 
     return corrupt
+
+
+# faults at the factors of F, each breaking its unitarity: a dense cell must
+# refuse every one of them, naming unitarity
+FACTOR_FAULTS = {
+    "nan_phase": lambda f: dataclasses.replace(
+        f, phases=np.where(np.arange(len(f.phases)) == 1, np.nan, f.phases)),
+    "phases_x1.01": lambda f: dataclasses.replace(f, phases=1.01 * f.phases),
+    "u3_x1.01": lambda f: dataclasses.replace(f, u3=(1.01 * f.u3[0],) + f.u3[1:]),
+    "rotation_x1.01": lambda f: dataclasses.replace(
+        f, rotations=(1.01 * f.rotations[0],) + f.rotations[1:]),
+}
+
+
+@pytest.fixture(params=sorted(FACTOR_FAULTS))
+def factor_fault(request):
+    """One of FACTOR_FAULTS: factors -> the same factors with that fault."""
+    return FACTOR_FAULTS[request.param]

@@ -695,7 +695,19 @@ def test_heff_failing_at_a_later_lambda_leaves_no_output(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_heff_with_a_fault_at_the_factors_exits_three(tmp_path, monkeypatch, capsys, factor_fault):
+    real = cli.floquet_factors
+    monkeypatch.setattr(cli, "floquet_factors",
+                        lambda params, disorder: factor_fault(real(params, disorder)))
+    out = tmp_path / "h"
+    assert run_cli(["heff", "--n-sites", "4", "--lambdas", "0.5", "--out", str(out)]) == 3
+    assert "deviates from unitary" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heff_with_a_nan_propagator_exits_three(tmp_path, monkeypatch, capsys):
+    # a NaN put into F after a clean build: the factors certify F, and the
+    # Cayley transform, non-finite at every rotation, refuses it
     real = floquet.fast_floquet_operator
 
     def nan_entry(factors):
@@ -706,7 +718,7 @@ def test_heff_with_a_nan_propagator_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(floquet, "fast_floquet_operator", nan_entry)
     out = tmp_path / "h"
     assert run_cli(["heff", *common_args(out)]) == 3
-    assert "deviates from unitary by nan" in capsys.readouterr().err
+    assert "the Cayley solve refused F" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -761,7 +773,7 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     # OPENBLAS_NUM_THREADS=2 is what starts a pool of several here; the
     # manifest records the count each run started with (heff and walk are
     # serial and take no --workers, so they run once per BLAS setting;
-    # dynamics evolves its four column blocks on one or two workers).
+    # dynamics evolves its four column blocks on one to three workers).
     commands = {
         "levels": ["levels", "--lambdas", "0.5,0.999", "--realizations", "2"],
         "sweep": ["sweep", "--lambdas", "0.5", "--realizations", "2"],
@@ -774,9 +786,9 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
     for blas in ("2", "1"):
         env = {**environment_without_blas_threads(), "PYTHONPATH": src,
                "OPENBLAS_NUM_THREADS": blas}
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             for name, args in commands.items():
-                if workers == "2" and "workers" not in cli.COMMANDS[name][1]:
+                if workers != "1" and "workers" not in cli.COMMANDS[name][1]:
                     continue
                 out = tmp_path / f"{name}-{blas}-{workers}"
                 subprocess.run(
@@ -791,7 +803,7 @@ def test_results_do_not_depend_on_blas_threads_or_workers(tmp_path):
                 assert manifest["environment"]["blas_threads_at_start"] == int(blas)
     for name, runs in outputs.items():
         assert len(runs[0]) == {"levels": 2, "sweep": 3, "heff": 2, "dynamics": 4, "walk": 4}[name]
-        assert len(runs) == (4 if "workers" in cli.COMMANDS[name][1] else 2)
+        assert len(runs) == (6 if "workers" in cli.COMMANDS[name][1] else 2)
         assert all(run == runs[0] for run in runs), name
 
 

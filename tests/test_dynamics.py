@@ -523,9 +523,9 @@ def test_all_config_evolution_peak_is_workers_times_a_block(workers):
 def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
     # at lam = 1, F flips every site, so column c visits c and its complement
     # only; the phases drift most on high Kronecker indices 4..11, so of the 4
-    # blocks at N = 8 the largest deviation lies in blocks 1 and 2. Worker w
-    # takes every workers-th block from block w, so with 2 to 4 workers a
-    # pool thread evolves block 1, and the calling thread never block 1
+    # blocks at N = 8 the largest deviation lies in blocks 1 and 2. The
+    # threads take the blocks one at a time, so with 2 to 4 workers which
+    # thread evolves blocks 1 and 2 depends on scheduling
     real = dynamics_module.floquet_factors
     n_sites, d_lo = 8, 16
 

@@ -1,5 +1,9 @@
 import hashlib
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -109,19 +113,21 @@ def test_degenerate_sweep_matches_direct_pipeline():
 def test_sweep_deterministic_across_worker_counts():
     plan = small_plan()
     solo = run_sweep(plan, workers=1)
-    pooled = run_sweep(plan, workers=4)
-    # aggregates read each lambda column as a slice of this grid order
-    grid = [(li, ri) for li in range(2) for ri in range(3)]
-    assert [(r.lambda_index, r.realization_index) for r in pooled.records] == grid
-    assert len(solo.records) == len(pooled.records)
-    for a, b in zip(solo.records, pooled.records):
-        assert (a.lambda_index, a.realization_index, a.seed) == (
-            b.lambda_index,
-            b.realization_index,
-            b.seed,
-        )
-        assert np.array_equal(a.quasienergies, b.quasienergies)
-        assert np.array_equal(a.fractal_dimensions, b.fractal_dimensions)
+    for workers in (2, 3, 4):
+        pooled = run_sweep(plan, workers=workers)
+        # aggregates read each lambda column as a slice of this grid order
+        grid = [(li, ri) for li in range(2) for ri in range(3)]
+        assert [(r.lambda_index, r.realization_index) for r in pooled.records] == grid
+        assert len(solo.records) == len(pooled.records)
+        for a, b in zip(solo.records, pooled.records):
+            assert (a.lambda_index, a.realization_index, a.seed) == (
+                b.lambda_index,
+                b.realization_index,
+                b.seed,
+            )
+            assert np.array_equal(a.quasienergies, b.quasienergies)
+            assert np.array_equal(a.fractal_dimensions, b.fractal_dimensions)
+            assert np.array_equal(a.ratios.ratios, b.ratios.ratios)
 
 
 def test_cell_seed_regenerates_record():
@@ -172,9 +178,101 @@ def test_worker_count_sources():
     assert ensemble.worker_count() >= 1
     with pytest.raises(ConfigError, match="worker count"):
         ensemble.worker_count(0)
-    plan = small_plan(lambdas=(0.4,), realizations=1)
+    plan = small_plan(lambdas=(0.4,), realizations=4)
     assert run_sweep(plan, workers=3).workers == 3
-    assert run_sweep(plan).workers == ensemble.worker_count()
+    assert run_sweep(plan).workers == min(ensemble.worker_count(), 4)
+    # a sweep of fewer cells than workers runs on as many threads as cells
+    assert run_sweep(small_plan(lambdas=(0.4,), realizations=1), workers=3).workers == 1
+    assert run_sweep(small_plan(lambdas=(0.4,), realizations=2), workers=9).workers == 2
+
+
+def recording_pools(monkeypatch):
+    """The max_workers of every pool `run_sweep` starts, in order."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_sweep_pool_holds_workers_minus_one_threads(monkeypatch):
+    # the calling thread takes cells beside the pool, and one worker starts none
+    sizes = recording_pools(monkeypatch)
+    seen, real = [], ensemble.run_cell
+
+    def recorded(*args):
+        seen.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(ensemble, "run_cell", recorded)
+    plan = small_plan(lambdas=(0.4,), realizations=6, states=False)
+    for workers in (1, 2, 3):
+        seen.clear()
+        before = threading.active_count()
+        assert run_sweep(plan, workers=workers).workers == workers
+        assert threading.active_count() == before
+        assert len(seen) == 6 and len(set(seen)) <= workers
+    assert sizes == [1, 2]
+    seen.clear()
+    run_sweep(plan, workers=1)
+    assert set(seen) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_no_thread_outlives_a_sweep_whose_cell_raises(monkeypatch, workers):
+    # run_cell records a cell's own failures; an error outside that handling
+    # (here, run_cell itself raising) fails the sweep, after every thread stopped
+    real = ensemble.run_cell
+
+    def raising(plan, li, ri):
+        if (li, ri) == (0, 1):
+            raise RuntimeError("outside the cell's handling")
+        return real(plan, li, ri)
+
+    monkeypatch.setattr(ensemble, "run_cell", raising)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="outside the cell's handling"):
+        run_sweep(small_plan(states=False), workers=workers)
+    assert threading.active_count() == before
+
+
+def test_run_indexed_takes_every_index_once_under_switching():
+    # more threads than cores, switching often, on the one shared iterator
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        taken = []
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            results = ensemble.run_indexed(lambda i: taken.append(i) or -i, 5000, 4, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-i for i in range(5000)]
+    assert sorted(taken) == list(range(5000))
+
+
+def test_run_indexed_orders_results_and_stops_after_an_error():
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for workers in (1, 2, 3):
+            runner = pool if workers > 1 else None
+            assert ensemble.run_indexed(lambda i: i * i, 50, workers, runner) == [
+                i * i for i in range(50)]
+        started = []
+
+        def slow(i):
+            started.append(i)
+            if i == 1:
+                raise ValueError("task 1")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(ValueError, match="task 1"):
+            ensemble.run_indexed(slow, 200, 3, pool)
+        # each thread finishes the task it holds, then starts no other
+        assert len(started) < 200
 
 
 def test_default_worker_count_is_the_usable_cpus(monkeypatch):
@@ -256,6 +354,17 @@ def test_cell_records_an_eigensolver_fallback(monkeypatch):
         assert record.quasienergies is None
 
 
+@pytest.mark.parametrize("states", [False, True])
+def test_a_fault_at_the_factors_fails_the_cell_on_unitarity(monkeypatch, factor_fault, states):
+    real = ensemble.floquet_factors
+    monkeypatch.setattr(ensemble, "floquet_factors",
+                        lambda params, disorder: factor_fault(real(params, disorder)))
+    result = run_sweep(small_plan(lambdas=(0.4,), realizations=2, states=states), workers=2)
+    for record in result.records:
+        assert record.route is None and record.quasienergies is None
+        assert record.error.startswith("ValidationError: matrix deviates from unitary by ")
+
+
 def test_endpoint_cells_take_the_closed_form():
     # every state of the closed form spreads evenly over one 4-cycle (lam = 0)
     # or 2-cycle (lam = 1) of configurations: fractal dimension ln L / ln D
@@ -284,7 +393,7 @@ def test_one_blas_thread_per_sweep_then_restored(monkeypatch, blas_threads):
 
     monkeypatch.setattr(ensemble, "run_cell", counted)
     run_sweep(small_plan(lambdas=(0.4,), realizations=2), workers=2)
-    assert seen == [1, 1]  # every cell, on the pool threads, ran with one thread
+    assert seen == [1, 1]  # every cell, on either thread, ran with one BLAS thread
     assert blas_threads() == 2
     with one_blas_thread():
         # a sweep nested in a command's scope leaves the outer limit in place

@@ -11,6 +11,7 @@ import dtcmorph.floquet as floquet_module
 from dtcmorph.diagnostics import gap_ratios, state_fractal_dimensions
 from dtcmorph.errors import ValidationError
 from dtcmorph.floquet import (
+    UNITARITY_TOL,
     FloquetFactors,
     apply_floquet,
     diagonalize_floquet,
@@ -24,6 +25,7 @@ from dtcmorph.floquet import (
     sparsity_fraction,
     stripped_floquet_powers,
     stripped_gates,
+    unitarity_certificate,
 )
 from dtcmorph.hamiltonians import (
     ModelParams,
@@ -238,6 +240,47 @@ def test_diagonalize_principal_branch_edge():
 def test_diagonalize_rejects_non_unitary():
     with pytest.raises(ValidationError):
         dense_spectrum(diagonal_factors([0.5, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+def test_unitarity_certificate_bounds_the_gram_of_the_built_f(n_sites):
+    # measured: bounds of 2.3e-14 (N = 2) to 1.1e-13 (N = 10) against Gram
+    # defects of 4.4e-16 to 2.7e-15
+    for lam in (0.1, 0.5, 0.9):
+        for seed in (1, 2, 3):
+            p = default_params(n_sites, lam)
+            factors = floquet_factors(p, sample_disorder(p, seed))
+            bound = unitarity_certificate(factors)
+            assert max_unitarity_defect(fast_floquet_operator(factors)) <= bound
+            assert bound <= 1e-2 * UNITARITY_TOL
+
+
+def test_unitarity_certificate_sees_every_faulty_factor(factor_fault):
+    p = default_params(6, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 1))
+    faulty = factor_fault(factors)
+    bound = unitarity_certificate(faulty)
+    if np.isnan(faulty.phases).any():
+        assert np.isnan(bound)
+    else:  # a factor scaled by 1.01 scales some column of F by 1.01
+        assert max_unitarity_defect(fast_floquet_operator(faulty)) <= bound
+        assert 1.01**2 - 1 <= bound < 0.05
+    with pytest.raises(ValidationError, match="deviates from unitary by"):
+        floquet_spectrum(faulty, p.period, vectors=False)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_no_gram_of_the_built_f(monkeypatch, vectors):
+    # the factors certify F; only the states' orthonormality takes a Gram,
+    # of V, after the eigensolve
+    p = default_params(8, 0.5)
+    factors = floquet_factors(p, sample_disorder(p, 7))
+    seen = []
+    real = floquet_module.max_unitarity_defect
+    monkeypatch.setattr(floquet_module, "max_unitarity_defect",
+                        lambda mat: seen.append(mat.flags.f_contiguous) or real(mat))
+    assert floquet_spectrum(factors, p.period, vectors).route == "cayley"
+    assert seen == ([True] if vectors else [])
 
 
 @pytest.mark.parametrize("lam,seed", [(0.0, 0), (0.37, 4), (1.0, 9)])
@@ -609,10 +652,12 @@ def test_endpoint_spectrum_orders_its_states_in_place():
 
 
 # traced peak of one interior cell, dense build included, in D x D complex
-# buffers. A values cell holds only F; its largest temporaries are the
-# unitarity Gram's conjugated block and block row, two blocks of BLOCK_COLS
-# columns (measured 1.50 at N = 8, 1.13 at N = 10). The bound allows 0.75 of
-# a block more: 1.69 and 1.17. A states cell computes its states in F's
+# buffers. A values cell holds only F; since its factors certify F's
+# unitarity, no Gram of F is taken, and its largest temporary is the dense
+# build's chunk of one BLOCK_COLS block (measured 1.25 at N = 8, 1.06 at
+# N = 10, as `test_dense_build_peak_buffers`; 1.50 and 1.13 with the Gram).
+# The bound, set for the Gram's two blocks plus 0.75 of a block, is 1.69 and
+# 1.17. A states cell computes its states in F's
 # buffer too and adds zheevd's two workspace buffers; its residual applies F
 # by its factors to one column block at a time (measured 3.03 at N = 8, 3.01
 # at N = 10).

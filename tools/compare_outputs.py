@@ -7,7 +7,7 @@ BASE_SRC and CHANGE_SRC are `src/` directories, e.g. of a clone of the
 parent commit and of this checkout. Every argv of `ARGVS` runs once under
 each tree (`python -m dtcmorph.cli` with PYTHONPATH set to the tree), in its
 own empty working directory: the seven commands at `--n-sites 4` and their
-defaults, with `--workers 1` and `2` where the command takes `--workers`,
+defaults, with `--workers 1`, `2` and `3` where the command takes `--workers`,
 and the benchmark workloads of `perfbench/workloads.py` at `--seed 1`.
 
 Per run it checks that both trees exit 0, and compares the set of CSV names, the sha256 of
@@ -34,7 +34,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 ARGVS = [
     *([command, "--n-sites", "4", "--workers", workers]
       for command in ("spectrum", "levels", "fractal", "dynamics", "sweep")
-      for workers in ("1", "2")),
+      for workers in ("1", "2", "3")),
     ["walk", "--n-sites", "4"],
     ["heff", "--n-sites", "4"],
     *(workload.argv(1, "out") for workload in WORKLOADS.values()),
