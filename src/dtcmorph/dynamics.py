@@ -183,11 +183,24 @@ def column_blocks(n_sites: int) -> list[range]:
     """The fixed blocks of the high Kronecker index of `stripped_floquet_powers`
     that the fidelity maps evolve one at a time: contiguous runs of
     max(1, BLOCK_COLS // d_lo) indices, BLOCK_COLS columns each from N = 8 up
-    and one block for N <= 6 (D <= 64).
+    and one block for N <= 6 (D <= 64). A block evolves in two real buffers
+    of real and imaginary planes, each the size of a complex D x BLOCK_COLS
+    array.
     """
     d_hi, d_lo = kron_dims(n_sites)
     width = max(1, BLOCK_COLS // d_lo)
     return [range(lo, min(lo + width, d_hi)) for lo in range(0, d_hi, width)]
+
+
+def _signed_weights(n_sites: int) -> np.ndarray:
+    """The (2, 2D) weights of the magnetization on the (h, plane, l) rows of a
+    block's squared planes (`stripped_floquet_powers`): row 0 the positive
+    parts of the configuration weights, row 1 the magnitudes of the negative
+    parts, each repeated over the two planes.
+    """
+    d_hi, d_lo = kron_dims(n_sites)
+    weights = magnetization_weights(n_sites).reshape(d_hi, 1, d_lo).repeat(2, axis=1).ravel()
+    return np.stack((np.maximum(weights, 0.0), np.maximum(-weights, 0.0)))
 
 
 def _all_config_power_spectra(
@@ -203,32 +216,40 @@ def _all_config_power_spectra(
 
     Column i of U3^H F^m has the norm and the magnetization of F^m|i>, since
     U3 conserves both, so dense F is never built. The columns evolve in the
-    fixed `column_blocks`, which share one `stripped_gates`; each block fills
-    its own columns of the magnetizations with its own population buffer.
-    The calling thread and `workers` - 1 threads of `pool` (None with one
-    worker) take the blocks one at a time (`ensemble.run_indexed`), so a
-    thread holds one block's buffers at a time: two complex and one real
-    D x BLOCK_COLS array, whatever D. Every column is computed the same way
-    whatever the workers, so the result is bitwise the same. Once every
-    block has finished, a norm drift in any column raises one
-    ValidationError naming the largest.
+    fixed `column_blocks`, which share one `stripped_gates`, in real and
+    imaginary planes (`stripped_floquet_powers`). Each period a block squares
+    its planes into the spare buffer, and two GEMVs with the rows of
+    `_signed_weights` give the up- and down-weighted population sums of its
+    columns, whose difference is the magnetization. Each sum adds
+    nonnegative terms and the difference is exact, so a series that is zero
+    by symmetry reads exactly 0 where the two sums round alike. (One GEMM of
+    both rows rounds a column differently with the block's width; a GEMV
+    does not.) The column sums of the last period's squares are the squared
+    norms. The calling
+    thread and `workers` - 1 threads of `pool` (None with one worker) take
+    the blocks one at a time (`ensemble.run_indexed`), so a thread holds one
+    block's two buffers at a time, each the size of a complex D x BLOCK_COLS
+    array, whatever D. Every column is computed the same way whatever the
+    workers, so the result is bitwise the same. Once every block has
+    finished, a norm drift in any column raises one ValidationError naming
+    the largest.
     """
-    d = params.dim
     d_lo = kron_dims(params.n_sites)[1]
     blocks = column_blocks(params.n_sites)
     gates = stripped_gates(floquet_factors(params, disorder))
-    weights = magnetization_weights(params.n_sites)
-    magnetizations = np.empty((n_periods, d))
+    weights = _signed_weights(params.n_sites)
+    magnetizations = np.empty((n_periods, params.dim))
 
     def evolve(b: int) -> float:
         block = blocks[b]
         columns = magnetizations[:, block.start * d_lo:block.stop * d_lo]
-        populations = np.empty((d, columns.shape[1]))
-        for m, states in enumerate(stripped_floquet_powers(gates, n_periods, block)):
-            np.abs(states, out=populations)
-            populations *= populations
-            np.matmul(weights, populations, out=columns[m])
-        return norm_deviation(states)
+        sums = np.empty((2, columns.shape[1]))
+        for m, (planes, spare) in enumerate(stripped_floquet_powers(gates, n_periods, block)):
+            squares = np.square(planes, out=spare).reshape(2 * params.dim, -1)
+            for row, total in zip(weights, sums):
+                np.matmul(row, squares, out=total)
+            np.subtract(sums[0], sums[1], out=columns[m])
+        return float(np.max(np.abs(np.sqrt(squares.sum(axis=0)) - 1.0)))
 
     deviations = run_indexed(evolve, len(blocks), workers, pool)
     check_norm_deviation(float(np.max(deviations)))  # NaN-safe, whatever the block order
@@ -249,7 +270,8 @@ def fidelity_map(
     at each grid lam.
 
     The lam = 0 and lam = 1 references are reused as grid columns when the
-    grid holds those values. Each lam's columns evolve in `column_blocks(N)`
+    grid holds those values. Each lam's columns evolve in real arithmetic
+    (`_all_config_power_spectra`), in `column_blocks(N)`
     on min(worker_count(workers), blocks) workers: the calling thread and a
     pool of (workers - 1) threads, open for the whole grid, which take the
     blocks one at a time (`ensemble.run_indexed`); with one worker

@@ -212,23 +212,44 @@ def kron_dims(n_sites: int) -> tuple[int, int]:
 class StrippedGates:
     """The operators of `stripped_floquet_powers`, built once per F by `stripped_gates`.
 
-    `k_hi` (d_hi x d_hi) and the batched (d_hi, d_lo, d_lo) `phased_lo` =
-    diag(phases) (I (x) K_lo) are the merged dimer layer of one period, and
-    `u1_hi`, `u1_lo` the Kronecker halves of U1 (see `kron_dims`). Only
-    `phased_lo` grows with D: D * d_lo entries, 4 MB at N = 12.
+    The merged dimer layer of one period is K_hi (x) K_lo over the upper and
+    lower dimers (see `kron_dims`), followed by the phases. It is held in
+    real arithmetic, each complex entry z as the 2 x 2 block
+    [[Re z, -Im z], [Im z, Re z]] (`_real_embedding`): `real_hi`
+    (2 d_hi x 2 d_hi, rows and columns (h, plane)) embeds K_hi, and the
+    batched `real_lo` (d_hi, 2 d_lo, 2 d_lo; rows and columns (plane, l))
+    embeds diag(phases) (I (x) K_lo), one block per high index h. `u1_hi`
+    and `u1_lo` are the Kronecker halves of U1, which with the phases start
+    the evolution. Only `real_lo` grows with D: 4 D * d_lo reals, 8 MB at
+    N = 12.
     """
 
-    k_hi: np.ndarray
-    phased_lo: np.ndarray
+    real_hi: np.ndarray
+    real_lo: np.ndarray
     u1_hi: np.ndarray
     u1_lo: np.ndarray
     phases: np.ndarray
 
 
+def _real_embedding(z: np.ndarray) -> np.ndarray:
+    """[[Re z, -Im z], [Im z, Re z]] of z (a, b, ...) as an (a, 2, b, 2, ...) real array."""
+    out = np.empty((z.shape[0], 2, z.shape[1], 2, *z.shape[2:]))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = z.real
+    out[:, 1, :, 0] = z.imag
+    np.negative(z.imag, out=out[:, 0, :, 1])
+    return out
+
+
 def stripped_gates(factors: FloquetFactors) -> StrippedGates:
     k_hi, k_lo = _kron_halves([a @ b for a, b in zip(factors.u1, factors.u3)])
-    phased_lo = factors.phases.reshape(len(k_hi), len(k_lo), 1) * k_lo
-    return StrippedGates(k_hi, phased_lo, *_kron_halves(factors.u1), factors.phases)
+    d_hi, d_lo = len(k_hi), len(k_lo)
+    phased_lo = factors.phases.reshape(d_hi, d_lo, 1) * k_lo
+    return StrippedGates(
+        _real_embedding(k_hi).reshape(2 * d_hi, 2 * d_hi),
+        _real_embedding(phased_lo).reshape(d_hi, 2 * d_lo, 2 * d_lo),
+        *_kron_halves(factors.u1),
+        factors.phases,
+    )
 
 
 def stripped_floquet_powers(gates: StrippedGates, n_periods: int, block: range | None = None):
@@ -236,31 +257,46 @@ def stripped_floquet_powers(gates: StrippedGates, n_periods: int, block: range |
 
     F^m = U3 [U2 (U1 U3)]^(m-1) U2 U1, so after U2 U1 every period applies
     the merged dimer gates u1[k] @ u3[k] and then the phases. The gates form
-    K_hi (x) K_lo over the upper and lower dimers, applied as two GEMMs with
-    the phases folded into the batched K_lo: O((d_hi + d_lo) D^2) per period
-    against O(D^3) for F @ states. The missing left U3 keeps column norms and
-    every observable that commutes with it, such as the total magnetization.
+    K_hi (x) K_lo over the upper and lower dimers, applied in real
+    arithmetic as two GEMMs, the phases folded into the batched K_lo
+    (`StrippedGates`): O((d_hi + d_lo) D^2) per period against O(D^3) for
+    F @ states. The missing left U3 keeps column norms and every observable
+    that commutes with it, such as the total magnetization.
 
     `gates` is `stripped_gates(factors)`, which every block of one F shares.
     `block` is a range of the high Kronecker index (default: all of
-    `range(d_hi)`, see `kron_dims`). The yielded D x (len(block) * d_lo)
-    array holds the columns [block.start * d_lo, block.stop * d_lo) and
-    starts from kron(U1_hi[:, block], U1_lo), so a block never builds a
-    D x D temporary. Columns evolve independently, so a block's columns are
-    those of the whole. The same buffer is yielded each period and
-    overwritten by the next.
+    `range(d_hi)`, see `kron_dims`); the block holds the C = len(block) * d_lo
+    columns [block.start * d_lo, block.stop * d_lo). Each period yields
+    `(planes, spare)`: `planes` is the real (d_hi, 2, d_lo, C) array whose
+    [h, 0] and [h, 1] are the real and imaginary parts of rows
+    h * d_lo .. (h + 1) * d_lo - 1 of the D x C block, and `spare` a buffer
+    of the same shape that the caller may overwrite until the next period.
+    The hi stage is one GEMM on the (2 d_hi, d_lo C) view, the lo stage one
+    batched GEMM on the (d_hi, 2 d_lo, C) view. The block starts from
+    kron(U1_hi[:, block], U1_lo) scaled by the phases, written into the
+    planes one high index at a time, so a block holds its two buffers and
+    no D x D or complex D x C temporary. Columns evolve independently, so a
+    block's columns are those of the whole. The same buffers are yielded
+    each period and overwritten by the next.
     """
-    d_hi, d_lo = len(gates.k_hi), len(gates.u1_lo)
+    d_hi, d_lo = len(gates.u1_hi), len(gates.u1_lo)
     u1_hi = gates.u1_hi if block is None else gates.u1_hi[:, block.start:block.stop]
-    states = np.kron(u1_hi, gates.u1_lo)
-    states *= gates.phases[:, None]
-    scratch = np.empty_like(states)
+    planes = np.empty((d_hi, 2, d_lo, u1_hi.shape[1] * d_lo))
+    spare = np.empty_like(planes)
+    # the start, one high index h at a time through the spare buffer viewed as
+    # complex: rows (l, (j, k)) hold U1_hi[h, j] U1_lo[l, k] phase[h, l]
+    start = spare.reshape(d_hi, -1).view(complex).reshape(d_hi, d_lo, -1, d_lo)
+    phases = gates.phases.reshape(d_hi, d_lo, 1, 1)
+    for h, rows in enumerate(planes):
+        np.multiply(u1_hi[h, :, None], gates.u1_lo[:, None, :], out=start[h])
+        start[h] *= phases[h]
+        rows[0], rows[1] = start[h].real.reshape(d_lo, -1), start[h].imag.reshape(d_lo, -1)
     for m in range(n_periods):
         if m:
-            np.matmul(gates.k_hi, states.reshape(d_hi, -1), out=scratch.reshape(d_hi, -1))
-            np.matmul(gates.phased_lo, scratch.reshape(d_hi, d_lo, -1),
-                      out=states.reshape(d_hi, d_lo, -1))
-        yield states
+            np.matmul(gates.real_hi, planes.reshape(2 * d_hi, -1), out=spare.reshape(2 * d_hi, -1))
+            np.matmul(gates.real_lo, spare.reshape(d_hi, 2 * d_lo, -1),
+                      out=planes.reshape(d_hi, 2 * d_lo, -1))
+        yield planes, spare
 
 
 def fast_floquet_operator(factors: FloquetFactors) -> np.ndarray:
@@ -345,6 +381,15 @@ def unitarity_certificate(factors: FloquetFactors) -> float:
     rest = phase * _layers_growth(factors.u3)
     firsts = [_layers_growth(gates) for gates in (factors.rotations, factors.u1)]
     return float(np.max(firsts)) ** 2 * rest**2 - 1.0  # np.max keeps a NaN
+
+
+def _require_certified(factors: FloquetFactors) -> None:
+    """ValidationError unless `unitarity_certificate(factors)` is within UNITARITY_TOL; a NaN fails."""
+    defect = unitarity_certificate(factors)
+    if not defect <= UNITARITY_TOL:
+        raise ValidationError(
+            f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
+        )
 
 
 def _block_pairs(dim: int) -> list:
@@ -494,11 +539,7 @@ def diagonalize_floquet(
     and no FV are kept beside them. No max|entry| or Gram makes a full-size
     temporary.
     """
-    defect = unitarity_certificate(factors)
-    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
-        raise ValidationError(
-            f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL})"
-        )
+    _require_certified(factors)
     for step in (0, *CAYLEY_RETRY_STEPS):
         if step:  # the refused attempt spent F's buffer: free it, build F again
             del f
@@ -671,10 +712,13 @@ def floquet_spectrum(factors: FloquetFactors, period: float, vectors: bool = Tru
     The closed form (`endpoint_spectrum`) answers where it can; elsewhere
     dense F is built (`fast_floquet_operator`) and spent by
     `diagonalize_floquet`, by Cayley, retried on a phase-rotated F where
-    refused. The result's `route` says which.
+    refused. The result's `route` says which. Factors that fail the
+    unitarity certificate are refused before F is built, with the message
+    of `diagonalize_floquet`'s own gate, which checks them again (~0.1 ms).
     """
     result = endpoint_spectrum(factors, period, vectors)
     if result is None:
+        _require_certified(factors)
         result = diagonalize_floquet(fast_floquet_operator(factors), factors, period, vectors)
     return result
 

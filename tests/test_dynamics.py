@@ -470,12 +470,14 @@ def blocked_power_spectra(params, disorder, n_periods, workers):
 
 
 def whole_power_spectra(params, disorder, n_periods):
-    """The spectra and the configuration-3 series from one whole-D `stripped_floquet_powers`."""
-    weights = magnetization_weights(params.n_sites)
+    """The spectra and the configuration-3 series from one whole-D `stripped_floquet_powers`,
+    its magnetizations the up- minus the down-weighted sums of the squared planes."""
+    weights = dynamics_module._signed_weights(params.n_sites)
     magnetizations = np.empty((n_periods, params.dim))
     gates = stripped_gates(floquet_factors(params, disorder))
-    for m, states in enumerate(stripped_floquet_powers(gates, n_periods)):
-        magnetizations[m] = weights @ (np.abs(states) ** 2)
+    for m, (planes, _) in enumerate(stripped_floquet_powers(gates, n_periods)):
+        squares = np.square(planes).reshape(2 * params.dim, -1)
+        magnetizations[m] = weights[0] @ squares - weights[1] @ squares
     return np.abs(dft(magnetizations)) ** 2, magnetizations[:, 3]
 
 
@@ -501,11 +503,13 @@ def test_column_blocks_are_bitwise_the_whole_evolution(n_sites, n_periods, lam):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_all_config_evolution_peak_is_workers_times_a_block(workers):
     # one lambda at N = 10 (D = 1024, 16 blocks of 64 columns), 8 periods.
-    # Each worker holds one block's two complex and one real D x 64 buffers,
-    # under 3 complex ones; all share phased_lo (D x d_lo complex) and the
-    # (n, D) magnetizations and their transform, under 4 complex (n, D)
-    # arrays. Evolving every column at once peaked at 2.5 D x D buffers, 40
-    # block buffers, whatever the workers.
+    # Each worker holds one block's two real (planes, spare) buffers, each
+    # the size of a complex D x 64 one; all share real_lo (4 D d_lo reals,
+    # 2 d_lo complex D-length columns) and the (n, D) magnetizations and
+    # their transform, under 4 complex (n, D) arrays. Evolving every column
+    # at once peaked at 2.5 D x D buffers, 40 block buffers, whatever the
+    # workers; complex blocks held three buffers per worker and a d_lo-column
+    # phased_lo, a bound of 3 * workers * 64 + d_lo + 4 n columns.
     n_sites, n_periods = 10, 8
     p = default_params(n_sites, 0.5)
     disorder = sample_disorder(p, 3)
@@ -516,7 +520,7 @@ def test_all_config_evolution_peak_is_workers_times_a_block(workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    columns = 3 * workers * BLOCK_COLS + kron_dims(n_sites)[1] + 4 * n_periods
+    columns = 2 * workers * BLOCK_COLS + 2 * kron_dims(n_sites)[1] + 4 * n_periods
     assert peak <= columns * p.dim * 16
 
 
@@ -547,8 +551,9 @@ def test_norm_drift_names_the_largest_deviation_over_every_block(monkeypatch):
         messages.add(str(info.value))
     (message,) = messages
     gates = stripped_gates(drifting(dataclasses.replace(p, lam=1.0), disorder))
-    for states in stripped_floquet_powers(gates, 8):
+    for planes, _ in stripped_floquet_powers(gates, 8):
         pass
+    states = (planes[:, 0] + 1j * planes[:, 1]).reshape(p.dim, -1)
     drift = np.abs(np.linalg.norm(states, axis=0) - 1.0)
     blocks = column_blocks(n_sites)
     for block in (blocks[0], blocks[3]):

@@ -359,6 +359,9 @@ def test_a_fault_at_the_factors_fails_the_cell_on_unitarity(monkeypatch, factor_
     real = ensemble.floquet_factors
     monkeypatch.setattr(ensemble, "floquet_factors",
                         lambda params, disorder: factor_fault(real(params, disorder)))
+    # the certificate refuses the cell before dense F is built
+    monkeypatch.setattr(floquet_module, "fast_floquet_operator",
+                        lambda factors: pytest.fail("dense F was built"))
     result = run_sweep(small_plan(lambdas=(0.4,), realizations=2, states=states), workers=2)
     for record in result.records:
         assert record.route is None and record.quasienergies is None

@@ -21,6 +21,7 @@ from dtcmorph.floquet import (
     floquet_factors,
     floquet_operator,
     floquet_spectrum,
+    kron_dims,
     propagator,
     sparsity_fraction,
     stripped_floquet_powers,
@@ -202,6 +203,11 @@ def test_factor_form_matches_dense_oracle(n_sites, lam):
         assert np.max(np.abs(mat - dense)) < 1e-12
 
 
+def complex_states(planes):
+    """The D x C complex block held by the (d_hi, 2, d_lo, C) planes of `stripped_floquet_powers`."""
+    return (planes[:, 0] + 1j * planes[:, 1]).reshape(-1, planes.shape[-1])
+
+
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
 def test_stripped_powers_are_floquet_powers_without_the_last_u3(n_sites, lam):
@@ -210,9 +216,12 @@ def test_stripped_powers_are_floquet_powers_without_the_last_u3(n_sites, lam):
     dense = floquet_operator(p, disorder)
     u3 = propagator(build_h3(p, disorder), p.t3)
     power = np.eye(p.dim, dtype=complex)
-    for m, states in enumerate(stripped_floquet_powers(stripped_gates(floquet_factors(p, disorder)), 6), 1):
+    gates = stripped_gates(floquet_factors(p, disorder))
+    for m, (planes, spare) in enumerate(stripped_floquet_powers(gates, 6), 1):
+        d_hi, d_lo = kron_dims(n_sites)
+        assert planes.shape == spare.shape == (d_hi, 2, d_lo, p.dim)
         power = dense @ power
-        assert np.max(np.abs(u3 @ states - power)) < 1e-12
+        assert np.max(np.abs(u3 @ complex_states(planes) - power)) < 1e-12
     assert m == 6
 
 
@@ -267,6 +276,24 @@ def test_unitarity_certificate_sees_every_faulty_factor(factor_fault):
         assert 1.01**2 - 1 <= bound < 0.05
     with pytest.raises(ValidationError, match="deviates from unitary by"):
         floquet_spectrum(faulty, p.period, vectors=False)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_a_faulty_cell_is_refused_before_f_is_built(monkeypatch, factor_fault, vectors):
+    p = default_params(6, 0.5)
+    faulty = factor_fault(floquet_factors(p, sample_disorder(p, 1)))
+    # diagonalize_floquet's own gate, for a direct caller, names the defect
+    with pytest.raises(ValidationError) as direct:
+        diagonalize_floquet(fast_floquet_operator(faulty), faulty, p.period, vectors)
+
+    def refuse(factors):
+        raise AssertionError("dense F was built")
+
+    monkeypatch.setattr(floquet_module, "fast_floquet_operator", refuse)
+    with pytest.raises(ValidationError) as info:
+        floquet_spectrum(faulty, p.period, vectors)
+    assert str(info.value) == str(direct.value)
+    assert str(info.value).startswith("matrix deviates from unitary by ")
 
 
 @pytest.mark.parametrize("vectors", [False, True])
@@ -370,9 +397,9 @@ def test_coupling_space_matches_dense_oracle(p, seed):
     assert np.max(np.abs(mat - dense)) < 1e-12
     weights = magnetization_weights(p.n_sites)
     power = np.eye(p.dim, dtype=complex)
-    for states in stripped_floquet_powers(stripped_gates(factors), 6):
+    for planes, _ in stripped_floquet_powers(stripped_gates(factors), 6):
         power = dense @ power
-        got = weights @ (np.abs(states) ** 2)
+        got = weights @ (np.abs(complex_states(planes)) ** 2)
         assert np.max(np.abs(got - weights @ (np.abs(power) ** 2))) < 1e-12
     eig = folded(np.linalg.eigvals(dense), p.period)
     eps = dense_spectrum(factors, p.period).quasienergies

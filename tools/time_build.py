@@ -15,14 +15,17 @@ one `heff`, `fractal` or `sweep` cell with them ("states_cell"), and the
 all-configuration evolution of one `dynamics` lambda over
 FIDELITY_PERIODS periods on one worker ("fidelity": the power spectra of
 every basis state that one column of the fidelity maps compares;
-`--repeats` calls of each but "period") on one interior cell
-(lambda = 0.5, default couplings, disorder seed 7), after one untimed call
-of each, with OpenBLAS held to one thread. One more untimed call of each
-stage runs under tracemalloc for its traced peak: what it allocates beyond
-its inputs, in D x D complex buffers. A cell builds F and solves in F's own
-buffer; the fidelity column never builds F and holds one block of
-spins.BLOCK_COLS columns at a time. N = 12 is opt-in: one build takes
-seconds there and one eigensolve minutes.
+`--repeats` calls of each but "period", which runs `--periods`) on one
+interior cell (lambda = 0.5, default couplings, disorder seed 7), with
+OpenBLAS held to one thread. Each stage runs once more before its timed
+calls, untimed and under tracemalloc, for its traced peak: what it
+allocates beyond its inputs, in D x D complex buffers. That first call
+also fills the caches a stage keeps (the magnetization weights, O(D)
+entries); they move a peak by under 3e-3 buffers at N = 8 and under 1e-3
+from N = 10, below the digits the peaks are read to. A cell builds F and
+solves in F's own buffer; the fidelity column never builds F and holds
+one block of spins.BLOCK_COLS columns at a time. N = 12 is opt-in: one
+build takes seconds there and one eigensolve minutes.
 
 Standard output is one JSON line: the environment fingerprint, the same
 `lapack.environment` block a run manifest records, and, per N and stage,
@@ -66,18 +69,18 @@ def _summary(seconds: list) -> dict:
 
 
 def _timed(call, repeats: int, buffer_bytes: int) -> dict:
-    call()
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        seconds.append(time.perf_counter() - start)
+    """`repeats` timed calls, after one untimed call under tracemalloc for the peak."""
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
     return {**_summary(seconds), "peak_buffers": peak / buffer_bytes}
 
 
