@@ -508,8 +508,7 @@ def test_all_config_evolution_peak_is_workers_times_a_block(workers):
     # 2 d_lo complex D-length columns) and the (n, D) magnetizations and
     # their transform, under 4 complex (n, D) arrays. Evolving every column
     # at once peaked at 2.5 D x D buffers, 40 block buffers, whatever the
-    # workers; complex blocks held three buffers per worker and a d_lo-column
-    # phased_lo, a bound of 3 * workers * 64 + d_lo + 4 n columns.
+    # workers.
     n_sites, n_periods = 10, 8
     p = default_params(n_sites, 0.5)
     disorder = sample_disorder(p, 3)
